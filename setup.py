@@ -1,25 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernel is optional: the package falls back to the pure-Python
-# implementation in rootdom._pykernels when the extension is absent.
-ext_modules = []
-if os.environ.get("ROOTDOM_PURE_PYTHON") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "rootdom._ckernels",
-                    ["src/rootdom/_ckernels.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# _ckernels.c is plain C loaded with ctypes by rootdom.kernels, not a Python
+# extension module.  It is optional: without a C compiler the install still
+# succeeds and the package runs on the pure-Python kernels.
+setup(
+    ext_modules=[
+        Extension(
+            "rootdom._ckernels",
+            ["src/rootdom/_ckernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

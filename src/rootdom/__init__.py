@@ -29,21 +29,13 @@ from .solvers import (
     SolveBudget,
     SolveResult,
     classify_root,
-    connected_domination_number,
-    convex_domination_number,
     default_budget,
-    domination_number,
     enumerate_optimal,
-    independence_number,
-    independent_domination_number,
     is_dominating,
     is_independent,
     is_super_dominating,
     minimum_set,
-    roman_domination_number,
     solve,
-    super_domination_number,
-    weakly_connected_domination_number,
 )
 from .harness import (
     MUST_HOLD,

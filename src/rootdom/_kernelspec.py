@@ -1,0 +1,35 @@
+"""What both kernel backends share: the kind codes, the largest order, and
+the output order of ``roman_enumerate``.
+
+A module of its own, so that the C backend loads without compiling the
+pure-Python kernels.
+"""
+
+from __future__ import annotations
+
+KIND_DOMINATING = 0
+KIND_INDEPENDENT_DOMINATING = 1
+KIND_CONNECTED_DOMINATING = 2
+KIND_CONVEX_DOMINATING = 3
+KIND_WEAKLY_CONNECTED_DOMINATING = 4
+KIND_SUPER_DOMINATING = 5
+KIND_INDEPENDENT = 6
+
+#: Largest order the kernels are called with: the C kernels keep vertex sets
+#: in 64-bit masks.  It is also the ceiling of the scan budget.
+MAX_ORDER = 62
+
+
+def rev_mask(mask: int, n: int) -> int:
+    """``mask`` with bit v moved to bit n - 1 - v: of two vertex sets of one
+    size, the lexicographically smaller has the larger reversed mask."""
+    rev = 0
+    for v in range(n):
+        if mask & (1 << v):
+            rev |= 1 << (n - 1 - v)
+    return rev
+
+
+def sort_roman(b2_masks: list[int], n: int) -> None:
+    """Order 2-sets by size, then lexicographically."""
+    b2_masks.sort(key=lambda m: (m.bit_count(), -rev_mask(m, n)))

@@ -1,23 +1,30 @@
-"""Pure-Python bitmask kernels: the import-time fallback for the compiled core.
+"""Pure-Python bitmask kernels: the fallback when ``_ckernels.c`` is not built.
 
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
 the sorted vertex tuples, so the first feasible subset found is the
-lexicographically smallest optimum.  The compiled kernel in ``_ckernels``
-implements byte-for-byte identical semantics.
+lexicographically smallest optimum.  The C kernels in ``_ckernels.c`` have
+identical semantics, and ``tests/test_backends.py`` holds them to it with
+this module as the referee.  To compare their speed, run ``perfbench/run.py``
+in a checkout with the library built (``python setup.py build_ext
+--inplace``) and in one without it.
 """
 
 from __future__ import annotations
 
-BACKEND = "python"
+from ._kernelspec import (
+    KIND_CONNECTED_DOMINATING,
+    KIND_CONVEX_DOMINATING,
+    KIND_DOMINATING,
+    KIND_INDEPENDENT,
+    KIND_INDEPENDENT_DOMINATING,
+    KIND_SUPER_DOMINATING,
+    KIND_WEAKLY_CONNECTED_DOMINATING,
+    rev_mask,
+    sort_roman,
+)
 
-KIND_DOMINATING = 0
-KIND_INDEPENDENT_DOMINATING = 1
-KIND_CONNECTED_DOMINATING = 2
-KIND_CONVEX_DOMINATING = 3
-KIND_WEAKLY_CONNECTED_DOMINATING = 4
-KIND_SUPER_DOMINATING = 5
-KIND_INDEPENDENT = 6
+BACKEND = "python"
 
 _INDEPENDENT_KINDS = (KIND_INDEPENDENT_DOMINATING, KIND_INDEPENDENT)
 
@@ -117,67 +124,15 @@ def _suffix_cover(n: int, closed_m) -> list[int]:
     return suffix
 
 
-def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix):
-    """Lex-first feasible subset of size k, or None."""
+def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, visit) -> bool:
+    """Calls ``visit`` on each feasible subset of size k, in lex order, until
+    it returns False; returns whether the scan ran to the end."""
     independent = kind in _INDEPENDENT_KINDS
     covering = kind != KIND_INDEPENDENT
-
-    def rec(start: int, picked: int, sub: int, cover: int):
-        if picked == k:
-            return sub if _leaf_ok(kind, sub, cover, full, n, open_m, intervals) else None
-        need = k - picked
-        for v in range(start, n - need + 1):
-            bit = 1 << v
-            if independent and (open_m[v] & sub):
-                continue
-            new_cover = cover | closed_m[v]
-            if covering and (full & ~(new_cover | suffix[v + 1])):
-                continue
-            found = rec(v + 1, picked + 1, sub | bit, new_cover)
-            if found is not None:
-                return found
-        return None
-
-    return rec(0, 0, 0, 0)
-
-
-def scan_min(kind: int, n: int, open_m, closed_m, intervals=None):
-    """Minimum feasible subset: ``(size, mask)`` or None when infeasible."""
-    full = (1 << n) - 1
-    suffix = _suffix_cover(n, closed_m)
-    for k in range(1, n + 1):
-        found = _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix)
-        if found is not None:
-            return k, found
-    return None
-
-
-def scan_max_independent(n: int, open_m):
-    """Maximum independent set: ``(size, mask)``; the empty set for n == 0."""
-    full = (1 << n) - 1
-    suffix = _suffix_cover(n, [0] * n)
-    for k in range(n, 0, -1):
-        found = _scan_k(KIND_INDEPENDENT, n, k, open_m, [0] * n, None, full, suffix)
-        if found is not None:
-            return k, found
-    return 0, 0
-
-
-def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int):
-    """All feasible subsets of size k in lex order: ``(masks, hit_cap)``."""
-    full = (1 << n) - 1
-    suffix = _suffix_cover(n, closed_m)
-    independent = kind in _INDEPENDENT_KINDS
-    covering = kind != KIND_INDEPENDENT
-    out: list[int] = []
 
     def rec(start: int, picked: int, sub: int, cover: int) -> bool:
         if picked == k:
-            if _leaf_ok(kind, sub, cover, full, n, open_m, intervals):
-                out.append(sub)
-                if len(out) > cap:
-                    return False
-            return True
+            return not _leaf_ok(kind, sub, cover, full, n, open_m, intervals) or visit(sub)
         need = k - picked
         for v in range(start, n - need + 1):
             if independent and (open_m[v] & sub):
@@ -189,20 +144,72 @@ def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: 
                 return False
         return True
 
+    return rec(0, 0, 0, 0)
+
+
+def _first(kind, n, sizes, open_m, closed_m, intervals):
+    """``(k, mask)`` of the lex-first feasible subset of the first size in
+    ``sizes`` that has one, or None."""
+    full = (1 << n) - 1
+    suffix = _suffix_cover(n, closed_m)
+    found: list[int] = []
+
+    def stop(sub: int) -> bool:
+        found.append(sub)
+        return False
+
+    for k in sizes:
+        if not _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, stop):
+            return k, found[0]
+    return None
+
+
+def scan_min(kind: int, n: int, open_m, closed_m, intervals=None):
+    """Minimum feasible subset: ``(size, mask)`` or None when infeasible."""
+    return _first(kind, n, range(1, n + 1), open_m, closed_m, intervals)
+
+
+def scan_max_independent(n: int, open_m):
+    """Maximum independent set: ``(size, mask)``; the empty set for n == 0."""
+    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None) or (0, 0)
+
+
+def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int):
+    """All feasible subsets of size k in lex order: ``(masks, hit_cap)``."""
+    full = (1 << n) - 1
+    out: list[int] = []
+
+    def collect(sub: int) -> bool:
+        out.append(sub)
+        return len(out) <= cap
+
     if k == 0:
         if _leaf_ok(kind, 0, 0, full, n, open_m, intervals):
             out.append(0)
         return out, False
-    completed = rec(0, 0, 0, 0)
+    suffix = _suffix_cover(n, closed_m)
+    completed = _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, collect)
     return out, not completed
 
 
-def _rev_mask(mask: int, n: int) -> int:
-    rev = 0
-    for v in range(n):
-        if mask & (1 << v):
-            rev |= 1 << (n - 1 - v)
-    return rev
+def _roman_scan(n: int, closed_m, bound: list[int], leaf) -> bool:
+    """Decides each vertex out of, then into, the 2-set B2, skipping every
+    branch whose weight must exceed ``bound[0]``.  Calls ``leaf(weight,
+    twos, b2_mask)`` on each complete B2 until it returns False; returns
+    whether the scan ran to the end."""
+    full = (1 << n) - 1
+    suffix = _suffix_cover(n, closed_m)
+
+    def rec(v: int, twos: int, cover: int, mask: int) -> bool:
+        if 2 * twos + (full & ~(cover | suffix[v])).bit_count() > bound[0]:
+            return True
+        if v == n:
+            return leaf(2 * twos + (full & ~cover).bit_count(), twos, mask)
+        return rec(v + 1, twos, cover, mask) and rec(
+            v + 1, twos + 1, cover | closed_m[v], mask | (1 << v)
+        )
+
+    return rec(0, 0, 0, 0)
 
 
 def roman_min(n: int, closed_m):
@@ -214,48 +221,30 @@ def roman_min(n: int, closed_m):
     N[B2] could be lowered to 0.  Returns ``(weight, b2_mask)`` with ties
     broken by fewest 2-labels, then lexicographically smallest B2.
     """
-    full = (1 << n) - 1
-    suffix = _suffix_cover(n, closed_m)
-    state = {"key": (3 * n + 1, 0, 0), "mask": 0}
+    bound = [3 * n + 1]
+    best = [(3 * n + 1, 0, 0), 0]
 
-    def rec(v: int, twos: int, cover: int, mask: int):
-        floor = 2 * twos + (full & ~(cover | suffix[v])).bit_count()
-        if floor > state["key"][0]:
-            return
-        if v == n:
-            weight = 2 * twos + (full & ~cover).bit_count()
-            key = (weight, twos, -_rev_mask(mask, n))
-            if key < state["key"]:
-                state["key"] = key
-                state["mask"] = mask
-            return
-        rec(v + 1, twos, cover, mask)
-        rec(v + 1, twos + 1, cover | closed_m[v], mask | (1 << v))
+    def keep(weight: int, twos: int, mask: int) -> bool:
+        key = (weight, twos, -rev_mask(mask, n))
+        if key < best[0]:
+            best[:] = key, mask
+            bound[0] = weight
+        return True
 
-    rec(0, 0, 0, 0)
-    return state["key"][0], state["mask"]
+    _roman_scan(n, closed_m, bound, keep)
+    return bound[0], best[1]
 
 
 def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
     """All B2 masks whose forced completion has the target weight."""
-    full = (1 << n) - 1
-    suffix = _suffix_cover(n, closed_m)
     out: list[int] = []
 
-    def rec(v: int, twos: int, cover: int, mask: int) -> bool:
-        floor = 2 * twos + (full & ~(cover | suffix[v])).bit_count()
-        if floor > target_weight:
-            return True
-        if v == n:
-            if 2 * twos + (full & ~cover).bit_count() == target_weight:
-                out.append(mask)
-                if len(out) > cap:
-                    return False
-            return True
-        if not rec(v + 1, twos, cover, mask):
-            return False
-        return rec(v + 1, twos + 1, cover | closed_m[v], mask | (1 << v))
+    def collect(weight: int, twos: int, mask: int) -> bool:
+        if weight == target_weight:
+            out.append(mask)
+        return len(out) <= cap
 
-    completed = rec(0, 0, 0, 0)
-    out.sort(key=lambda m: (m.bit_count(), -_rev_mask(m, n)))
+    completed = _roman_scan(n, closed_m, [target_weight], collect)
+    sort_roman(out, n)
     return out, not completed
+

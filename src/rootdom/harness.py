@@ -15,7 +15,7 @@ finding, not a crash.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from . import solvers
@@ -747,21 +747,48 @@ def closed_form_check(
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _witness_graph(payload: dict, key: str) -> Graph:
+    raw = payload.get(key)
+    if not (
+        isinstance(raw, dict)
+        and _is_int(raw.get("n"))
+        and isinstance(raw.get("edges"), list)
+        and all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))
+            for e in raw["edges"]
+        )
+    ):
+        raise ValueError(f"witness field {key!r} must be {{\"n\": int, \"edges\": [[u, v], ...]}}")
+    return Graph(raw["n"], [tuple(e) for e in raw["edges"]])
+
+
 def check_witness(payload: dict, *, budget: SolveBudget | None = None) -> TheoremVerdict:
-    """Re-run the check recorded in a witness payload."""
+    """Re-run the check recorded in a witness payload.
+
+    A payload of the wrong shape raises ``ValueError``: it is an input
+    fault, not a witness that failed to reproduce.
+    """
+    if not isinstance(payload, dict) or not isinstance(payload.get("theorem"), str):
+        raise ValueError('a witness must be a JSON object with a "theorem" id')
     theorem = TheoremId(payload["theorem"])
     if theorem is TheoremId.I6:
-        cf = payload["closed_form"]
+        cf = payload.get("closed_form")
+        if not (
+            isinstance(cf, dict) and isinstance(cf.get("family"), str)
+            and _is_int(cf.get("n")) and _is_int(cf.get("m"))
+        ):
+            raise ValueError('an I6 witness needs "closed_form": {"family": str, "n": int, "m": int}')
         return closed_form_check(cf["family"], cf["n"], cf["m"], budget=budget)
-    G = None
+    G = _witness_graph(payload, "g") if "g" in payload else None
     H = None
-    if "g" in payload:
-        G = Graph(payload["g"]["n"], [tuple(e) for e in payload["g"]["edges"]])
     if "h" in payload:
-        H = RootedGraph(
-            Graph(payload["h"]["n"], [tuple(e) for e in payload["h"]["edges"]]),
-            payload["root"],
-        )
+        if not _is_int(payload.get("root")):
+            raise ValueError('a witness with "h" needs an integer "root"')
+        H = RootedGraph(_witness_graph(payload, "h"), payload["root"])
     return check(theorem, G, H, budget=budget, product_cap=1 << 30)
 
 
@@ -782,11 +809,29 @@ class CampaignConfig:
     tree_single_max: int = 10
     tree_product_cap: int = TREE_PAIR_PRODUCT_CAP
 
+    def __post_init__(self) -> None:
+        """Reject a config that would crash or never finish, with ``ValueError``."""
+        if not isinstance(self.theorems, (list, tuple)):
+            raise ValueError("campaign config theorems must be a list of theorem ids")
+        self.theorems = [TheoremId(t) for t in self.theorems]
+        for name in (f.name for f in fields(self) if f.name != "theorems"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"campaign config {name} must be an integer, got {getattr(self, name)!r}")
+        # A product needs two factors of order >= 2; a tree pair, two trees of
+        # order >= tree_min; a single tree, order >= max(3, tree_min).
+        for name, least in (
+            ("max_g", 2), ("max_h", 2), ("product_cap", 4), ("deletion_n", 2), ("tree_min", 2),
+            ("tree_max", self.tree_min), ("tree_single_max", max(3, self.tree_min)),
+            ("product_cap", self.tree_min ** 2), ("tree_product_cap", self.tree_min ** 2),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"campaign config {name} must be >= {least}, got {getattr(self, name)}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "CampaignConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("a campaign config must be a JSON object")
         kwargs = dict(raw)
-        if "theorems" in kwargs:
-            kwargs["theorems"] = [TheoremId(t) for t in kwargs["theorems"]]
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown campaign config keys: {sorted(unknown)}")
@@ -899,7 +944,10 @@ def _product_instance(
             h_desc["root"] = root
         if g.n * h_graph.n <= config.product_cap:
             return g, RootedGraph(h_graph, root), {"g": g_desc, "h": h_desc}
-    raise RuntimeError("could not sample a product instance under the cap")
+    raise ValueError(
+        f"could not sample a product instance of order <= {config.product_cap} "
+        "in 200 tries; raise product_cap"
+    )
 
 
 def _gnp_instance(rng: random.Random, config: CampaignConfig) -> tuple[Graph, dict]:

@@ -1,30 +1,48 @@
-"""Kernel backend selection: compiled core when available, pure Python otherwise.
+"""Kernel backend: the compiled C library when it is built, pure Python otherwise.
 
-Set ``ROOTDOM_FORCE_PYTHON=1`` before import to skip the compiled extension.
+``setup.py`` builds ``_ckernels.c`` next to this file as an optional
+shared library, and ``_cbackend`` calls it through ctypes.  Without the
+library the kernels come from ``_pykernels``.  Both backends return
+identical values and witnesses; ``BACKEND`` names the one in use (``"c"``
+or ``"python"``).
 """
 
 from __future__ import annotations
 
 import os
+from importlib.machinery import EXTENSION_SUFFIXES
 
-if os.environ.get("ROOTDOM_FORCE_PYTHON") == "1":
+from ._kernelspec import (
+    KIND_CONNECTED_DOMINATING,
+    KIND_CONVEX_DOMINATING,
+    KIND_DOMINATING,
+    KIND_INDEPENDENT,
+    KIND_INDEPENDENT_DOMINATING,
+    KIND_SUPER_DOMINATING,
+    KIND_WEAKLY_CONNECTED_DOMINATING,
+    MAX_ORDER,
+)
+
+
+def find_library() -> str | None:
+    """Path of the built ``_ckernels`` library next to this file, if any."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_ckernels" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+_library = find_library()
+if _library is None:
     from . import _pykernels as _impl
 else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _impl
+    from ._cbackend import load
+
+    _impl = load(_library)
 
 BACKEND: str = _impl.BACKEND
-
-KIND_DOMINATING = _impl.KIND_DOMINATING
-KIND_INDEPENDENT_DOMINATING = _impl.KIND_INDEPENDENT_DOMINATING
-KIND_CONNECTED_DOMINATING = _impl.KIND_CONNECTED_DOMINATING
-KIND_CONVEX_DOMINATING = _impl.KIND_CONVEX_DOMINATING
-KIND_WEAKLY_CONNECTED_DOMINATING = _impl.KIND_WEAKLY_CONNECTED_DOMINATING
-KIND_SUPER_DOMINATING = _impl.KIND_SUPER_DOMINATING
-KIND_INDEPENDENT = _impl.KIND_INDEPENDENT
-
 scan_min = _impl.scan_min
 scan_max_independent = _impl.scan_max_independent
 enumerate_size = _impl.enumerate_size

@@ -64,7 +64,12 @@ def default_budget() -> SolveBudget:
             cap = int(env)
         except ValueError:
             raise ValueError(f"ROOTDOM_BUDGET must be an integer, got {env!r}") from None
-        return SolveBudget(max_scan_n=min(cap, 62))
+        if not 1 <= cap <= kernels.MAX_ORDER:
+            raise ValueError(
+                f"ROOTDOM_BUDGET={cap} is outside the scan budget range 1..{kernels.MAX_ORDER} "
+                "(the C kernel keeps vertex sets in 64-bit masks)"
+            )
+        return SolveBudget(max_scan_n=cap)
     return SolveBudget()
 
 
@@ -146,7 +151,6 @@ class SolveResult:
     kind: ParameterKind | None
     value: int
     witness: frozenset[int] | RomanAssignment
-    optimal_count: int | None = None
 
 
 class Membership(str, Enum):
@@ -265,26 +269,6 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
     _check_order(graph)
     _require_connected(graph, kind)
 
-    if kind is ParameterKind.INDEPENDENCE:
-        if graph.n > budget.max_scan_n:
-            raise BudgetExceededError(
-                f"order {graph.n} exceeds the subset-scan budget "
-                f"(n <= {budget.max_scan_n}); set ROOTDOM_BUDGET to raise it"
-            )
-        size, mask = kernels.scan_max_independent(graph.n, graph.open_masks())
-        return SolveResult(kind, size, _mask_to_set(mask))
-
-    if kind is ParameterKind.ROMAN:
-        if graph.n > budget.max_scan_n:
-            raise BudgetExceededError(
-                f"order {graph.n} exceeds the subset-scan budget "
-                f"(n <= {budget.max_scan_n}); set ROOTDOM_BUDGET to raise it"
-            )
-        weight, b2_mask = kernels.roman_min(graph.n, graph.closed_masks())
-        b1_mask = _forced_ones(graph, b2_mask)
-        witness = RomanAssignment(_mask_to_set(b1_mask), _mask_to_set(b2_mask))
-        return SolveResult(kind, weight, witness)
-
     if graph.n > budget.max_scan_n:
         if kind in _TREE_DP_KINDS and is_tree(graph):
             if kind is ParameterKind.INDEPENDENT_DOMINATION:
@@ -297,6 +281,16 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
             f"(n <= {budget.max_scan_n}); set ROOTDOM_BUDGET to raise it"
         )
 
+    if kind is ParameterKind.INDEPENDENCE:
+        size, mask = kernels.scan_max_independent(graph.n, graph.open_masks())
+        return SolveResult(kind, size, _mask_to_set(mask))
+
+    if kind is ParameterKind.ROMAN:
+        weight, b2_mask = kernels.roman_min(graph.n, graph.closed_masks())
+        b1_mask = _forced_ones(graph, b2_mask)
+        witness = RomanAssignment(_mask_to_set(b1_mask), _mask_to_set(b2_mask))
+        return SolveResult(kind, weight, witness)
+
     intervals = graph.interval_masks() if kind is ParameterKind.CONVEX else None
     found = kernels.scan_min(
         _KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), intervals
@@ -305,49 +299,6 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
     size, mask = found
     return SolveResult(kind, size, _mask_to_set(mask))
-
-
-def domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.DOMINATION, budget=budget)
-
-
-def independence_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.INDEPENDENCE, budget=budget)
-
-
-def independent_domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.INDEPENDENT_DOMINATION, budget=budget)
-
-
-def roman_domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.ROMAN, budget=budget)
-
-
-def connected_domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.CONNECTED, budget=budget)
-
-
-def convex_domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.CONVEX, budget=budget)
-
-
-def weakly_connected_domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.WEAKLY_CONNECTED, budget=budget)
-
-
-def super_domination_number(graph: Graph, *, budget: SolveBudget | None = None) -> SolveResult:
-    return solve(graph, ParameterKind.SUPER, budget=budget)
-
-
-# Conventional short aliases.
-gamma = domination_number
-alpha = independence_number
-i_number = independent_domination_number
-gamma_R = roman_domination_number
-gamma_c = connected_domination_number
-gamma_con = convex_domination_number
-gamma_w = weakly_connected_domination_number
-gamma_sp = super_domination_number
 
 
 # -- enumeration and root classification --------------------------------------

@@ -1,19 +1,37 @@
-"""The compiled kernel and the pure-Python fallback must agree bit for bit."""
+"""The C kernels and the pure-Python fallback must agree bit for bit.
 
+Without a built library the C source is compiled for this session with the
+system C compiler; the tests skip only when there is none.
+"""
+
+import ctypes.util
 import random
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
-try:
-    from rootdom import _ckernels as fast
-except ImportError:  # pragma: no cover - extension not built
-    fast = None
-
 from helpers import random_gnp
 from rootdom import _pykernels as slow
-from rootdom.graph import is_connected
+from rootdom import kernels
+from rootdom._cbackend import load
+from rootdom.graph import Graph, is_connected
 
-pytestmark = pytest.mark.skipif(fast is None, reason="compiled kernel not built")
+KINDS = range(slow.KIND_DOMINATING, slow.KIND_INDEPENDENT + 1)
+
+
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    path = kernels.find_library()
+    if path is None:
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no built kernel library and no C compiler on PATH")
+        path = str(tmp_path_factory.mktemp("ckernels") / "_ckernels.so")
+        source = Path(kernels.__file__).with_name("_ckernels.c")
+        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", path, str(source)], check=True)
+    return load(path)
 
 
 def _graphs():
@@ -23,52 +41,84 @@ def _graphs():
         yield random_gnp(n, rng.choice((0.2, 0.4, 0.7)), seed=rng.randrange(1 << 30))
 
 
-def test_scan_min_identical():
+def _cases(kinds):
+    """Each graph with each kind defined on it, and the kind's interval masks."""
     for g in _graphs():
-        om, cm = g.open_masks(), g.closed_masks()
-        for kind in range(6):
-            intervals = None
-            if kind == slow.KIND_CONVEX_DOMINATING:
-                if not is_connected(g):
-                    continue
-                intervals = g.interval_masks()
-            assert fast.scan_min(kind, g.n, om, cm, intervals) == slow.scan_min(
-                kind, g.n, om, cm, intervals
-            )
+        for kind in kinds:
+            convex = kind == slow.KIND_CONVEX_DOMINATING
+            if convex and not is_connected(g):
+                continue
+            yield g, kind, g.interval_masks() if convex else None
 
 
-def test_max_independent_identical():
+def test_scan_min_identical(fast):
+    for g, kind, intervals in _cases(range(6)):
+        args = (kind, g.n, g.open_masks(), g.closed_masks(), intervals)
+        assert fast.scan_min(*args) == slow.scan_min(*args)
+
+
+def test_scan_min_uses_the_top_mask_bit(fast):
+    star = Graph(62, [(61, v) for v in range(61)])
+    args = (star.n, star.open_masks(), star.closed_masks(), None)
+    assert fast.scan_min(slow.KIND_DOMINATING, *args) == slow.scan_min(slow.KIND_DOMINATING, *args)
+    assert fast.scan_min(slow.KIND_DOMINATING, *args) == (1, 1 << 61)
+    assert fast.scan_max_independent(62, star.open_masks()) == (61, (1 << 61) - 1)
+
+
+def test_max_independent_identical(fast):
     for g in _graphs():
         assert fast.scan_max_independent(g.n, g.open_masks()) == slow.scan_max_independent(
             g.n, g.open_masks()
         )
 
 
-def test_enumeration_identical():
-    for g in _graphs():
+def test_enumeration_identical(fast):
+    hit_cap = 0
+    for g, kind, intervals in _cases(KINDS):
         om, cm = g.open_masks(), g.closed_masks()
-        for kind in (slow.KIND_DOMINATING, slow.KIND_INDEPENDENT_DOMINATING, slow.KIND_SUPER_DOMINATING):
-            found = slow.scan_min(kind, g.n, om, cm, None)
-            if found is None:
-                continue
-            k = found[0]
-            assert fast.enumerate_size(kind, g.n, om, cm, None, k, 10**6) == slow.enumerate_size(
-                kind, g.n, om, cm, None, k, 10**6
-            )
+        if kind == slow.KIND_INDEPENDENT:
+            found = slow.scan_max_independent(g.n, om)
+        else:
+            found = slow.scan_min(kind, g.n, om, cm, intervals)
+        for cap in (10**6, 1) if found else ():
+            args = (kind, g.n, om, cm, intervals, found[0], cap)
+            result = fast.enumerate_size(*args)
+            assert result == slow.enumerate_size(*args)
+            hit_cap += result[1]
+    assert hit_cap  # cap=1 cut some enumerations short
 
 
-def test_roman_identical():
+def test_roman_identical(fast):
+    hit_cap = 0
     for g in _graphs():
         cm = g.closed_masks()
         best = slow.roman_min(g.n, cm)
         assert fast.roman_min(g.n, cm) == best
-        assert fast.roman_enumerate(g.n, cm, best[0], 10**6) == slow.roman_enumerate(
-            g.n, cm, best[0], 10**6
-        )
+        for cap in (10**6, 1):
+            result = fast.roman_enumerate(g.n, cm, best[0], cap)
+            assert result == slow.roman_enumerate(g.n, cm, best[0], cap)
+            hit_cap += result[1]
+    assert hit_cap  # cap=1 cut some enumerations short
 
 
-def test_backend_reports_name():
-    from rootdom import kernels
+def test_order_63_is_rejected(fast):
+    z = [0] * 63
+    for call, args in (
+        (fast.scan_min, (slow.KIND_DOMINATING, 63, z, z)),
+        (fast.scan_max_independent, (63, z)),
+        (fast.enumerate_size, (slow.KIND_DOMINATING, 63, z, z, None, 1, 10)),
+        (fast.roman_min, (63, z)),
+        (fast.roman_enumerate, (63, z, 63, 10)),
+    ):
+        with pytest.raises(ValueError):
+            call(*args)
 
-    assert kernels.BACKEND in ("cython", "python")
-    assert fast.BACKEND == "cython" and slow.BACKEND == "python"
+
+def test_a_library_without_the_kernels_is_refused():
+    with pytest.raises(ImportError, match="does not export"):
+        load(ctypes.util.find_library("c"))
+
+
+def test_backend_reports_name(fast):
+    assert kernels.BACKEND in ("c", "python")
+    assert fast.BACKEND == "c" and slow.BACKEND == "python"

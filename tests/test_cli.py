@@ -62,8 +62,9 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "bad.el:2" in err
 
-    def test_budget_env(self, p4_file, monkeypatch, capsys):
-        monkeypatch.setenv("ROOTDOM_BUDGET", "3")
+    @pytest.mark.parametrize("budget", ["3", "0", "-5", "63"])
+    def test_budget_env(self, p4_file, monkeypatch, capsys, budget):
+        monkeypatch.setenv("ROOTDOM_BUDGET", budget)
         assert main(["solve", "--param", "gamma", p4_file]) == 2
         assert "budget" in capsys.readouterr().err
 
@@ -147,6 +148,15 @@ class TestVerify:
     def test_verify_needs_theorem_or_witness(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize(
+        "payload", [{}, {"theorem": "D2", "g": {"n": "x", "edges": []}}], ids=["empty", "bad-order"]
+    )
+    def test_malformed_witness_exits_two(self, tmp_path, capsys, payload):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", "--witness", str(path)]) == 2
+        assert "witness" in capsys.readouterr().err
+
 
 class TestCampaign:
     def test_campaign_deterministic_output(self, tmp_path):
@@ -162,6 +172,21 @@ class TestCampaign:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert main(["campaign", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"product_cap": 3},  # no product of two factors fits: the sampler gave up
+            {"trials": "x"},  # crashed with a TypeError
+            {"theorems": ["W3"], "tree_min": 5, "tree_max": 6},  # looped forever: 25 > cap 20
+        ],
+        ids=["product-cap", "trials-type", "tree-pair-cap"],
+    )
+    def test_invalid_config_exits_two(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["campaign", "--config", str(cfg_path)]) == 2
+        assert "campaign config" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():
