@@ -34,7 +34,6 @@ from .solvers import (
     is_dominating,
     is_independent,
     is_super_dominating,
-    minimum_set,
     solve,
 )
 from .harness import (

@@ -17,23 +17,13 @@ from pathlib import Path
 
 from . import __version__, kernels
 from .families import Family, FamilySpec, generate
-from .graph import Graph, format_edge_list, read_edge_list
-from .harness import (
-    CampaignConfig,
-    Outcome,
-    TheoremId,
-    check,
-    check_witness,
-    closed_form_check,
-    run_campaign,
-    run_theorem,
-)
+from .graph import format_edge_list, read_edge_list
+from .harness import CampaignConfig, Outcome, TheoremId, check_witness, run_campaign
 from .product import RootedGraph, rooted_product
 from .solvers import (
     PARAM_BY_NAME,
     BudgetExceededError,
     InfeasibleParameterError,
-    ParameterKind,
     RomanAssignment,
     classify_root,
     enumerate_optimal,
@@ -162,48 +152,9 @@ def _write_witness_files(report: dict, out: str, quiet: bool) -> None:
         print(f"wrote {count} witness file(s) alongside {out}")
 
 
-def _cmd_verify(args) -> int:
-    if args.witness:
-        payload = json.loads(Path(args.witness).read_text(encoding="utf-8"))
-        verdict = check_witness(payload)
-        print(f"{verdict.theorem.value}: {verdict.outcome.value}")
-        _dump_json({"meta": _meta(), "verdict": verdict.to_json()}, args.out)
-        return 0 if verdict.outcome is Outcome.FAIL else 1
-    if not args.theorem:
-        raise ValueError("verify needs --theorem or --witness")
-    theorem = TheoremId(args.theorem)
-    config = CampaignConfig(
-        theorems=[theorem],
-        trials=args.trials,
-        seed=args.seed,
-        max_g=args.max_g,
-        max_h=args.max_h,
-    )
-    result = run_theorem(theorem, config)
-    report = {
-        "config": config.to_dict(),
-        "results": [result],
-        "must_hold_failures": result["fail"] if result["must_hold"] else 0,
-    }
-    if not args.quiet:
-        print(
-            f"{theorem.value}: trials={result['trials']} pass={result['pass']} "
-            f"fail={result['fail']} not_applicable={result['not_applicable']} "
-            f"infeasible={result['infeasible']}"
-        )
-    if args.out:
-        _dump_json({"meta": _meta(), **report}, args.out)
-        _write_witness_files(report, args.out, args.quiet)
-    return 1 if report["must_hold_failures"] else 0
-
-
-def _cmd_campaign(args) -> int:
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        config = CampaignConfig.from_dict(raw)
-    else:
-        config = CampaignConfig()
-    report = run_campaign(config, jobs=args.jobs)
+def _finish_campaign(report: dict, args) -> int:
+    """Print the per-theorem summary, write the report and witness files, and
+    return the exit code."""
     if not args.quiet:
         for entry in report["results"]:
             print(
@@ -216,6 +167,34 @@ def _cmd_campaign(args) -> int:
         _dump_json({"meta": _meta(), **report}, args.out)
         _write_witness_files(report, args.out, args.quiet)
     return 1 if report["must_hold_failures"] else 0
+
+
+def _cmd_verify(args) -> int:
+    if args.witness:
+        payload = json.loads(Path(args.witness).read_text(encoding="utf-8"))
+        verdict = check_witness(payload)
+        print(f"{verdict.theorem.value}: {verdict.outcome.value}")
+        _dump_json({"meta": _meta(), "verdict": verdict.to_json()}, args.out)
+        return 0 if verdict.outcome is Outcome.FAIL else 1
+    if not args.theorem:
+        raise ValueError("verify needs --theorem or --witness")
+    config = CampaignConfig(
+        theorems=[args.theorem],
+        trials=args.trials,
+        seed=args.seed,
+        max_g=args.max_g,
+        max_h=args.max_h,
+    )
+    return _finish_campaign(run_campaign(config), args)
+
+
+def _cmd_campaign(args) -> int:
+    if args.config:
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config = CampaignConfig.from_dict(raw)
+    else:
+        config = CampaignConfig()
+    return _finish_campaign(run_campaign(config, jobs=args.jobs), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

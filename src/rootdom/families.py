@@ -38,18 +38,6 @@ class FamilySpec:
     p: float = 0.5
     seed: int | None = None
 
-    def describe(self) -> dict:
-        out: dict = {"family": self.family.value}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.m is not None:
-            out["m"] = self.m
-        if self.family is Family.RANDOM_CONNECTED:
-            out["p"] = self.p
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
 
 def child_seed(seed: int, index: int) -> int:
     """Derive the ``index``-th child seed with a SplitMix64 step.

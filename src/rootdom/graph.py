@@ -65,9 +65,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted ``(u, v)`` pairs with ``u < v``."""
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
@@ -340,7 +337,3 @@ def format_edge_list(graph: Graph, root: int | None = None) -> str:
         lines.append(f"# root {root}")
     return "\n".join(lines) + "\n"
 
-
-def write_edge_list(graph: Graph, path: str, root: int | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_edge_list(graph, root))

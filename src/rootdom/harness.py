@@ -17,19 +17,28 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import combinations
 
 from . import solvers
 from .families import (
-    Family,
-    FamilySpec,
     child_seed,
-    generate,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
     path_graph,
+    random_connected_graph,
     random_tree,
     star_graph,
     subdivided_star_graph,
 )
-from .graph import Graph, is_tree, leaves, private_neighbor_set, support_vertices
+from .graph import (
+    Graph,
+    delete_vertices,
+    is_tree,
+    leaves,
+    private_neighbor_set,
+    support_vertices,
+)
 from .product import RootedGraph, rooted_product
 from .solvers import (
     BudgetExceededError,
@@ -130,10 +139,8 @@ def _graph_payload(graph: Graph) -> dict:
     return {"n": graph.n, "edges": [list(e) for e in graph.edges()]}
 
 
-def _witness_payload(theorem: TheoremId, G: Graph | None, H: RootedGraph | None, values: dict) -> dict:
-    payload: dict = {"theorem": theorem.value, "values": values}
-    if G is not None:
-        payload["g"] = _graph_payload(G)
+def _witness_payload(theorem: TheoremId, G: Graph, H: RootedGraph | None, values: dict) -> dict:
+    payload: dict = {"theorem": theorem.value, "values": values, "g": _graph_payload(G)}
     if H is not None:
         payload["h"] = _graph_payload(H.graph)
         payload["root"] = H.root
@@ -142,8 +149,8 @@ def _witness_payload(theorem: TheoremId, G: Graph | None, H: RootedGraph | None,
 
 # -- per-theorem checkers ----------------------------------------------------
 #
-# Each returns (applicable, ok_or_none, values).  ``ok`` is None when the
-# hypothesis does not hold.
+# Each returns (ok, values).  ``ok`` is None when the hypothesis does not
+# hold, so the theorem does not apply to the instance.
 
 
 def _value(graph: Graph, kind: PK, budget) -> int:
@@ -154,14 +161,14 @@ def _check_D1(G, H, budget):
     cls = classify_root(H, PK.DOMINATION, budget=budget)
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
-        return False, None, values
+        return None, values
     gamma_h = _value(H.graph, PK.DOMINATION, budget)
     product = rooted_product(G, H).product
     gamma_gh = _value(product, PK.DOMINATION, budget)
     values.update(
         {"gamma_h": gamma_h, "gamma_product": gamma_gh, "expected": G.n * gamma_h}
     )
-    return True, gamma_gh == G.n * gamma_h, values
+    return gamma_gh == G.n * gamma_h, values
 
 
 def _check_D2(G, H, budget):
@@ -176,7 +183,7 @@ def _check_D2(G, H, budget):
         "gamma_product": gamma_gh,
         "allowed": sorted(allowed),
     }
-    return True, gamma_gh in allowed, values
+    return gamma_gh in allowed, values
 
 
 def _roman_chain(graph: Graph, budget) -> tuple[bool, dict]:
@@ -187,22 +194,14 @@ def _roman_chain(graph: Graph, budget) -> tuple[bool, dict]:
 
 def _check_R1(G, H, budget):
     ok_g, vals_g = _roman_chain(G, budget)
-    values = {"g": vals_g}
-    ok = ok_g
-    if H is not None:
-        ok_h, vals_h = _roman_chain(H.graph, budget)
-        product = rooted_product(G, H).product
-        ok_p, vals_p = _roman_chain(product, budget)
-        values.update({"h": vals_h, "product": vals_p})
-        ok = ok and ok_h and ok_p
-    return True, ok, values
+    ok_h, vals_h = _roman_chain(H.graph, budget)
+    ok_p, vals_p = _roman_chain(rooted_product(G, H).product, budget)
+    return ok_g and ok_h and ok_p, {"g": vals_g, "h": vals_h, "product": vals_p}
 
 
 def _check_R2(G, H, budget):
     if G.n < 2:
-        return False, None, {"reason": "needs order >= 2"}
-    from .graph import delete_vertices
-
+        return None, {"reason": "needs order >= 2"}
     roman_g = _value(G, PK.ROMAN, budget)
     assignments = enumerate_optimal(G, PK.ROMAN, budget=budget)
     cases = []
@@ -225,7 +224,7 @@ def _check_R2(G, H, budget):
         "assignments": len(assignments),
         "violations": cases,
     }
-    return True, ok, values
+    return ok, values
 
 
 def _root_label_sets(graph: Graph, budget) -> list[frozenset[int]]:
@@ -236,14 +235,12 @@ def _root_label_sets(graph: Graph, budget) -> list[frozenset[int]]:
 
 
 def _check_R3(G, H, budget):
-    from .graph import delete_vertices
-
     if G.n < 2:
-        return False, None, {"reason": "needs order >= 2"}
+        return None, {"reason": "needs order >= 2"}
     labels = _root_label_sets(G, budget)
     targets = [v for v in range(G.n) if labels[v] == frozenset({0})]
     if not targets:
-        return False, None, {"reason": "no vertex is 0-labeled in every assignment"}
+        return None, {"reason": "no vertex is 0-labeled in every assignment"}
     roman_g = _value(G, PK.ROMAN, budget)
     bad = []
     for v in targets:
@@ -251,7 +248,7 @@ def _check_R3(G, H, budget):
         if roman_del != roman_g:
             bad.append({"v": v, "roman_deleted": roman_del})
     values = {"roman": roman_g, "tested_vertices": targets, "violations": bad}
-    return True, not bad, values
+    return not bad, values
 
 
 def _check_R4(G, H, budget):
@@ -268,7 +265,7 @@ def _check_R4(G, H, budget):
         "lower": lower,
         "upper": upper,
     }
-    return True, lower <= roman_gh <= upper, values
+    return lower <= roman_gh <= upper, values
 
 
 def _check_R5(G, H, budget):
@@ -278,7 +275,7 @@ def _check_R5(G, H, budget):
     branch_zero = rv == frozenset({0})
     branch_one_two = {1, 2} <= rv
     if not branch_zero and not branch_one_two:
-        return False, None, values
+        return None, values
     roman_h = _value(H.graph, PK.ROMAN, budget)
     product = rooted_product(G, H).product
     roman_gh = _value(product, PK.ROMAN, budget)
@@ -291,7 +288,7 @@ def _check_R5(G, H, budget):
         values["branch"] = "labels-one-and-two"
         values["gamma_g"] = gamma_g
     values.update({"roman_h": roman_h, "roman_product": roman_gh, "expected": expected})
-    return True, roman_gh == expected, values
+    return roman_gh == expected, values
 
 
 def _check_R6(G, H, budget):
@@ -299,7 +296,7 @@ def _check_R6(G, H, budget):
     rv = cls.roman_values or frozenset()
     values = {"root_labels": sorted(rv)}
     if rv != frozenset({1}):
-        return False, None, values
+        return None, values
     roman_h = _value(H.graph, PK.ROMAN, budget)
     roman_g = _value(G, PK.ROMAN, budget)
     product = rooted_product(G, H).product
@@ -308,18 +305,16 @@ def _check_R6(G, H, budget):
     values.update(
         {"roman_h": roman_h, "roman_g": roman_g, "roman_product": roman_gh, "expected": expected}
     )
-    return True, roman_gh == expected, values
+    return roman_gh == expected, values
 
 
 def _check_I1(G, H, budget):
-    from .graph import delete_vertices
-
     if G.n < 2:
-        return False, None, {"reason": "needs order >= 2"}
+        return None, {"reason": "needs order >= 2"}
     alpha_sets = enumerate_optimal(G, PK.INDEPENDENCE, budget=budget)
     in_all = sorted(set.intersection(*(set(s) for s in alpha_sets)))
     if not in_all:
-        return False, None, {"reason": "no vertex lies in every maximum independent set"}
+        return None, {"reason": "no vertex lies in every maximum independent set"}
     alpha_g = _value(G, PK.INDEPENDENCE, budget)
     bad = []
     for v in in_all:
@@ -327,7 +322,7 @@ def _check_I1(G, H, budget):
         if not alpha_g >= alpha_del + 1:
             bad.append({"v": v, "alpha_deleted": alpha_del})
     values = {"alpha": alpha_g, "tested_vertices": in_all, "violations": bad}
-    return True, not bad, values
+    return not bad, values
 
 
 def _check_I2(G, H, budget):
@@ -343,16 +338,12 @@ def _check_I2(G, H, budget):
     else:
         expected = G.n * alpha_h
     values["expected"] = expected
-    return True, alpha_gh == expected, values
+    return alpha_gh == expected, values
 
 
 def _check_I3(G, H, budget):
-    from itertools import combinations
-
-    from .graph import delete_vertices
-
     if G.n < 2:
-        return False, None, {"reason": "needs order >= 2"}
+        return None, {"reason": "needs order >= 2"}
     i_g = _value(G, PK.INDEPENDENT_DOMINATION, budget)
     bad = []
     checked = 0
@@ -364,19 +355,17 @@ def _check_I3(G, H, budget):
             if not i_del >= i_g - k:
                 bad.append({"removed": sorted(removed), "i_deleted": i_del})
     values = {"i": i_g, "subsets_checked": checked, "violations": bad}
-    return True, not bad, values
+    return not bad, values
 
 
 def _check_I4(G, H, budget):
-    from .graph import delete_vertices
-
     if G.n < 2:
-        return False, None, {"reason": "needs order >= 2"}
+        return None, {"reason": "needs order >= 2"}
     i_sets = enumerate_optimal(G, PK.INDEPENDENT_DOMINATION, budget=budget)
     member_union = set().union(*i_sets)
     never = [v for v in range(G.n) if v not in member_union]
     if not never:
-        return False, None, {"reason": "every vertex lies in some minimum independent dominating set"}
+        return None, {"reason": "every vertex lies in some minimum independent dominating set"}
     i_g = _value(G, PK.INDEPENDENT_DOMINATION, budget)
     bad = []
     for v in never:
@@ -384,12 +373,10 @@ def _check_I4(G, H, budget):
         if i_del != i_g:
             bad.append({"v": v, "i_deleted": i_del})
     values = {"i": i_g, "tested_vertices": never, "violations": bad}
-    return True, not bad, values
+    return not bad, values
 
 
 def _check_I5(G, H, budget):
-    from .graph import delete_vertices
-
     i_g = _value(G, PK.INDEPENDENT_DOMINATION, budget)
     i_h = _value(H.graph, PK.INDEPENDENT_DOMINATION, budget)
     alpha_g = _value(G, PK.INDEPENDENCE, budget)
@@ -408,14 +395,14 @@ def _check_I5(G, H, budget):
         "lower": lower,
         "upper": upper,
     }
-    return True, lower <= i_gh <= upper, values
+    return lower <= i_gh <= upper, values
 
 
 def _check_I7(G, H, budget):
     cls = classify_root(H, PK.INDEPENDENT_DOMINATION, budget=budget)
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
-        return False, None, values
+        return None, values
     i_h = _value(H.graph, PK.INDEPENDENT_DOMINATION, budget)
     product = rooted_product(G, H).product
     i_gh = _value(product, PK.INDEPENDENT_DOMINATION, budget)
@@ -423,7 +410,7 @@ def _check_I7(G, H, budget):
     if cls.membership is Membership.IN_NONE:
         expected = G.n * i_h
         values.update({"branch": "root-in-no-set", "expected": expected})
-        return True, i_gh == expected, values
+        return i_gh == expected, values
 
     alpha_g = _value(G, PK.INDEPENDENCE, budget)
     i_sets = enumerate_optimal(H.graph, PK.INDEPENDENT_DOMINATION, budget=budget)
@@ -450,7 +437,7 @@ def _check_I7(G, H, budget):
     )
     # Gate on the tightest reading of the stated bound (min over all
     # minimum independent dominating sets); the other readings are recorded.
-    return True, i_gh <= values["bound_min"], values
+    return i_gh <= values["bound_min"], values
 
 
 def _two_value_check(G, H, budget, kind: PK, offsets: tuple[str, str]):
@@ -467,7 +454,7 @@ def _two_value_check(G, H, budget, kind: PK, offsets: tuple[str, str]):
         f"{kind.value}_product": param_gh,
         "allowed": sorted(allowed),
     }
-    return True, param_gh in allowed, values
+    return param_gh in allowed, values
 
 
 def _check_C1(G, H, budget):
@@ -484,11 +471,11 @@ def _check_W1(G, H, budget):
 
 def _check_C2(G, H, budget):
     if not (is_tree(G) and G.n >= 3):
-        return False, None, {"reason": "needs a tree of order >= 3"}
+        return None, {"reason": "needs a tree of order >= 3"}
     n1 = len(leaves(G))
     value = _value(G, PK.CONNECTED, budget)
     values = {"connected": value, "n": G.n, "leaf_count": n1, "expected": G.n - n1}
-    return True, value == G.n - n1, values
+    return value == G.n - n1, values
 
 
 def _tree_pair_applicable(G, H) -> bool:
@@ -497,7 +484,7 @@ def _tree_pair_applicable(G, H) -> bool:
 
 def _check_C3(G, H, budget):
     if not _tree_pair_applicable(G, H):
-        return False, None, {"reason": "needs two trees of order >= 3"}
+        return None, {"reason": "needs two trees of order >= 3"}
     product = rooted_product(G, H).product
     root_is_leaf = H.root in leaves(H.graph)
     n1_h = len(leaves(H.graph))
@@ -515,12 +502,12 @@ def _check_C3(G, H, budget):
         and values["product_order"] == values["expected_order"]
         and values["product_leaves"] == expected_leaves
     )
-    return True, ok, values
+    return ok, values
 
 
 def _iff_tree_check(G, H, budget, kind: PK):
     if not _tree_pair_applicable(G, H):
-        return False, None, {"reason": "needs two trees of order >= 3"}
+        return None, {"reason": "needs two trees of order >= 3"}
     param_h = _value(H.graph, kind, budget)
     product = rooted_product(G, H).product
     param_gh = _value(product, kind, budget)
@@ -535,7 +522,7 @@ def _iff_tree_check(G, H, budget, kind: PK):
         "matches_plus_one_form": eq_plus,
     }
     ok = (eq_plain == (not root_is_leaf)) and (eq_plus == root_is_leaf)
-    return True, ok, values
+    return ok, values
 
 
 def _check_C4(G, H, budget):
@@ -548,19 +535,19 @@ def _check_X2(G, H, budget):
 
 def _check_W2(G, H, budget):
     if not (is_tree(G) and G.n >= 3):
-        return False, None, {"reason": "needs a tree of order >= 3"}
+        return None, {"reason": "needs a tree of order >= 3"}
     n1 = len(leaves(G))
     value = _value(G, PK.WEAKLY_CONNECTED, budget)
     values = {"weakly": value, "n": G.n, "leaf_count": n1}
     ok = (2 * value >= G.n - n1 + 1) and (value <= G.n - n1)
-    return True, ok, values
+    return ok, values
 
 
 def _check_W3(G, H, budget):
     if not (is_tree(G) and is_tree(H.graph)):
-        return False, None, {"reason": "needs two trees"}
+        return None, {"reason": "needs two trees"}
     if H.root in leaves(H.graph):
-        return False, None, {"reason": "root must not be an end vertex"}
+        return None, {"reason": "root must not be an end vertex"}
     w_h = _value(H.graph, PK.WEAKLY_CONNECTED, budget)
     product = rooted_product(G, H).product
     w_gh = _value(product, PK.WEAKLY_CONNECTED, budget)
@@ -581,7 +568,7 @@ def _check_W3(G, H, budget):
         "order_coefficient_lower_holds": b_lower,
         "order_coefficient_upper_holds": b_upper,
     }
-    return True, a_lower and a_upper and b_lower and b_upper, values
+    return a_lower and a_upper and b_lower and b_upper, values
 
 
 def _check_S1(G, H, budget):
@@ -590,22 +577,22 @@ def _check_S1(G, H, budget):
     sp_gh = _value(product, PK.SUPER, budget)
     expected = G.n * sp_h
     values = {"super_h": sp_h, "super_product": sp_gh, "expected": expected}
-    return True, sp_gh == expected, values
+    return sp_gh == expected, values
 
 
 def _check_S2(G, H, budget):
     if not (is_tree(G) and G.n >= 3):
-        return False, None, {"reason": "needs a tree of order >= 3"}
+        return None, {"reason": "needs a tree of order >= 3"}
     value = _value(G, PK.SUPER, budget)
     s = len(support_vertices(G))
     values = {"super": value, "n": G.n, "support_count": s}
     ok = (2 * value >= G.n) and (value <= G.n - s)
-    return True, ok, values
+    return ok, values
 
 
 def _check_S3(G, H, budget):
     if not _tree_pair_applicable(G, H):
-        return False, None, {"reason": "needs two trees of order >= 3"}
+        return None, {"reason": "needs two trees of order >= 3"}
     s_h = len(support_vertices(H.graph))
     product = rooted_product(G, H).product
     sp_gh = _value(product, PK.SUPER, budget)
@@ -617,46 +604,55 @@ def _check_S3(G, H, budget):
         "lower": lower,
         "upper": upper,
     }
-    return True, lower <= sp_gh <= upper, values
+    return lower <= sp_gh <= upper, values
 
 
-_PRODUCT_CHECKERS = {
-    TheoremId.D1: _check_D1,
-    TheoremId.D2: _check_D2,
-    TheoremId.R1: _check_R1,
-    TheoremId.R4: _check_R4,
-    TheoremId.R5: _check_R5,
-    TheoremId.R6: _check_R6,
-    TheoremId.I2: _check_I2,
-    TheoremId.I5: _check_I5,
-    TheoremId.I7: _check_I7,
-    TheoremId.C1: _check_C1,
-    TheoremId.C3: _check_C3,
-    TheoremId.C4: _check_C4,
-    TheoremId.X1: _check_X1,
-    TheoremId.X2: _check_X2,
-    TheoremId.W1: _check_W1,
-    TheoremId.W3: _check_W3,
-    TheoremId.S1: _check_S1,
-    TheoremId.S3: _check_S3,
+#: Every theorem's checker and instance shape.  The shape says what the
+#: checker takes and how a campaign samples its instances:
+#:
+#: ``product``         base G and rooted H from the factor sampler
+#: ``single``          one G(n, p) graph of order up to ``deletion_n``
+#: ``tree-single``     one random tree of order up to ``tree_single_max``
+#: ``tree-pair-dp``    two random trees, every root of the second; the
+#:                     products are trees the exact tree DP solves at any
+#:                     order, so they get the higher ``tree_product_cap``
+#: ``tree-pair-scan``  as ``tree-pair-dp``, but the parameter needs the
+#:                     subset scan, so they keep ``product_cap``
+#: ``grid``            the fixed grid of ``closed_form_check``; no checker
+_THEOREMS = {
+    TheoremId.D1: (_check_D1, "product"),
+    TheoremId.D2: (_check_D2, "product"),
+    TheoremId.R1: (_check_R1, "product"),
+    TheoremId.R2: (_check_R2, "single"),
+    TheoremId.R3: (_check_R3, "single"),
+    TheoremId.R4: (_check_R4, "product"),
+    TheoremId.R5: (_check_R5, "product"),
+    TheoremId.R6: (_check_R6, "product"),
+    TheoremId.I1: (_check_I1, "single"),
+    TheoremId.I2: (_check_I2, "product"),
+    TheoremId.I3: (_check_I3, "single"),
+    TheoremId.I4: (_check_I4, "single"),
+    TheoremId.I5: (_check_I5, "product"),
+    TheoremId.I6: (None, "grid"),
+    TheoremId.I7: (_check_I7, "product"),
+    TheoremId.C1: (_check_C1, "product"),
+    TheoremId.C2: (_check_C2, "tree-single"),
+    TheoremId.C3: (_check_C3, "tree-pair-dp"),
+    TheoremId.C4: (_check_C4, "tree-pair-dp"),
+    TheoremId.X1: (_check_X1, "product"),
+    TheoremId.X2: (_check_X2, "tree-pair-dp"),
+    TheoremId.W1: (_check_W1, "product"),
+    TheoremId.W2: (_check_W2, "tree-single"),
+    TheoremId.W3: (_check_W3, "tree-pair-scan"),
+    TheoremId.S1: (_check_S1, "product"),
+    TheoremId.S2: (_check_S2, "tree-single"),
+    TheoremId.S3: (_check_S3, "tree-pair-scan"),
 }
 
-_SINGLE_CHECKERS = {
-    TheoremId.R2: _check_R2,
-    TheoremId.R3: _check_R3,
-    TheoremId.I1: _check_I1,
-    TheoremId.I3: _check_I3,
-    TheoremId.I4: _check_I4,
-    TheoremId.C2: _check_C2,
-    TheoremId.W2: _check_W2,
-    TheoremId.S2: _check_S2,
-}
-
-#: Default product-order cap; the tree-pair theorems may go higher because
-#: their large instances are trees handled by the exact tree DP.
+#: Product-order caps: ``TREE_PAIR_PRODUCT_CAP`` for the ``tree-pair-dp``
+#: shape, ``DEFAULT_PRODUCT_CAP`` for every other shape that takes H.
 DEFAULT_PRODUCT_CAP = 20
 TREE_PAIR_PRODUCT_CAP = 40
-_TREE_PAIR_THEOREMS = {TheoremId.C3, TheoremId.C4, TheoremId.X2}
 
 
 def check(
@@ -668,9 +664,14 @@ def check(
     product_cap: int | None = None,
     instance: dict | None = None,
 ) -> TheoremVerdict:
-    """Evaluate one theorem on one instance and return the verdict."""
+    """Evaluate one theorem on one instance and return the verdict.
+
+    A theorem whose shape takes H refuses a product of order above
+    ``product_cap`` (by default the shape's cap) with ``BudgetExceededError``.
+    """
     budget = budget or solvers.default_budget()
-    if theorem is TheoremId.I6:
+    checker, shape = _THEOREMS[theorem]
+    if checker is None:
         raise ValueError("the closed-form theorem is checked via closed_form_check(family, n, m)")
     descriptor = dict(instance or {})
     if G is not None:
@@ -679,36 +680,32 @@ def check(
         descriptor.setdefault("h_order", H.graph.n)
         descriptor.setdefault("root", H.root)
 
-    if theorem in _PRODUCT_CHECKERS:
-        if G is None or H is None:
-            raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
-        cap = product_cap
-        if cap is None:
-            cap = TREE_PAIR_PRODUCT_CAP if theorem in _TREE_PAIR_THEOREMS else DEFAULT_PRODUCT_CAP
-        if G.n * H.graph.n > cap:
-            raise BudgetExceededError(
-                f"product order {G.n * H.graph.n} exceeds the cap {cap}"
-            )
-        checker = _PRODUCT_CHECKERS[theorem]
-    else:
+    if shape in ("single", "tree-single"):
         if G is None:
             raise ValueError(f"theorem {theorem.value} needs a graph")
-        checker = _SINGLE_CHECKERS[theorem]
+    else:
+        if G is None or H is None:
+            raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
+        if product_cap is None:
+            product_cap = TREE_PAIR_PRODUCT_CAP if shape == "tree-pair-dp" else DEFAULT_PRODUCT_CAP
+        if G.n * H.graph.n > product_cap:
+            raise BudgetExceededError(
+                f"product order {G.n * H.graph.n} exceeds the cap {product_cap}"
+            )
 
     try:
-        applicable, ok, values = checker(G, H, budget)
+        ok, values = checker(G, H, budget)
     except InfeasibleParameterError as exc:
         return TheoremVerdict(
             theorem, descriptor, applicable=False, outcome=Outcome.INFEASIBLE,
             values={"reason": str(exc)},
         )
-    if not applicable:
+    if ok is None:
         return TheoremVerdict(theorem, descriptor, False, Outcome.NOT_APPLICABLE, values)
-    outcome = Outcome.PASS if ok else Outcome.FAIL
-    witness = None
-    if outcome is Outcome.FAIL:
-        witness = _witness_payload(theorem, G, H, values)
-    return TheoremVerdict(theorem, descriptor, True, outcome, values, witness)
+    if ok:
+        return TheoremVerdict(theorem, descriptor, True, Outcome.PASS, values)
+    witness = _witness_payload(theorem, G, H, values)
+    return TheoremVerdict(theorem, descriptor, True, Outcome.FAIL, values, witness)
 
 
 def closed_form_check(
@@ -838,19 +835,8 @@ class CampaignConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        out = {
-            "theorems": [t.value for t in self.theorems],
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_g": self.max_g,
-            "max_h": self.max_h,
-            "product_cap": self.product_cap,
-            "deletion_n": self.deletion_n,
-            "tree_min": self.tree_min,
-            "tree_max": self.tree_max,
-            "tree_single_max": self.tree_single_max,
-            "tree_product_cap": self.tree_product_cap,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["theorems"] = [t.value for t in self.theorems]
         return out
 
 
@@ -868,10 +854,10 @@ def _sample_factor(rng: random.Random, max_n: int) -> tuple[Graph, dict]:
             if max_n < 3:
                 continue
             n = rng.randint(3, max_n)
-            return generate(FamilySpec(Family.CYCLE, n=n)), {"family": family, "n": n}
+            return cycle_graph(n), {"family": family, "n": n}
         if family == "complete":
             n = rng.randint(2, max_n)
-            return generate(FamilySpec(Family.COMPLETE, n=n)), {"family": family, "n": n}
+            return complete_graph(n), {"family": family, "n": n}
         if family == "star":
             if max_n < 3:
                 continue
@@ -884,8 +870,7 @@ def _sample_factor(rng: random.Random, max_n: int) -> tuple[Graph, dict]:
         n = rng.randint(2, max_n)
         seed = rng.randrange(1 << 48)
         p = rng.choice((0.3, 0.5, 0.8))
-        graph = generate(FamilySpec(Family.RANDOM_CONNECTED, n=n, p=p, seed=seed))
-        return graph, {"family": family, "n": n, "p": p, "seed": seed}
+        return random_connected_graph(n, p, seed), {"family": family, "n": n, "p": p, "seed": seed}
 
 
 def _special_roman_factors(max_h: int) -> list[tuple[Graph, int, dict]]:
@@ -911,9 +896,7 @@ def _special_roman_factors(max_h: int) -> list[tuple[Graph, int, dict]]:
         specials.append((sub3.graph, sub3.root, {"family": "subdivided-star", "m": 3, "root": sub3.root}))
     for k in (2, 3):
         if k <= max_h:
-            specials.append(
-                (generate(FamilySpec(Family.EMPTY, n=k)), 0, {"family": "empty", "n": k, "root": 0})
-            )
+            specials.append((empty_graph(k), 0, {"family": "empty", "n": k, "root": 0}))
     return specials
 
 
@@ -957,130 +940,88 @@ def _gnp_instance(rng: random.Random, config: CampaignConfig) -> tuple[Graph, di
     return Graph(n, edges), {"family": "gnp", "n": n, "p": p}
 
 
-class _TreePairStream:
-    """Deterministic stream of (T1, rooted T2) covering every root per pair."""
+def _tree_pairs(rng: random.Random, config: CampaignConfig, cap: int):
+    """Endless stream of (T1, rooted T2, descriptor) covering every root per pair.
 
-    def __init__(self, rng: random.Random, config: CampaignConfig, cap: int):
-        self.rng = rng
-        self.config = config
-        self.cap = cap
-        self.queue: list[tuple[Graph, RootedGraph, dict]] = []
-
-    def next(self) -> tuple[Graph, RootedGraph, dict]:
-        while not self.queue:
-            cfg = self.config
-            n1 = self.rng.randint(cfg.tree_min, cfg.tree_max)
-            n2 = self.rng.randint(cfg.tree_min, cfg.tree_max)
-            if n1 * n2 > self.cap:
-                continue
-            seed1 = self.rng.randrange(1 << 48)
-            seed2 = self.rng.randrange(1 << 48)
-            t1 = random_tree(n1, seed1)
-            t2 = random_tree(n2, seed2)
-            for root in range(n2):
-                self.queue.append(
-                    (
-                        t1,
-                        RootedGraph(t2, root),
-                        {
-                            "g": {"family": "random-tree", "n": n1, "seed": seed1},
-                            "h": {"family": "random-tree", "n": n2, "seed": seed2, "root": root},
-                        },
-                    )
-                )
-        return self.queue.pop(0)
+    A pair is drawn from ``rng`` only once the previous pair's roots are used.
+    """
+    while True:
+        n1 = rng.randint(config.tree_min, config.tree_max)
+        n2 = rng.randint(config.tree_min, config.tree_max)
+        if n1 * n2 > cap:
+            continue
+        seed1 = rng.randrange(1 << 48)
+        seed2 = rng.randrange(1 << 48)
+        t1 = random_tree(n1, seed1)
+        t2 = random_tree(n2, seed2)
+        for root in range(n2):
+            yield t1, RootedGraph(t2, root), {
+                "g": {"family": "random-tree", "n": n1, "seed": seed1},
+                "h": {"family": "random-tree", "n": n2, "seed": seed2, "root": root},
+            }
 
 
-_THEOREM_SHAPE: dict[TheoremId, str] = {}
-for _t in _PRODUCT_CHECKERS:
-    _THEOREM_SHAPE[_t] = "product"
-for _t in _SINGLE_CHECKERS:
-    _THEOREM_SHAPE[_t] = "single"
-for _t in (TheoremId.C2, TheoremId.W2, TheoremId.S2):
-    _THEOREM_SHAPE[_t] = "tree-single"
-for _t in (TheoremId.C3, TheoremId.C4, TheoremId.X2):
-    _THEOREM_SHAPE[_t] = "tree-pair-dp"
-for _t in (TheoremId.W3, TheoremId.S3):
-    _THEOREM_SHAPE[_t] = "tree-pair-scan"
-_THEOREM_SHAPE[TheoremId.I6] = "grid"
+def _verdicts(theorem: TheoremId, config: CampaignConfig, budget: SolveBudget):
+    """Each trial's verdict in order, or None for a trial past the budget."""
+    shape = _THEOREMS[theorem][1]
+    if shape == "grid":
+        for family in ("caterpillar", "subdivided-star-product"):
+            for n in range(2, 7):
+                for m in range(2, 5):
+                    yield closed_form_check(family, n, m, budget=budget)
+        return
+
+    theorem_seed = child_seed(config.seed, list(TheoremId).index(theorem))
+    cap = config.tree_product_cap if shape == "tree-pair-dp" else config.product_cap
+    # Lazy: only the tree-pair shapes draw from this stream.
+    tree_pairs = _tree_pairs(random.Random(child_seed(theorem_seed, 0)), config, cap)
+    for trial in range(config.trials):
+        rng = random.Random(child_seed(theorem_seed, trial + 1))
+        H = None
+        if shape == "product":
+            G, H, desc = _product_instance(rng, config, theorem)
+        elif shape == "single":
+            G, desc = _gnp_instance(rng, config)
+        elif shape == "tree-single":
+            n = rng.randint(max(3, config.tree_min), config.tree_single_max)
+            seed = rng.randrange(1 << 48)
+            G = random_tree(n, seed)
+            desc = {"family": "random-tree", "n": n, "seed": seed}
+        else:
+            G, H, desc = next(tree_pairs)
+        try:
+            verdict = check(theorem, G, H, budget=budget, product_cap=cap, instance=desc)
+        except BudgetExceededError:
+            verdict = None
+        yield verdict
 
 
 def run_theorem(
     theorem: TheoremId, config: CampaignConfig, *, budget: SolveBudget | None = None
 ) -> dict:
-    """All trials for one theorem; deterministic given the config."""
-    budget = budget or solvers.default_budget()
-    shape = _THEOREM_SHAPE[theorem]
-    theorem_seed = child_seed(config.seed, list(TheoremId).index(theorem))
+    """All trials for one theorem; deterministic given the config.
+
+    ``trials`` counts the verdicts; ``errors`` counts the trials skipped
+    because an instance was past the budget.
+    """
     counts = {o: 0 for o in Outcome}
-    errors = 0
+    skips = 0
     failures: list[dict] = []
-    verdicts = 0
-
-    if shape == "grid":
-        jobs = [
-            (family, n, m)
-            for family in ("caterpillar", "subdivided-star-product")
-            for n in range(2, 7)
-            for m in range(2, 5)
-        ]
-        for family, n, m in jobs:
-            verdict = closed_form_check(family, n, m, budget=budget)
-            counts[verdict.outcome] += 1
-            verdicts += 1
-            if verdict.outcome is Outcome.FAIL:
-                failures.append(verdict.to_json())
-        return _theorem_report(theorem, verdicts, counts, errors, failures)
-
-    tree_stream = None
-    if shape == "tree-pair-dp":
-        tree_stream = _TreePairStream(
-            random.Random(child_seed(theorem_seed, 0)), config, config.tree_product_cap
-        )
-    elif shape == "tree-pair-scan":
-        tree_stream = _TreePairStream(
-            random.Random(child_seed(theorem_seed, 0)), config, config.product_cap
-        )
-
-    for trial in range(config.trials):
-        rng = random.Random(child_seed(theorem_seed, trial + 1))
-        try:
-            if shape == "product":
-                G, H, desc = _product_instance(rng, config, theorem)
-                verdict = check(theorem, G, H, budget=budget,
-                                product_cap=config.product_cap, instance=desc)
-            elif shape == "single":
-                G, desc = _gnp_instance(rng, config)
-                verdict = check(theorem, G, budget=budget, instance=desc)
-            elif shape == "tree-single":
-                n = rng.randint(max(3, config.tree_min), config.tree_single_max)
-                seed = rng.randrange(1 << 48)
-                G = random_tree(n, seed)
-                desc = {"family": "random-tree", "n": n, "seed": seed}
-                verdict = check(theorem, G, budget=budget, instance=desc)
-            else:
-                G, H, desc = tree_stream.next()
-                cap = config.tree_product_cap if shape == "tree-pair-dp" else config.product_cap
-                verdict = check(theorem, G, H, budget=budget, product_cap=cap, instance=desc)
-        except BudgetExceededError:
-            errors += 1
+    for verdict in _verdicts(theorem, config, budget or solvers.default_budget()):
+        if verdict is None:
+            skips += 1
             continue
         counts[verdict.outcome] += 1
-        verdicts += 1
         if verdict.outcome is Outcome.FAIL:
             failures.append(verdict.to_json())
-    return _theorem_report(theorem, verdicts, counts, errors, failures)
-
-
-def _theorem_report(theorem, verdicts, counts, errors, failures) -> dict:
     return {
         "theorem": theorem.value,
-        "trials": verdicts,
+        "trials": sum(counts.values()),
         "pass": counts[Outcome.PASS],
         "fail": counts[Outcome.FAIL],
         "not_applicable": counts[Outcome.NOT_APPLICABLE],
         "infeasible": counts[Outcome.INFEASIBLE],
-        "errors": errors,
+        "errors": skips,
         "must_hold": theorem in MUST_HOLD,
         "failures": failures,
     }

@@ -52,10 +52,6 @@ class RootedProduct:
                 edges.append((self.copy_vertex(i, u), self.copy_vertex(i, v)))
         self.product = Graph(base.n * h.n, edges)
 
-    @property
-    def base_order(self) -> int:
-        return self.base.n
-
     def base_vertex(self, i: int) -> int:
         """Product id of base vertex ``i`` (the identified root of copy ``i``)."""
         if not (0 <= i < self.base.n):

@@ -7,8 +7,10 @@ kernel when available), with two escape hatches:
   the vertices left uncovered -- every minimum-weight assignment has that
   form, since a 1-label next to a 2 could be lowered to 0;
 * tree instances past the scan budget fall back to the exact tree DP for
-  the independent/connected/convex kinds (on trees convex and connected
-  dominating sets coincide because geodesics are unique).
+  independent domination (``i``) and the connected and convex kinds (on
+  trees convex and connected dominating sets coincide because geodesics are
+  unique); every other kind, ``alpha`` included, raises
+  ``BudgetExceededError`` there.
 
 Witnesses from the scan path are the lexicographically smallest optima
 under the fixed vertex numbering; the tree-DP path is deterministic but
@@ -20,8 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import kernels, tree_dp
 from .graph import Graph, is_connected, is_tree
@@ -148,7 +149,7 @@ class RomanAssignment:
 
 @dataclass(frozen=True)
 class SolveResult:
-    kind: ParameterKind | None
+    kind: ParameterKind
     value: int
     witness: frozenset[int] | RomanAssignment
 
@@ -195,40 +196,6 @@ def is_super_dominating(graph: Graph, subset: frozenset[int] | set[int]) -> bool
         if not any(graph.neighbors(u) <= allowed for u in graph.neighbors(v) & sub):
             return False
     return True
-
-
-# -- generic engine ----------------------------------------------------------
-
-
-def minimum_set(
-    graph: Graph,
-    predicate: Callable[[Graph, frozenset[int]], bool],
-    direction: str = "min",
-    *,
-    budget: SolveBudget | None = None,
-) -> SolveResult:
-    """Exact extremal subset for an arbitrary predicate.
-
-    Cardinality-ordered scan (ascending for ``min``, descending for
-    ``max``) with early exit at the first feasible size; within a size,
-    subsets are tried in lexicographic order, so the witness is the
-    lexicographically smallest optimum.
-    """
-    budget = budget or default_budget()
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    n = graph.n
-    if n > budget.max_scan_n:
-        raise BudgetExceededError(
-            f"order {n} exceeds the subset-scan budget (n <= {budget.max_scan_n})"
-        )
-    sizes = range(0, n + 1) if direction == "min" else range(n, -1, -1)
-    for k in sizes:
-        for combo in combinations(range(n), k):
-            candidate = frozenset(combo)
-            if predicate(graph, candidate):
-                return SolveResult(None, k, candidate)
-    raise InfeasibleParameterError("no subset satisfies the predicate")
 
 
 # -- per-kind solvers ---------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from rootdom.cli import main
 from rootdom.graph import format_edge_list, read_edge_list
 from rootdom.families import path_graph, cycle_graph
+from rootdom.harness import CampaignConfig, TheoremId, run_campaign
 
 
 @pytest.fixture()
@@ -123,6 +124,7 @@ class TestVerify:
         data = _strip_meta(out)
         assert data["results"][0]["pass"] == 12
         assert "D2" in capsys.readouterr().out
+        assert data == run_campaign(CampaignConfig(theorems=[TheoremId.D2], trials=12, seed=42))
 
     def test_failing_paper_claim_still_exits_zero(self, tmp_path):
         out = tmp_path / "s1.json"

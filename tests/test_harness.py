@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -23,7 +24,7 @@ from rootdom.harness import (
     run_theorem,
 )
 from rootdom.product import RootedGraph
-from rootdom.solvers import BudgetExceededError
+from rootdom.solvers import BudgetExceededError, SolveBudget
 
 T = TheoremId
 
@@ -277,6 +278,11 @@ class TestCampaign:
         b = run_campaign(cfg)
         assert a == b
 
+    def test_budget_skips_are_counted(self):
+        # Every S1 product has order >= 4, past a scan budget of 3.
+        result = run_theorem(T.S1, CampaignConfig(trials=4, seed=1), budget=SolveBudget(max_scan_n=3))
+        assert result["errors"] == 4 and result["trials"] == 0
+
     def test_jobs_match_serial(self):
         cfg = CampaignConfig(theorems=[T.D2, T.I5], trials=5, seed=3)
         assert run_campaign(cfg, jobs=2) == run_campaign(cfg, jobs=1)
@@ -290,8 +296,13 @@ class TestCampaign:
             assert check_witness(failure["witness"]).outcome is Outcome.FAIL
 
     def test_config_round_trip(self):
-        cfg = CampaignConfig(theorems=[T.D1, T.S3], trials=9, seed=8, max_g=4)
-        again = CampaignConfig.from_dict(cfg.to_dict())
+        cfg = CampaignConfig(
+            theorems=[T.D1, T.S3], trials=9, seed=8, max_g=4, max_h=3, product_cap=18,
+            deletion_n=6, tree_min=2, tree_max=5, tree_single_max=9, tree_product_cap=30,
+        )
+        default = CampaignConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+        again = CampaignConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
         with pytest.raises(ValueError, match="unknown campaign config keys"):
             CampaignConfig.from_dict({"nope": 1})

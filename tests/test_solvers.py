@@ -8,7 +8,6 @@ from rootdom.families import (
     cycle_graph,
     empty_graph,
     path_graph,
-    random_connected_graph,
     random_tree,
     star_graph,
     subdivided_star_graph,
@@ -29,7 +28,6 @@ from rootdom.solvers import (
     is_dominating,
     is_independent,
     is_super_dominating,
-    minimum_set,
     solve,
 )
 
@@ -120,26 +118,6 @@ class TestInfeasibility:
         two_k2 = Graph(4, [(0, 1), (2, 3)])
         assert solve(two_k2, PK.DOMINATION).value == 2
         assert solve(two_k2, PK.SUPER).value == 2
-
-
-class TestGenericEngine:
-    def test_min_dominating(self):
-        res = minimum_set(path_graph(4), is_dominating, "min")
-        assert res.value == 2 and res.witness == {0, 2}
-
-    def test_max_independent(self):
-        res = minimum_set(cycle_graph(6), is_independent, "max")
-        assert res.value == 3 and res.witness == {0, 2, 4}
-
-    def test_infeasible_predicate(self):
-        never = lambda g, s: False
-        with pytest.raises(InfeasibleParameterError):
-            minimum_set(path_graph(3), never, "min")
-
-    def test_composite_predicate_matches_kind(self):
-        pred = lambda g, s: bool(s) and is_dominating(g, s) and is_connected_subset(g, s)
-        g = random_connected_graph(7, 0.4, seed=2)
-        assert minimum_set(g, pred, "min").value == solve(g, PK.CONNECTED).value
 
 
 class TestEnumeration:
