@@ -35,6 +35,7 @@ from .solvers import (
     is_independent,
     is_super_dominating,
     solve,
+    value,
 )
 from .harness import (
     MUST_HOLD,

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph
+from .graph import Graph, is_connected
 from .product import RootedGraph
 
 _MASK64 = (1 << 64) - 1
@@ -126,8 +126,6 @@ def random_connected_graph(n: int, p: float, seed: int, max_attempts: int = 1000
         raise ValueError(f"random connected graphs need order >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
-    from .graph import is_connected
-
     rng = random.Random(seed)
     for _ in range(max_attempts):
         edges = [

@@ -1,9 +1,11 @@
 """Immutable simple graphs and the structural queries the solvers build on.
 
 Vertices are dense integers ``0..n-1``.  Graphs are immutable after
-construction; derived data (distance table, geodesic interval masks) is
-computed once on demand and cached with single-assignment semantics, so
-instances are safe to share across concurrent workers.
+construction; derived data (connectivity flag, distance table, geodesic
+interval masks) is computed once on demand and cached with
+single-assignment semantics, so instances are safe to share across
+concurrent workers.  Connectivity costs one bitmask BFS; only the interval
+masks, convexity tests and ``distance`` build the all-pairs table.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package.
 """
@@ -20,7 +22,9 @@ UNREACHABLE = -1
 class Graph:
     """Undirected simple graph (no loops, no multi-edges) on ``0..n-1``."""
 
-    __slots__ = ("n", "m", "_adj", "_open_masks", "_closed_masks", "_dist", "_intervals")
+    __slots__ = (
+        "n", "m", "_adj", "_open_masks", "_closed_masks", "_connected", "_dist", "_intervals"
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -42,6 +46,7 @@ class Graph:
         self._closed_masks: tuple[int, ...] = tuple(
             mask | (1 << v) for v, mask in enumerate(self._open_masks)
         )
+        self._connected: bool | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._intervals: tuple[int, ...] | None = None
 
@@ -166,10 +171,20 @@ def delete_vertices(graph: Graph, removed: frozenset[int] | set[int]) -> Induced
 
 
 def is_connected(graph: Graph) -> bool:
-    if graph.n == 0:
-        return False
-    row = graph.distances()[0]
-    return UNREACHABLE not in row
+    """One bitmask BFS from vertex 0; the empty graph is not connected."""
+    if graph._connected is None:
+        masks = graph.open_masks()
+        seen = frontier = 1 if graph.n else 0
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= masks[bit.bit_length() - 1]
+            frontier = reach & ~seen
+            seen |= frontier
+        graph._connected = graph.n > 0 and seen == (1 << graph.n) - 1
+    return graph._connected
 
 
 def is_connected_subset(graph: Graph, subset: frozenset[int] | set[int]) -> bool:

@@ -1,20 +1,23 @@
 """Exact solvers for the eight domination-type parameters.
 
-Values come from cardinality-ordered subset scans over bitmasks (compiled
-kernel when available), with two escape hatches:
+Two entry points:
 
-* the Roman engine scans 2-label sets only, with the 1-labels forced onto
-  the vertices left uncovered -- every minimum-weight assignment has that
-  form, since a 1-label next to a 2 could be lowered to 0;
-* tree instances past the scan budget fall back to the exact tree DP for
-  independent domination (``i``) and the connected and convex kinds (on
-  trees convex and connected dominating sets coincide because geodesics are
-  unique); every other kind, ``alpha`` included, raises
+* ``solve()`` returns a value and a witness.  Values come from
+  cardinality-ordered subset scans over bitmasks (compiled kernel when
+  available), so witnesses are the lexicographically smallest optima under
+  the fixed vertex numbering.  The Roman engine scans 2-label sets only,
+  with the 1-labels forced onto the vertices left uncovered -- every
+  minimum-weight assignment has that form, since a 1-label next to a 2
+  could be lowered to 0.  Past the scan budget, tree instances fall back to
+  the exact tree DP for independent domination (``i``) and the connected
+  and convex kinds (on trees convex and connected dominating sets coincide
+  because geodesics are unique); its witnesses are deterministic but carry
+  no lexicographic promise.  Every other kind, ``alpha`` included, raises
   ``BudgetExceededError`` there.
-
-Witnesses from the scan path are the lexicographically smallest optima
-under the fixed vertex numbering; the tree-DP path is deterministic but
-makes no lexicographic promise.
+* ``value()`` returns the value alone, by the cheapest exact method: the
+  tree DP for ``i``, connected and convex on every tree, at every order,
+  and ``solve()`` otherwise.  The theorem harness and ``enumerate_optimal``
+  use it.
 """
 
 from __future__ import annotations
@@ -230,6 +233,12 @@ def _require_connected(graph: Graph, kind: ParameterKind) -> None:
         )
 
 
+def _solve_tree(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int]]:
+    if kind is ParameterKind.INDEPENDENT_DOMINATION:
+        return tree_dp.tree_independent_domination(graph)
+    return tree_dp.tree_connected_domination(graph)
+
+
 def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = None) -> SolveResult:
     """Exact value and witness for one parameter kind."""
     budget = budget or default_budget()
@@ -238,11 +247,7 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
 
     if graph.n > budget.max_scan_n:
         if kind in _TREE_DP_KINDS and is_tree(graph):
-            if kind is ParameterKind.INDEPENDENT_DOMINATION:
-                value, witness = tree_dp.tree_independent_domination(graph)
-            else:
-                value, witness = tree_dp.tree_connected_domination(graph)
-            return SolveResult(kind, value, witness)
+            return SolveResult(kind, *_solve_tree(graph, kind))
         raise BudgetExceededError(
             f"order {graph.n} exceeds the subset-scan budget "
             f"(n <= {budget.max_scan_n}); set ROOTDOM_BUDGET to raise it"
@@ -268,6 +273,17 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
     return SolveResult(kind, size, _mask_to_set(mask))
 
 
+def value(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = None) -> int:
+    """Exact value of one parameter kind, without a witness promise.
+
+    Trees go to the tree DP for ``i``, connected and convex at every order;
+    everything else is ``solve(...).value``, with its errors.
+    """
+    if kind in _TREE_DP_KINDS and is_tree(graph):
+        return _solve_tree(graph, kind)[0]
+    return solve(graph, kind, budget=budget).value
+
+
 # -- enumeration and root classification --------------------------------------
 
 
@@ -280,7 +296,7 @@ def enumerate_optimal(
     assignments, ordered by 2-set size then lexicographically.
     """
     budget = budget or default_budget()
-    result = solve(graph, kind, budget=budget)
+    target = value(graph, kind, budget=budget)
     if graph.n > budget.max_scan_n:
         raise BudgetExceededError(
             f"enumeration needs the scan engine; order {graph.n} exceeds "
@@ -289,7 +305,7 @@ def enumerate_optimal(
 
     if kind is ParameterKind.ROMAN:
         b2_masks, hit_cap = kernels.roman_enumerate(
-            graph.n, graph.closed_masks(), result.value, budget.enumeration_cap
+            graph.n, graph.closed_masks(), target, budget.enumeration_cap
         )
         if hit_cap:
             raise EnumerationCapError(
@@ -312,7 +328,7 @@ def enumerate_optimal(
         graph.open_masks(),
         graph.closed_masks(),
         intervals,
-        result.value,
+        target,
         budget.enumeration_cap,
     )
     if hit_cap:

@@ -1,13 +1,16 @@
-"""Exact dynamic programming on trees for instances past the subset-scan budget.
+"""Exact dynamic programming on trees, at any order.
 
 Covers minimum independent dominating sets and minimum connected dominating
 sets.  On trees geodesics are unique, so a set is convex exactly when it
 induces a connected subgraph; the connected-domination routine therefore
 doubles as the convex-domination solver on trees.
 
-Witnesses are reconstructed by deterministic backtracking (fixed traversal
-and tie preferences), so repeated runs agree bit for bit; unlike the scan
-engine they are not guaranteed to be the lexicographically smallest optimum.
+``solvers.value()`` (and through it the theorem harness) uses these
+routines on every tree, at every order; ``solvers.solve()`` uses them only
+past the subset-scan budget, because their witnesses are reconstructed by
+deterministic backtracking (fixed traversal and tie preferences) -- repeated
+runs agree bit for bit, but unlike the scan engine they are not guaranteed
+to be the lexicographically smallest optimum.
 """
 
 from __future__ import annotations

@@ -102,6 +102,31 @@ class TestDistances:
         assert [list(row) for row in g.distances()] == min_plus_distances(g)
 
 
+class TestConnectivity:
+    def test_empty_graph_is_not_connected(self):
+        assert not is_connected(Graph(0, []))
+
+    def test_agrees_with_the_distance_table(self):
+        graphs = [
+            Graph(1, []),
+            Graph(2, []),
+            Graph(4, [(0, 1), (1, 2)]),
+            Graph(4, [(1, 2), (2, 3)]),
+            Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ]
+        graphs += [random_gnp(n, p, seed=7 * n) for n in range(1, 13) for p in (0.1, 0.25, 0.5)]
+        for g in graphs:
+            connected = is_connected(g)
+            fresh = Graph(g.n, g.edges())
+            assert connected == (UNREACHABLE not in fresh.distances()[0]), g.edges()
+
+    def test_structure_queries_build_no_distance_table(self):
+        for g in (path_graph(6), cycle_graph(5), Graph(4, [(0, 1), (2, 3)])):
+            is_connected(g)
+            is_tree(g)
+            assert g._dist is None
+
+
 class TestSubsets:
     def test_connected_subset(self):
         p4 = path_graph(4)

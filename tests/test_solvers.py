@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_gnp
+from helpers import prufer_tree, random_gnp, tree_shape
 from rootdom.families import (
     complete_graph,
     cycle_graph,
@@ -29,6 +31,7 @@ from rootdom.solvers import (
     is_independent,
     is_super_dominating,
     solve,
+    value,
 )
 
 PK = ParameterKind
@@ -229,6 +232,70 @@ class TestTreeDP:
 
         with pytest.raises(ValueError):
             tree_connected_domination(cycle_graph(4))
+
+
+class TestValue:
+    """``value()`` against ``solve()`` and the naive referee."""
+
+    KINDS = (PK.INDEPENDENT_DOMINATION, PK.CONNECTED, PK.CONVEX)
+
+    def test_every_labelled_tree_up_to_order_7(self):
+        # The referee's value is an isomorphism invariant: run it once per shape.
+        referee = {}
+        for n in range(2, 8):
+            for seq in itertools.product(range(n), repeat=n - 2):
+                t = prufer_tree(seq)
+                shape = tree_shape(t)
+                for kind in self.KINDS:
+                    if (shape, kind) not in referee:
+                        referee[shape, kind] = naive_value(t, kind.value)
+                    assert value(t, kind) == solve(t, kind).value == referee[shape, kind], (
+                        seq, kind)
+        assert len(referee) == 3 * (1 + 1 + 2 + 3 + 6 + 11)
+
+    def test_random_trees_of_order_8_to_12(self):
+        for n in range(8, 13):
+            for seed in range(4):
+                t = random_tree(n, seed=900 + 10 * n + seed)
+                for kind in self.KINDS:
+                    assert value(t, kind) == solve(t, kind).value == naive_value(t, kind.value)
+
+    def test_past_the_budget(self):
+        t = random_tree(30, seed=3)
+        small = SolveBudget(max_scan_n=8)
+        for kind in self.KINDS:
+            assert value(t, kind, budget=small) == solve(t, kind, budget=small).value
+        with pytest.raises(BudgetExceededError):
+            value(t, PK.DOMINATION, budget=small)
+
+    def test_non_trees_match_solve(self):
+        graphs = [random_gnp(n, p, seed=n) for n in range(1, 9) for p in (0.2, 0.35, 0.6)]
+        graphs.append(Graph(5, [(0, 1), (1, 2), (3, 4)]))  # a forest
+        assert any(not is_connected(g) for g in graphs)
+        for g in graphs:
+            for kind in self.KINDS:
+                try:
+                    expected = solve(g, kind).value
+                except InfeasibleParameterError as exc:
+                    with pytest.raises(InfeasibleParameterError, match=str(exc)):
+                        value(g, kind)
+                else:
+                    assert value(g, kind) == expected
+
+    @pytest.mark.parametrize("kind", list(PK))
+    def test_empty_graph_raises_like_solve(self, kind):
+        with pytest.raises(ValueError, match="empty graph"):
+            solve(Graph(0, []), kind)
+        with pytest.raises(ValueError, match="empty graph"):
+            value(Graph(0, []), kind)
+
+    def test_enumeration_on_trees_keeps_the_lexicographic_order(self):
+        for trial in range(6):
+            t = random_tree(5 + trial, seed=40 + trial)
+            for kind in self.KINDS:
+                found = enumerate_optimal(t, kind)
+                assert found == sorted(found, key=lambda w: sorted(w))
+                assert found[0] == solve(t, kind).witness
 
 
 class TestWitnessValidity:
