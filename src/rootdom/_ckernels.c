@@ -7,6 +7,15 @@
  * tie-breaks, so values and witnesses agree bit for bit.  A vertex set is a
  * uint64_t mask; the caller keeps the order n at most 62, so no shift
  * overflows and the all-ones word is never a vertex set.
+ *
+ * Super domination is cut twice.  A super dominating set S serves each
+ * vertex v outside S from a member u with N(u) - S = {v}; the map v -> u is
+ * injective, so |V - S| <= |S| and scan_min starts at size ceil(n/2).  And
+ * before rec_scan picks vertex v, every unpicked vertex below v is out for
+ * good: if one of them can no longer be served, the branch is cut, with
+ * every larger v, since more out-vertices serve fewer.  Both cuts drop only
+ * sets that fail the leaf test, so feasible sets are visited in the same
+ * lexicographic order and witnesses and listings are unchanged.
  */
 
 #include <stdint.h>
@@ -43,7 +52,7 @@ typedef struct {
  */
 typedef struct {
     int kind, n, k;
-    int independent, covering;
+    int independent, covering, super_dominating;
     u64 full;
     const u64 *open_m, *closed_m, *intervals;
     u64 suffix[64]; /* suffix[v]: union of the closed neighbourhoods of v..n-1 */
@@ -65,6 +74,7 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->k = 0;
     s->independent = kind == KIND_INDEPENDENT_DOMINATING || kind == KIND_INDEPENDENT;
     s->covering = kind != KIND_INDEPENDENT;
+    s->super_dominating = kind == KIND_SUPER_DOMINATING;
     s->full = BIT(n) - 1;
     s->open_m = open_m;
     s->closed_m = closed_m;
@@ -162,12 +172,15 @@ static int convex(u64 sub, int n, const u64 *intervals)
     return 1;
 }
 
-static int super_dominating(u64 sub, u64 full, const u64 *open_m)
+/* Whether every w in `out` has a neighbour u outside `out` with N(u) & out a
+ * subset of {w}: with out = full & ~sub, "sub is super dominating"; on a
+ * partial set, the prune. */
+static int served(u64 out, const u64 *open_m)
 {
-    for (u64 out = full & ~sub; out; out &= out - 1) {
-        u64 allowed = sub | LOWBIT(out);
-        u64 cand = open_m[VERTEX(out)] & sub;
-        while (cand && (open_m[VERTEX(cand)] & ~allowed))
+    for (u64 rest = out; rest; rest &= rest - 1) {
+        u64 others = out & ~LOWBIT(rest);
+        u64 cand = open_m[VERTEX(rest)] & ~out;
+        while (cand && (open_m[VERTEX(cand)] & others))
             cand &= cand - 1;
         if (!cand)
             return 0;
@@ -189,7 +202,7 @@ static int leaf_ok(const scan *s, u64 sub, u64 cover)
     case KIND_WEAKLY_CONNECTED_DOMINATING:
         return weakly_connected(sub, s->full, s->open_m);
     case KIND_SUPER_DOMINATING:
-        return super_dominating(sub, s->full, s->open_m);
+        return served(s->full & ~sub, s->open_m);
     default:
         return 1;
     }
@@ -202,6 +215,10 @@ static int rec_scan(scan *s, int start, int picked, u64 sub, u64 cover)
     if (picked == s->k)
         return !leaf_ok(s, sub, cover) || visit(s, sub);
     for (int v = start; v <= s->n - (s->k - picked); v++) {
+        /* Below v every unpicked vertex is out; more out-vertices only serve
+         * fewer, so no larger v can succeed either. */
+        if (s->super_dominating && v > start && !served((BIT(v) - 1) & ~sub, s->open_m))
+            break;
         if (s->independent && (s->open_m[v] & sub))
             continue;
         u64 new_cover = cover | s->closed_m[v];
@@ -218,7 +235,8 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, intervals, NULL, 0);
-    for (s.k = 1; s.k <= n && rec_scan(&s, 0, 0, 0, 0); s.k++)
+    /* A super dominating set holds at least half the vertices (see the top). */
+    for (s.k = kind == KIND_SUPER_DOMINATING && n > 1 ? (n + 1) / 2 : 1; s.k <= n && rec_scan(&s, 0, 0, 0, 0); s.k++)
         ;
     return s.found;
 }

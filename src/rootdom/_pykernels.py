@@ -3,11 +3,23 @@
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
 the sorted vertex tuples, so the first feasible subset found is the
-lexicographically smallest optimum.  The C kernels in ``_ckernels.c`` have
-identical semantics, and ``tests/test_backends.py`` holds them to it with
-this module as the referee.  To compare their speed, run ``perfbench/run.py``
-in a checkout with the library built (``python setup.py build_ext
---inplace``) and in one without it.
+lexicographically smallest optimum.
+
+Super domination gets two cuts that keep this order.  A super dominating
+set S serves each vertex v outside S from a member u with N(u) - S = {v};
+the map v -> u is injective, so |V - S| <= |S| and the scan starts at size
+ceil(n/2).  The same condition is checked on partial sets: before the scan
+picks vertex v, every unpicked vertex below v is out for good, and if one of
+them can no longer be served the branch is cut, with every larger v, since
+more out-vertices serve fewer.  Both cuts drop only subsets that fail the
+leaf test, so the feasible subsets are visited in the same order as without
+them, and values, witnesses and enumerations are unchanged.
+
+The C kernels in ``_ckernels.c`` have identical semantics, and
+``tests/test_backends.py`` holds them to it with this module as the referee.
+To compare their speed, run ``perfbench/run.py`` in a checkout with the
+library built (``python setup.py build_ext --inplace``) and in one without
+it.
 """
 
 from __future__ import annotations
@@ -80,21 +92,22 @@ def _convex(sub: int, n: int, intervals) -> bool:
     return True
 
 
-def _super(sub: int, full: int, open_m) -> bool:
-    out = full & ~sub
-    while out:
-        vb = out & (-out)
-        out ^= vb
-        allowed = sub | vb
-        cand = open_m[vb.bit_length() - 1] & sub
-        ok = False
+def _served(out: int, open_m) -> bool:
+    """Whether every vertex w in ``out`` has a neighbour u outside ``out``
+    with N(u) & out a subset of {w}.  With ``out = full & ~sub`` this is
+    "sub is super dominating"; on a partial set it is the prune."""
+    rest = out
+    while rest:
+        wb = rest & (-rest)
+        rest ^= wb
+        others = out ^ wb
+        cand = open_m[wb.bit_length() - 1] & ~out
         while cand:
             ub = cand & (-cand)
-            cand ^= ub
-            if not (open_m[ub.bit_length() - 1] & ~allowed):
-                ok = True
+            if not (open_m[ub.bit_length() - 1] & others):
                 break
-        if not ok:
+            cand ^= ub
+        if not cand:
             return False
     return True
 
@@ -113,7 +126,7 @@ def _leaf_ok(kind: int, sub: int, cover: int, full: int, n: int, open_m, interva
     if kind == KIND_WEAKLY_CONNECTED_DOMINATING:
         return _weakly_connected(sub, full, open_m)
     if kind == KIND_SUPER_DOMINATING:
-        return _super(sub, full, open_m)
+        return _served(full & ~sub, open_m)
     raise ValueError(f"unknown kind code {kind}")
 
 
@@ -129,12 +142,17 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, visit) -> boo
     it returns False; returns whether the scan ran to the end."""
     independent = kind in _INDEPENDENT_KINDS
     covering = kind != KIND_INDEPENDENT
+    super_dominating = kind == KIND_SUPER_DOMINATING
 
     def rec(start: int, picked: int, sub: int, cover: int) -> bool:
         if picked == k:
             return not _leaf_ok(kind, sub, cover, full, n, open_m, intervals) or visit(sub)
         need = k - picked
         for v in range(start, n - need + 1):
+            # Below v every unpicked vertex is out; more out-vertices only
+            # serve fewer, so no larger v can succeed either.
+            if super_dominating and v > start and not _served(((1 << v) - 1) & ~sub, open_m):
+                break
             if independent and (open_m[v] & sub):
                 continue
             new_cover = cover | closed_m[v]
@@ -166,7 +184,8 @@ def _first(kind, n, sizes, open_m, closed_m, intervals):
 
 def scan_min(kind: int, n: int, open_m, closed_m, intervals=None):
     """Minimum feasible subset: ``(size, mask)`` or None when infeasible."""
-    return _first(kind, n, range(1, n + 1), open_m, closed_m, intervals)
+    smallest = max(1, (n + 1) // 2) if kind == KIND_SUPER_DOMINATING else 1
+    return _first(kind, n, range(smallest, n + 1), open_m, closed_m, intervals)
 
 
 def scan_max_independent(n: int, open_m):

@@ -5,7 +5,9 @@ Two entry points:
 * ``solve()`` returns a value and a witness.  Values come from
   cardinality-ordered subset scans over bitmasks (compiled kernel when
   available), so witnesses are the lexicographically smallest optima under
-  the fixed vertex numbering.  The Roman engine scans 2-label sets only,
+  the fixed vertex numbering.  Super-domination scans start at size
+  ceil(n/2), since each vertex outside a super dominating set is served by
+  a member of its own.  The Roman engine scans 2-label sets only,
   with the 1-labels forced onto the vertices left uncovered -- every
   minimum-weight assignment has that form, since a 1-label next to a 2
   could be lowered to 0.  Past the scan budget, tree instances fall back to

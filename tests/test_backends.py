@@ -16,7 +16,9 @@ from helpers import random_gnp
 from rootdom import _pykernels as slow
 from rootdom import kernels
 from rootdom._cbackend import load
+from rootdom.families import random_connected_graph
 from rootdom.graph import Graph, is_connected
+from rootdom.product import RootedGraph, rooted_product
 
 KINDS = range(slow.KIND_DOMINATING, slow.KIND_INDEPENDENT + 1)
 
@@ -82,6 +84,32 @@ def test_enumeration_identical(fast):
             found = slow.scan_min(kind, g.n, om, cm, intervals)
         for cap in (10**6, 1) if found else ():
             args = (kind, g.n, om, cm, intervals, found[0], cap)
+            result = fast.enumerate_size(*args)
+            assert result == slow.enumerate_size(*args)
+            hit_cap += result[1]
+    assert hit_cap  # cap=1 cut some enumerations short
+
+
+def _super_products():
+    """Seeded rooted products G o H of order 12..20, G of order 2..4 and H of
+    order 4..6 as in theorem S1: large enough for the super scan's cuts."""
+    rng = random.Random(2025)
+    for g_n, h_n in ((2, 6), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5)):
+        for _ in range(2):
+            g = random_connected_graph(g_n, 0.6, seed=rng.randrange(1 << 30))
+            h = random_connected_graph(h_n, 0.5, seed=rng.randrange(1 << 30))
+            yield rooted_product(g, RootedGraph(h, rng.randrange(h_n))).product
+
+
+def test_super_scan_on_products_identical(fast):
+    kind = slow.KIND_SUPER_DOMINATING
+    hit_cap = 0
+    for g in _super_products():
+        om, cm = g.open_masks(), g.closed_masks()
+        found = slow.scan_min(kind, g.n, om, cm)
+        assert fast.scan_min(kind, g.n, om, cm) == found
+        for cap in (10**6, 1):
+            args = (kind, g.n, om, cm, None, found[0], cap)
             result = fast.enumerate_size(*args)
             assert result == slow.enumerate_size(*args)
             hit_cap += result[1]

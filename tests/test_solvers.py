@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import prufer_tree, random_gnp, tree_shape
+from rootdom import naive
 from rootdom.families import (
     complete_graph,
     cycle_graph,
@@ -296,6 +297,41 @@ class TestValue:
                 found = enumerate_optimal(t, kind)
                 assert found == sorted(found, key=lambda w: sorted(w))
                 assert found[0] == solve(t, kind).witness
+
+
+class TestSuperWitnessIdentity:
+    """The pruned super scan against brute force over every subset, in
+    cardinality-then-lexicographic order, with the naive predicate."""
+
+    @staticmethod
+    def _graphs():
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                yield Graph(n, [e for e, take in zip(pairs, chosen) if take])
+        for n in range(6, 13):
+            for p in (0.2, 0.35, 0.5):
+                for seed in range(2):
+                    yield random_gnp(n, p, seed=1000 * n + 10 * seed + int(100 * p))
+
+    def test_witness_enumeration_and_half_order_bound(self):
+        checked = 0
+        for g in self._graphs():
+            optima = []
+            for k in range(g.n + 1):
+                optima = [
+                    frozenset(sub)
+                    for sub in itertools.combinations(range(g.n), k)
+                    if naive._super(g, set(sub))
+                ]
+                if optima:
+                    break
+            res = solve(g, PK.SUPER)
+            assert res.value == len(optima[0]) >= (g.n + 1) // 2, g.edges()
+            assert res.witness == optima[0], g.edges()
+            assert enumerate_optimal(g, PK.SUPER) == optima, g.edges()
+            checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024 + 7 * 3 * 2
 
 
 class TestWitnessValidity:
