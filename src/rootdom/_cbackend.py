@@ -11,7 +11,14 @@ import ctypes
 from array import array
 from types import SimpleNamespace
 
-from ._kernelspec import KIND_CONVEX_DOMINATING, KIND_DOMINATING, KIND_INDEPENDENT, MAX_ORDER, sort_roman
+from ._kernelspec import (
+    KIND_CONVEX_DOMINATING,
+    KIND_DOMINATING,
+    KIND_INDEPENDENT,
+    MAX_ORDER,
+    check_forced_in,
+    sort_roman,
+)
 
 
 def load(path: str):
@@ -28,10 +35,10 @@ def load(path: str):
 
     lib = ctypes.CDLL(path)
     for name, restype, argtypes in (
-        ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr)),
+        ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, u64)),
         ("scan_max_independent", u64, (ctypes.c_int, ptr)),
         ("enumerate_size", ctypes.c_int,
-         (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int, i64, ptr)),
+         (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int, i64, u64, ptr)),
         ("roman_min", i64, (ctypes.c_int, ptr, ptr)),
         ("roman_enumerate", ctypes.c_int, (ctypes.c_int, ptr, i64, i64, ptr)),
         ("free_masks", None, (ptr,)),
@@ -56,9 +63,10 @@ def load(path: str):
             raise ValueError(f"expected {size} masks, got {len(buf)}")
         return buf
 
-    def kind_masks(kind: int, n: int, open_m, closed_m, intervals):
+    def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int):
         if not KIND_DOMINATING <= kind <= KIND_INDEPENDENT:
             raise ValueError(f"unknown kind code {kind}")
+        check_forced_in(n, forced_in)  # ctypes would wrap it to 64 bits silently
         # Only the convex kind reads interval masks, and it needs all n * n.
         size = n * n if kind == KIND_CONVEX_DOMINATING else 0
         return masks(open_m, n, n), masks(closed_m, n, n), masks((intervals or ()) if size else (), n, size)
@@ -73,9 +81,9 @@ def load(path: str):
         return found, bool(out.hit_cap)
 
     # In each wrapper every buffer stays bound to a local name until the C call returns.
-    def scan_min(kind: int, n: int, open_m, closed_m, intervals=None):
-        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals)
-        found = c_scan_min(kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0])
+    def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0):
+        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in)
+        found = c_scan_min(kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], forced_in)
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
@@ -83,11 +91,12 @@ def load(path: str):
         found = c_scan_max(n, om.buffer_info()[0])
         return found.bit_count(), found
 
-    def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int):
-        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals)
+    def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0):
+        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in)
         out = MaskList()
         status = c_enumerate(
-            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], k, cap, ctypes.byref(out)
+            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], k, cap, forced_in,
+            ctypes.byref(out),
         )
         return take(status, out)
 

@@ -8,14 +8,35 @@
  * uint64_t mask; the caller keeps the order n at most 62, so no shift
  * overflows and the all-ones word is never a vertex set.
  *
- * Super domination is cut twice.  A super dominating set S serves each
- * vertex v outside S from a member u with N(u) - S = {v}; the map v -> u is
- * injective, so |V - S| <= |S| and scan_min starts at size ceil(n/2).  And
- * before rec_scan picks vertex v, every unpicked vertex below v is out for
- * good: if one of them can no longer be served, the branch is cut, with
- * every larger v, since more out-vertices serve fewer.  Both cuts drop only
- * sets that fail the leaf test, so feasible sets are visited in the same
- * lexicographic order and witnesses and listings are unchanged.
+ * scan_min and enumerate_size visit only feasible sets that hold the mask
+ * forced_in.  The solvers pass the cut vertices for the connected and convex
+ * kinds: a connected set without cut vertex v lies inside one component of
+ * G - v and leaves the others undominated; convex sets are connected.  Four
+ * cuts follow.
+ *
+ * - Start size.  start() returns the largest of these lower bounds, with
+ *   S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
+ *   (each out-vertex v is served by its own member u with N(u) - S = {v});
+ *   S_k >= n + k - 2 for connected and convex (G[S] has k - 1 edges and
+ *   n - k edges leave S); S_k >= n - 1 for weakly (the weak subgraph spans
+ *   G, is connected, and each of its edges has an end in S); S_k + k >= n
+ *   for every dominating kind (|N[S]| <= S_k + k).
+ * - Needed vertices.  rec_scan carries `need`, the vertices every feasible
+ *   completion of the picked set must hold: forced_in, and for convex the
+ *   geodesic interval of every picked pair.  A completion of size k that
+ *   must hold more than k vertices fails, so such a pick is skipped.  At
+ *   the last pick this test leaves no needed vertex out, one above the last
+ *   pick included, so the leaf needs no test of its own.
+ * - Decided out.  Before rec_scan picks vertex v, every unpicked vertex
+ *   below v is out for good.  If one of them is needed, or (super) can no
+ *   longer be served, since more out-vertices serve fewer, the branch is
+ *   cut with every larger v.  Both tests run on one decided-out set.
+ * - Convex hull.  A pick whose new intervals hold a decided-out vertex is
+ *   skipped.  A larger v may still fit, so this cut skips only v.
+ *
+ * Every cut drops only sets that fail the leaf test, so feasible sets are
+ * visited in the same lexicographic order, and witnesses and listings are
+ * unchanged.
  */
 
 #include <stdint.h>
@@ -52,7 +73,7 @@ typedef struct {
  */
 typedef struct {
     int kind, n, k;
-    int independent, covering, super_dominating;
+    int independent, covering, convex, super_dominating;
     u64 full;
     const u64 *open_m, *closed_m, *intervals;
     u64 suffix[64]; /* suffix[v]: union of the closed neighbourhoods of v..n-1 */
@@ -74,6 +95,7 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->k = 0;
     s->independent = kind == KIND_INDEPENDENT_DOMINATING || kind == KIND_INDEPENDENT;
     s->covering = kind != KIND_INDEPENDENT;
+    s->convex = kind == KIND_CONVEX_DOMINATING;
     s->super_dominating = kind == KIND_SUPER_DOMINATING;
     s->full = BIT(n) - 1;
     s->open_m = open_m;
@@ -208,35 +230,75 @@ static int leaf_ok(const scan *s, u64 sub, u64 cover)
     }
 }
 
-/* Visits the feasible completions of `sub` to s->k vertices in lex order;
- * returns 0 once the scan stopped. */
-static int rec_scan(scan *s, int start, int picked, u64 sub, u64 cover)
+/* Visits the feasible completions of `sub` to s->k vertices that hold
+ * `need`, in lex order; returns 0 once the scan stopped. */
+static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need)
 {
     if (picked == s->k)
         return !leaf_ok(s, sub, cover) || visit(s, sub);
-    for (int v = start; v <= s->n - (s->k - picked); v++) {
-        /* Below v every unpicked vertex is out; more out-vertices only serve
-         * fewer, so no larger v can succeed either. */
-        if (s->super_dominating && v > start && !served((BIT(v) - 1) & ~sub, s->open_m))
+    for (int v = first; v <= s->n - (s->k - picked); v++) {
+        /* Below v every unpicked vertex is out for good: a needed one, or one
+         * that can no longer be served, rules out every larger v too. */
+        u64 out = (BIT(v) - 1) & ~sub;
+        if (v > first && ((need & out) || (s->super_dominating && !served(out, s->open_m))))
             break;
         if (s->independent && (s->open_m[v] & sub))
             continue;
         u64 new_cover = cover | s->closed_m[v];
         if (s->covering && (s->full & ~(new_cover | s->suffix[v + 1])))
             continue;
-        if (!rec_scan(s, v + 1, picked + 1, sub | BIT(v), new_cover))
+        u64 new_need = need;
+        if (s->convex) {
+            const u64 *row = s->intervals + (int64_t)v * s->n;
+            for (u64 rest = sub; rest; rest &= rest - 1)
+                new_need |= row[VERTEX(rest)];
+            if (new_need & out)
+                continue;
+        }
+        if (POPCOUNT(new_need | sub | BIT(v)) > s->k)
+            continue;
+        if (!rec_scan(s, v + 1, picked + 1, sub | BIT(v), new_cover, new_need))
             return 0;
     }
     return 1;
 }
 
-/* Minimum feasible subset, or NOT_FOUND; its size is its popcount. */
-u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 *intervals)
+/* The smallest size a feasible set holding forced_in can have, by the bounds
+ * at the top: at least 1, and n + 1 when no size up to n meets them. */
+static int start(int kind, int n, const u64 *open_m, u64 forced_in)
+{
+    int smallest = POPCOUNT(forced_in) > 1 ? POPCOUNT(forced_in) : 1;
+    if (kind == KIND_SUPER_DOMINATING && (n + 1) / 2 > smallest)
+        smallest = (n + 1) / 2;
+    if (kind == KIND_INDEPENDENT)
+        return smallest;
+    /* The k largest degrees must sum to at least n + slope * k + offset. */
+    int slope = -1, offset = 0;
+    if (kind == KIND_CONNECTED_DOMINATING || kind == KIND_CONVEX_DOMINATING)
+        slope = 1, offset = -2;
+    else if (kind == KIND_WEAKLY_CONNECTED_DOMINATING)
+        slope = 0, offset = -1;
+    int count[64] = {0}; /* count[d]: vertices of degree d */
+    for (int v = 0; v < n; v++)
+        count[POPCOUNT(open_m[v])]++;
+    int k = 0, top = 0;
+    for (int d = 63; d >= 0; d--)
+        for (int i = 0; i < count[d]; i++) {
+            k++;
+            top += d;
+            if (top >= n + slope * k + offset)
+                return k > smallest ? k : smallest;
+        }
+    return n + 1 > smallest ? n + 1 : smallest;
+}
+
+/* Minimum feasible subset holding forced_in, or NOT_FOUND; its size is its popcount. */
+u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 *intervals,
+             u64 forced_in)
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, intervals, NULL, 0);
-    /* A super dominating set holds at least half the vertices (see the top). */
-    for (s.k = kind == KIND_SUPER_DOMINATING && n > 1 ? (n + 1) / 2 : 1; s.k <= n && rec_scan(&s, 0, 0, 0, 0); s.k++)
+    for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in); s.k++)
         ;
     return s.found;
 }
@@ -247,24 +309,24 @@ u64 scan_max_independent(int n, const u64 *open_m)
     static const u64 no_cover[64];
     scan s;
     init_scan(&s, KIND_INDEPENDENT, n, open_m, no_cover, NULL, NULL, 0);
-    for (s.k = n; s.k > 0 && rec_scan(&s, 0, 0, 0, 0); s.k--)
+    for (s.k = n; s.k > 0 && rec_scan(&s, 0, 0, 0, 0, 0); s.k--)
         ;
     return s.k ? s.found : 0;
 }
 
-/* All feasible subsets of size k, in lex order. */
+/* All feasible subsets of size k that hold forced_in, in lex order. */
 int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
-                   const u64 *intervals, int k, int64_t cap, mask_list *out)
+                   const u64 *intervals, int k, int64_t cap, u64 forced_in, mask_list *out)
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, intervals, out, cap);
     if (k <= 0) { /* the empty set is listed whatever the cap */
-        if (k == 0 && leaf_ok(&s, 0, 0))
+        if (k == 0 && !forced_in && leaf_ok(&s, 0, 0))
             visit(&s, 0);
         return finish(&s, 1);
     }
     s.k = k;
-    return finish(&s, rec_scan(&s, 0, 0, 0, 0));
+    return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in));
 }
 
 static u64 rev_mask(u64 mask, int n)

@@ -1,5 +1,5 @@
-"""What both kernel backends share: the kind codes, the largest order, and
-the output order of ``roman_enumerate``.
+"""What both kernel backends share: the kind codes, the largest order, the
+check of a forced-in mask, and the output order of ``roman_enumerate``.
 
 A module of its own, so that the C backend loads without compiling the
 pure-Python kernels.
@@ -18,6 +18,12 @@ KIND_INDEPENDENT = 6
 #: Largest order the kernels are called with: the C kernels keep vertex sets
 #: in 64-bit masks.  It is also the ceiling of the scan budget.
 MAX_ORDER = 62
+
+
+def check_forced_in(n: int, forced_in: int) -> None:
+    """A forced-in mask must be a set of vertices 0..n-1."""
+    if not 0 <= forced_in < 1 << n:
+        raise ValueError(f"forced_in {forced_in:#x} is not a set of vertices of a graph of order {n}")
 
 
 def rev_mask(mask: int, n: int) -> int:

@@ -5,15 +5,35 @@ in cardinality order, enumerating each cardinality in lexicographic order of
 the sorted vertex tuples, so the first feasible subset found is the
 lexicographically smallest optimum.
 
-Super domination gets two cuts that keep this order.  A super dominating
-set S serves each vertex v outside S from a member u with N(u) - S = {v};
-the map v -> u is injective, so |V - S| <= |S| and the scan starts at size
-ceil(n/2).  The same condition is checked on partial sets: before the scan
-picks vertex v, every unpicked vertex below v is out for good, and if one of
-them can no longer be served the branch is cut, with every larger v, since
-more out-vertices serve fewer.  Both cuts drop only subsets that fail the
-leaf test, so the feasible subsets are visited in the same order as without
-them, and values, witnesses and enumerations are unchanged.
+``scan_min`` and ``enumerate_size`` take a ``forced_in`` mask and visit only
+feasible sets that contain it.  The solvers pass the cut vertices for the
+connected and convex kinds: if a cut vertex v is left out, a connected set
+lies inside one component of G - v and the other components go
+undominated; convex sets are connected.  Four cuts follow.
+
+* Start size.  ``start`` returns the largest of these lower bounds, with
+  S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
+  (each out-vertex v is served by its own member u with N(u) - S = {v});
+  S_k >= n + k - 2 for connected and convex (G[S] has k - 1 edges and n - k
+  edges leave S); S_k >= n - 1 for weakly (the weak subgraph spans G, is
+  connected, and each of its edges has an end in S); S_k + k >= n for
+  every dominating kind (|N[S]| <= S_k + k).
+* Needed vertices.  The scan carries ``need``, the vertices every feasible
+  completion of the picked set must hold: ``forced_in``, and for convex
+  the geodesic interval of every picked pair.  A completion of size k that
+  must hold more than k vertices fails, so such a pick is skipped.  At the
+  last pick this test leaves no needed vertex out, one above the last pick
+  included, so the leaf needs no test of its own.
+* Decided out.  Before the scan picks vertex v, every unpicked vertex
+  below v is out for good.  If one of them is needed, or (super) can no
+  longer be served, since more out-vertices serve fewer, the branch is cut
+  with every larger v.  Both tests run on one decided-out set, in one hook.
+* Convex hull.  A pick whose new intervals hold a decided-out vertex is
+  skipped.  A larger v may still fit, so this cut skips only v.
+
+Every cut drops only subsets that fail the leaf test, so the feasible
+subsets are visited in the same order as without them, and values,
+witnesses and enumerations are unchanged.
 
 The C kernels in ``_ckernels.c`` have identical semantics, and
 ``tests/test_backends.py`` holds them to it with this module as the referee.
@@ -32,6 +52,7 @@ from ._kernelspec import (
     KIND_INDEPENDENT_DOMINATING,
     KIND_SUPER_DOMINATING,
     KIND_WEAKLY_CONNECTED_DOMINATING,
+    check_forced_in,
     rev_mask,
     sort_roman,
 )
@@ -39,6 +60,14 @@ from ._kernelspec import (
 BACKEND = "python"
 
 _INDEPENDENT_KINDS = (KIND_INDEPENDENT_DOMINATING, KIND_INDEPENDENT)
+
+#: (slope, offset) of the degree-sum bound of ``start`` for the connected
+#: kinds; every other dominating kind has (-1, 0).
+_DEGREE_BOUND = {
+    KIND_CONNECTED_DOMINATING: (1, -2),
+    KIND_CONVEX_DOMINATING: (1, -2),
+    KIND_WEAKLY_CONNECTED_DOMINATING: (0, -1),
+}
 
 
 def _connected_mask(sub: int, open_m) -> bool:
@@ -137,37 +166,52 @@ def _suffix_cover(n: int, closed_m) -> list[int]:
     return suffix
 
 
-def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, visit) -> bool:
-    """Calls ``visit`` on each feasible subset of size k, in lex order, until
-    it returns False; returns whether the scan ran to the end."""
+def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, visit) -> bool:
+    """Calls ``visit`` on each feasible subset of size k that contains
+    ``forced_in``, in lex order, until it returns False; returns whether the
+    scan ran to the end."""
     independent = kind in _INDEPENDENT_KINDS
     covering = kind != KIND_INDEPENDENT
+    convex = kind == KIND_CONVEX_DOMINATING
     super_dominating = kind == KIND_SUPER_DOMINATING
 
-    def rec(start: int, picked: int, sub: int, cover: int) -> bool:
+    def rec(first: int, picked: int, sub: int, cover: int, need: int) -> bool:
         if picked == k:
             return not _leaf_ok(kind, sub, cover, full, n, open_m, intervals) or visit(sub)
-        need = k - picked
-        for v in range(start, n - need + 1):
-            # Below v every unpicked vertex is out; more out-vertices only
-            # serve fewer, so no larger v can succeed either.
-            if super_dominating and v > start and not _served(((1 << v) - 1) & ~sub, open_m):
-                break
+        for v in range(first, n - (k - picked) + 1):
+            # Below v every unpicked vertex is out for good: a needed one, or
+            # one that can no longer be served, rules out every larger v too.
+            if v > first and (need or super_dominating):
+                out = ((1 << v) - 1) & ~sub
+                if need & out or (super_dominating and not _served(out, open_m)):
+                    break
             if independent and (open_m[v] & sub):
                 continue
             new_cover = cover | closed_m[v]
             if covering and (full & ~(new_cover | suffix[v + 1])):
                 continue
-            if not rec(v + 1, picked + 1, sub | (1 << v), new_cover):
+            bit = 1 << v
+            new_need = need
+            if convex:
+                rest, row = sub, v * n
+                while rest:
+                    ub = rest & (-rest)
+                    rest ^= ub
+                    new_need |= intervals[row + ub.bit_length() - 1]
+                if new_need & (bit - 1) & ~sub:
+                    continue
+            if new_need and (new_need | sub | bit).bit_count() > k:
+                continue
+            if not rec(v + 1, picked + 1, sub | bit, new_cover, new_need):
                 return False
         return True
 
-    return rec(0, 0, 0, 0)
+    return rec(0, 0, 0, 0, forced_in)
 
 
-def _first(kind, n, sizes, open_m, closed_m, intervals):
-    """``(k, mask)`` of the lex-first feasible subset of the first size in
-    ``sizes`` that has one, or None."""
+def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0):
+    """``(k, mask)`` of the lex-first feasible subset containing ``forced_in``
+    of the first size in ``sizes`` that has one, or None."""
     full = (1 << n) - 1
     suffix = _suffix_cover(n, closed_m)
     found: list[int] = []
@@ -177,15 +221,39 @@ def _first(kind, n, sizes, open_m, closed_m, intervals):
         return False
 
     for k in sizes:
-        if not _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, stop):
+        if not _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, stop):
             return k, found[0]
     return None
 
 
-def scan_min(kind: int, n: int, open_m, closed_m, intervals=None):
-    """Minimum feasible subset: ``(size, mask)`` or None when infeasible."""
-    smallest = max(1, (n + 1) // 2) if kind == KIND_SUPER_DOMINATING else 1
-    return _first(kind, n, range(smallest, n + 1), open_m, closed_m, intervals)
+def start(kind: int, n: int, open_m, forced_in: int) -> int:
+    """The smallest size a feasible set containing ``forced_in`` can have, by
+    the bounds in the module docstring: at least 1, and n + 1 when no size
+    up to n meets them."""
+    smallest = max(1, forced_in.bit_count())
+    if kind == KIND_SUPER_DOMINATING:
+        smallest = max(smallest, (n + 1) // 2)
+    if kind != KIND_INDEPENDENT:
+        # The k largest degrees must sum to at least n + slope * k + offset.
+        slope, offset = _DEGREE_BOUND.get(kind, (-1, 0))
+        k = top = 0
+        for degree in sorted((m.bit_count() for m in open_m[:n]), reverse=True):
+            k += 1
+            top += degree
+            if top >= n + slope * k + offset:
+                break
+        else:
+            k = n + 1
+        smallest = max(smallest, k)
+    return smallest
+
+
+def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0):
+    """Minimum feasible subset containing ``forced_in``: ``(size, mask)``, or
+    None when there is none."""
+    check_forced_in(n, forced_in)
+    sizes = range(start(kind, n, open_m, forced_in), n + 1)
+    return _first(kind, n, sizes, open_m, closed_m, intervals, forced_in)
 
 
 def scan_max_independent(n: int, open_m):
@@ -193,8 +261,10 @@ def scan_max_independent(n: int, open_m):
     return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None) or (0, 0)
 
 
-def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int):
-    """All feasible subsets of size k in lex order: ``(masks, hit_cap)``."""
+def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0):
+    """All feasible subsets of size k that contain ``forced_in``, in lex
+    order: ``(masks, hit_cap)``."""
+    check_forced_in(n, forced_in)
     full = (1 << n) - 1
     out: list[int] = []
 
@@ -203,11 +273,11 @@ def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: 
         return len(out) <= cap
 
     if k == 0:
-        if _leaf_ok(kind, 0, 0, full, n, open_m, intervals):
+        if not forced_in and _leaf_ok(kind, 0, 0, full, n, open_m, intervals):
             out.append(0)
         return out, False
     suffix = _suffix_cover(n, closed_m)
-    completed = _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, collect)
+    completed = _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, collect)
     return out, not completed
 
 

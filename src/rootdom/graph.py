@@ -2,12 +2,15 @@
 
 Vertices are dense integers ``0..n-1``.  Graphs are immutable after
 construction; derived data (connectivity flag, distance table, geodesic
-interval masks) is computed once on demand and cached with
+interval masks, cut vertices) is computed once on demand and cached with
 single-assignment semantics, so instances are safe to share across
-concurrent workers.  Connectivity costs one bitmask BFS; only the interval
-masks, convexity tests and ``distance`` build the all-pairs table.
+concurrent workers.  Connectivity costs one bitmask BFS and the cut vertices
+one depth-first pass; only the interval masks, convexity tests and
+``distance`` build the all-pairs table.
 
-Vertex subsets are plain ``frozenset[int]`` throughout the package.
+Vertex subsets are plain ``frozenset[int]`` throughout the package; the
+per-vertex neighbourhoods, interval tables and cut vertices the kernels read
+are integer bitmasks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ class Graph:
     """Undirected simple graph (no loops, no multi-edges) on ``0..n-1``."""
 
     __slots__ = (
-        "n", "m", "_adj", "_open_masks", "_closed_masks", "_connected", "_dist", "_intervals"
+        "n", "m", "_adj", "_open_masks", "_closed_masks", "_connected", "_cut_vertices", "_dist",
+        "_intervals",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -47,6 +51,7 @@ class Graph:
             mask | (1 << v) for v, mask in enumerate(self._open_masks)
         )
         self._connected: bool | None = None
+        self._cut_vertices: int | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._intervals: tuple[int, ...] | None = None
 
@@ -80,6 +85,48 @@ class Graph:
 
     def closed_masks(self) -> tuple[int, ...]:
         return self._closed_masks
+
+    def cut_vertices(self) -> int:
+        """Bitmask of the cut vertices: those whose removal leaves more
+        components than the graph has.
+
+        One iterative Tarjan low-link pass over every component: a non-root
+        vertex u is a cut vertex when some DFS child's subtree reaches no
+        vertex discovered before u, and a DFS root when it has two children.
+        """
+        if self._cut_vertices is None:
+            order = [0] * self.n  # discovery time, from 1; 0 while unvisited
+            low = [0] * self.n
+            time = cut = 0
+            for root in range(self.n):
+                if order[root]:
+                    continue
+                time += 1
+                order[root] = low[root] = time
+                root_children = 0
+                stack = [(root, -1, iter(self._adj[root]))]
+                while stack:
+                    v, parent, todo = stack[-1]
+                    for w in todo:
+                        if not order[w]:
+                            time += 1
+                            order[w] = low[w] = time
+                            stack.append((w, v, iter(self._adj[w])))
+                            break
+                        if w != parent and order[w] < low[v]:
+                            low[v] = order[w]
+                    else:
+                        stack.pop()
+                        if parent == root:
+                            root_children += 1
+                        elif parent >= 0:
+                            low[parent] = min(low[parent], low[v])
+                            if low[v] >= order[parent]:
+                                cut |= 1 << parent
+                if root_children > 1:
+                    cut |= 1 << root
+            self._cut_vertices = cut
+        return self._cut_vertices
 
     # -- distances ---------------------------------------------------------
 

@@ -110,6 +110,11 @@ _CONNECTED_HOST = {
     ParameterKind.WEAKLY_CONNECTED,
 }
 
+#: Kinds whose every optimum holds every cut vertex: a connected set without
+#: cut vertex v lies inside one component of G - v and leaves the others
+#: undominated, and convex sets are connected.
+_CUT_VERTICES_FORCED = {ParameterKind.CONNECTED, ParameterKind.CONVEX}
+
 _TREE_DP_KINDS = {
     ParameterKind.INDEPENDENT_DOMINATION,
     ParameterKind.CONNECTED,
@@ -235,6 +240,11 @@ def _require_connected(graph: Graph, kind: ParameterKind) -> None:
         )
 
 
+def _forced_in(graph: Graph, kind: ParameterKind) -> int:
+    """Mask of the vertices every optimum of ``kind`` holds."""
+    return graph.cut_vertices() if kind in _CUT_VERTICES_FORCED else 0
+
+
 def _solve_tree(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int]]:
     if kind is ParameterKind.INDEPENDENT_DOMINATION:
         return tree_dp.tree_independent_domination(graph)
@@ -267,7 +277,12 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
 
     intervals = graph.interval_masks() if kind is ParameterKind.CONVEX else None
     found = kernels.scan_min(
-        _KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), intervals
+        _KIND_CODE[kind],
+        graph.n,
+        graph.open_masks(),
+        graph.closed_masks(),
+        intervals,
+        forced_in=_forced_in(graph, kind),
     )
     if found is None:
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
@@ -332,6 +347,7 @@ def enumerate_optimal(
         intervals,
         target,
         budget.enumeration_cap,
+        forced_in=_forced_in(graph, kind),
     )
     if hit_cap:
         raise EnumerationCapError(

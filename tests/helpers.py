@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 from rootdom.graph import Graph
 
@@ -12,6 +13,21 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def labelled_graphs(n: int):
+    """Every labelled graph on the vertices 0..n-1, one per edge subset."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in product((False, True), repeat=len(pairs)):
+        yield Graph(n, [e for e, take in zip(pairs, chosen) if take])
+
+
+def ladder_graph(rungs: int) -> Graph:
+    """Two paths 0..rungs-1 and rungs..2*rungs-1 joined rung by rung."""
+    edges = [(i, i + rungs) for i in range(rungs)]
+    edges += [(i, i + 1) for i in range(rungs - 1)]
+    edges += [(i + rungs, i + rungs + 1) for i in range(rungs - 1)]
+    return Graph(2 * rungs, edges)
 
 
 def min_plus_distances(graph: Graph) -> list[list[int]]:

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_gnp
+from helpers import ladder_graph, random_gnp
 from rootdom import _pykernels as slow
 from rootdom import kernels
 from rootdom._cbackend import load
-from rootdom.families import random_connected_graph
+from rootdom.families import cycle_graph, random_connected_graph, random_tree
 from rootdom.graph import Graph, is_connected
 from rootdom.product import RootedGraph, rooted_product
 
@@ -90,9 +90,10 @@ def test_enumeration_identical(fast):
     assert hit_cap  # cap=1 cut some enumerations short
 
 
-def _super_products():
+def _products():
     """Seeded rooted products G o H of order 12..20, G of order 2..4 and H of
-    order 4..6 as in theorem S1: large enough for the super scan's cuts."""
+    order 4..6 as in theorem S1: large enough for the scans' cuts, and every
+    root is a cut vertex."""
     rng = random.Random(2025)
     for g_n, h_n in ((2, 6), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5)):
         for _ in range(2):
@@ -104,7 +105,7 @@ def _super_products():
 def test_super_scan_on_products_identical(fast):
     kind = slow.KIND_SUPER_DOMINATING
     hit_cap = 0
-    for g in _super_products():
+    for g in _products():
         om, cm = g.open_masks(), g.closed_masks()
         found = slow.scan_min(kind, g.n, om, cm)
         assert fast.scan_min(kind, g.n, om, cm) == found
@@ -114,6 +115,58 @@ def test_super_scan_on_products_identical(fast):
             assert result == slow.enumerate_size(*args)
             hit_cap += result[1]
     assert hit_cap  # cap=1 cut some enumerations short
+
+
+def _convex_hosts():
+    """Trees, cycles, ladders and G(n, 0.25) of order 14..18."""
+    rng = random.Random(2026)
+    for n in (14, 16, 18):
+        yield random_tree(n, seed=rng.randrange(1 << 30))
+        yield cycle_graph(n)
+        yield ladder_graph(n // 2)
+        yield random_connected_graph(n, 0.25, seed=rng.randrange(1 << 30))
+
+
+def test_connected_family_scans_with_forced_cut_vertices_identical(fast):
+    connected, convex = slow.KIND_CONNECTED_DOMINATING, slow.KIND_CONVEX_DOMINATING
+    weakly = slow.KIND_WEAKLY_CONNECTED_DOMINATING
+    cases = [(g, kind) for g in _products() for kind in (connected, convex, weakly)]
+    cases += [(g, kind) for g in _convex_hosts() for kind in (connected, convex)]
+    hit_cap = forced = 0
+    for g, kind in cases:
+        om, cm = g.open_masks(), g.closed_masks()
+        intervals = g.interval_masks() if kind == convex else None
+        # The solvers force the cut vertices for connected and convex only.
+        cut = 0 if kind == weakly else g.cut_vertices()
+        found = slow.scan_min(kind, g.n, om, cm, intervals, cut)
+        assert fast.scan_min(kind, g.n, om, cm, intervals, cut) == found
+        for cap in (10**6, 1):
+            args = (kind, g.n, om, cm, intervals, found[0], cap, cut)
+            result = fast.enumerate_size(*args)
+            assert result == slow.enumerate_size(*args)
+            hit_cap += result[1]
+        forced += cut != 0
+    assert hit_cap  # cap=1 cut some enumerations short
+    assert forced >= 2 * (12 + 3)  # every product and every tree, for connected and convex
+
+
+def test_forced_in_keeps_exactly_the_sets_that_hold_it(fast):
+    # Forced vertices that the predicate does not imply, high ones included:
+    # a forced vertex above the last pick must still be caught.
+    rng = random.Random(7)
+    for g, kind, intervals in _cases(range(6)):
+        om, cm = g.open_masks(), g.closed_masks()
+        forced = (1 << rng.randrange(g.n)) | (1 << (g.n - 1))
+        first = None
+        for k in range(g.n + 1):
+            every, _ = slow.enumerate_size(kind, g.n, om, cm, intervals, k, 10**6)
+            held = [m for m in every if m & forced == forced]
+            args = (kind, g.n, om, cm, intervals, k, 10**6, forced)
+            assert slow.enumerate_size(*args) == fast.enumerate_size(*args) == (held, False)
+            if held and first is None:
+                first = (k, held[0])
+        args = (kind, g.n, om, cm, intervals, forced)
+        assert slow.scan_min(*args) == fast.scan_min(*args) == first
 
 
 def test_roman_identical(fast):
@@ -140,6 +193,17 @@ def test_order_63_is_rejected(fast):
     ):
         with pytest.raises(ValueError):
             call(*args)
+
+
+def test_forced_in_outside_the_vertices_is_rejected(fast):
+    g = Graph(3, [(0, 1), (1, 2)])
+    args = (slow.KIND_DOMINATING, 3, g.open_masks(), g.closed_masks(), None)
+    for forced in (-1, 1 << 3, 1 << 64):
+        for backend in (fast, slow):
+            with pytest.raises(ValueError, match="forced_in"):
+                backend.scan_min(*args, forced)
+            with pytest.raises(ValueError, match="forced_in"):
+                backend.enumerate_size(*args, 1, 10, forced)
 
 
 def test_a_library_without_the_kernels_is_refused():

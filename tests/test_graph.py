@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import min_plus_distances, random_gnp
-from rootdom.families import cycle_graph, path_graph, star_graph
+from helpers import labelled_graphs, min_plus_distances, random_gnp
+from rootdom.families import cycle_graph, path_graph, random_tree, star_graph
 from rootdom.graph import (
     Graph,
     UNREACHABLE,
@@ -125,6 +125,58 @@ class TestConnectivity:
             is_connected(g)
             is_tree(g)
             assert g._dist is None
+
+
+def _components(graph, removed=frozenset()):
+    """Number of components of G - removed, by repeated set-based search."""
+    left = set(range(graph.n)) - set(removed)
+    count = 0
+    while left:
+        todo = [left.pop()]
+        while todo:
+            reached = graph.neighbors(todo.pop()) & left
+            left -= reached
+            todo.extend(reached)
+        count += 1
+    return count
+
+
+def _brute_cut_vertices(graph):
+    base = _components(graph)
+    return sum(1 << v for v in range(graph.n) if _components(graph, {v}) > base)
+
+
+class TestCutVertices:
+    def test_every_labelled_graph_up_to_order_6(self):
+        checked = 0
+        for n in range(7):
+            for g in labelled_graphs(n):
+                assert g.cut_vertices() == _brute_cut_vertices(g), g.edges()
+                checked += 1
+        assert checked == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+
+    def test_seeded_graphs_up_to_order_14(self):
+        for n in range(7, 15):
+            for p in (0.1, 0.2, 0.3, 0.5):
+                for seed in range(3):
+                    g = random_gnp(n, p, seed=100 * n + 10 * seed + int(10 * p))
+                    assert g.cut_vertices() == _brute_cut_vertices(g), g.edges()
+
+    def test_trees_cut_at_every_non_leaf(self):
+        assert Graph(2, [(0, 1)]).cut_vertices() == 0
+        for n in range(3, 40):
+            t = random_tree(n, seed=n)
+            assert t.cut_vertices() == sum(1 << v for v in range(n) if t.degree(v) > 1)
+
+    def test_long_path_needs_no_recursion(self):
+        # Deeper than Python's default recursion limit of 1000.
+        assert path_graph(1600).cut_vertices() == ((1 << 1599) - 1) & ~1
+
+    def test_is_cached(self):
+        g = cycle_graph(5)
+        assert g._cut_vertices is None
+        assert g.cut_vertices() == 0
+        assert g._cut_vertices == 0
 
 
 class TestSubsets:

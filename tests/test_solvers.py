@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import prufer_tree, random_gnp, tree_shape
-from rootdom import naive
+from helpers import labelled_graphs, prufer_tree, random_gnp, tree_shape
+from rootdom import _pykernels, naive
 from rootdom.families import (
     complete_graph,
     cycle_graph,
@@ -290,6 +291,13 @@ class TestValue:
         with pytest.raises(ValueError, match="empty graph"):
             value(Graph(0, []), kind)
 
+    def test_trees_compute_no_cut_vertices(self):
+        # The tree DP needs none; the product workloads past the budget stay cheap.
+        for t in (random_tree(9, seed=5), random_tree(40, seed=6)):
+            for kind in self.KINDS:
+                value(t, kind)
+            assert t._cut_vertices is None
+
     def test_enumeration_on_trees_keeps_the_lexicographic_order(self):
         for trial in range(6):
             t = random_tree(5 + trial, seed=40 + trial)
@@ -306,9 +314,7 @@ class TestSuperWitnessIdentity:
     @staticmethod
     def _graphs():
         for n in range(1, 6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for chosen in itertools.product((False, True), repeat=len(pairs)):
-                yield Graph(n, [e for e, take in zip(pairs, chosen) if take])
+            yield from labelled_graphs(n)
         for n in range(6, 13):
             for p in (0.2, 0.35, 0.5):
                 for seed in range(2):
@@ -332,6 +338,103 @@ class TestSuperWitnessIdentity:
             assert enumerate_optimal(g, PK.SUPER) == optima, g.edges()
             checked += 1
         assert checked == 1 + 2 + 8 + 64 + 1024 + 7 * 3 * 2
+
+
+class TestConnectedFamilyWitnessIdentity:
+    """The connected, convex and weakly scans, with their forced cut vertices,
+    degree-sum start sizes and convex-hull cut, against brute force over every
+    subset in cardinality-then-lexicographic order, with the naive predicates."""
+
+    KINDS = (PK.CONNECTED, PK.CONVEX, PK.WEAKLY_CONNECTED)
+
+    @staticmethod
+    def _graphs():
+        for n in range(1, 6):
+            yield from labelled_graphs(n)
+        for n in range(6, 13):
+            for p in (0.25, 0.4, 0.6):
+                for seed in range(4):
+                    yield random_gnp(n, p, seed=2000 * n + 10 * seed + int(100 * p))
+            yield random_tree(n, seed=n)
+            yield cycle_graph(n)
+
+    @staticmethod
+    def _predicate(g, kind):
+        if kind is PK.CONNECTED:
+            return lambda s: naive._dominating(g, s) and naive._connected_sub(g, s)
+        if kind is PK.CONVEX:
+            dist = naive._floyd_warshall(g)
+            return lambda s: naive._dominating(g, s) and naive._convex(g, s, dist)
+        return lambda s: bool(s) and naive._dominating(g, s) and naive._weakly_connected(g, s)
+
+    def test_witness_and_enumeration(self):
+        connected = 0
+        for g in self._graphs():
+            if not is_connected(g):
+                for kind in self.KINDS:
+                    with pytest.raises(InfeasibleParameterError):
+                        solve(g, kind)
+                continue
+            connected += 1
+            for kind in self.KINDS:
+                accepts = self._predicate(g, kind)
+                for k in range(1, g.n + 1):
+                    optima = [
+                        frozenset(sub)
+                        for sub in itertools.combinations(range(g.n), k)
+                        if accepts(set(sub))
+                    ]
+                    if optima:
+                        break
+                res = solve(g, kind)
+                assert res.value == len(optima[0]), (kind, g.edges())
+                assert res.witness == optima[0], (kind, g.edges())
+                assert enumerate_optimal(g, kind) == optima, (kind, g.edges())
+        # Connected labelled graphs of order 1..5 (OEIS A001187), then the seeded ones.
+        assert connected > 1 + 1 + 4 + 38 + 728 + 2 * 7
+
+
+class TestScanStartBound:
+    """The kernels' start size is a lower bound for every kind: no feasible set
+    is smaller.  ``scan_min`` itself starts there, so the check asks
+    ``enumerate_size``, which takes its size from the caller, about each
+    smaller size."""
+
+    KIND_CODES = range(_pykernels.KIND_DOMINATING, _pykernels.KIND_SUPER_DOMINATING + 1)
+
+    @classmethod
+    def _check(cls, g):
+        om, cm = g.open_masks(), g.closed_masks()
+        for kind in cls.KIND_CODES:
+            convex = kind == _pykernels.KIND_CONVEX_DOMINATING
+            if convex and not is_connected(g):
+                continue
+            intervals = g.interval_masks() if convex else None
+            smallest = _pykernels.start(kind, g.n, om, 0)
+            for k in range(1, min(smallest, g.n + 1)):
+                found, _ = _pykernels.enumerate_size(kind, g.n, om, cm, intervals, k, 0)
+                assert not found, (kind, k, smallest, g.edges())
+
+    def test_every_labelled_graph_up_to_order_6(self):
+        for n in range(1, 7):
+            for g in labelled_graphs(n):
+                self._check(g)
+
+    def test_seeded_graphs_up_to_order_12(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            n = rng.randint(7, 12)
+            self._check(random_gnp(n, rng.choice((0.15, 0.3, 0.5)), seed=rng.randrange(1 << 30)))
+
+    def test_exact_on_trees_and_cycles(self):
+        # The connected domination number of a tree is its number of non-leaves
+        # (here also the tree DP's value), and that of the cycle C_n is n - 2.
+        code = _pykernels.KIND_CONNECTED_DOMINATING
+        for n in range(3, 20):
+            t = random_tree(n, seed=n)
+            inner = sum(1 for v in range(n) if t.degree(v) > 1)
+            assert _pykernels.start(code, n, t.open_masks(), 0) == inner == value(t, PK.CONNECTED)
+            assert _pykernels.start(code, n, cycle_graph(n).open_masks(), 0) == n - 2
 
 
 class TestWitnessValidity:
