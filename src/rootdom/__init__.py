@@ -17,7 +17,7 @@ from .graph import (
     weakly_induced_subgraph,
 )
 from .product import RootedGraph, RootedProduct, rooted_product
-from .families import Family, FamilySpec, all_roots, child_seed, generate
+from .families import Family, FamilySpec, child_seed, generate
 from .solvers import (
     BudgetExceededError,
     EnumerationCapError,
@@ -26,10 +26,8 @@ from .solvers import (
     ParameterKind,
     RomanAssignment,
     RootClassification,
-    SolveBudget,
     SolveResult,
     classify_root,
-    default_budget,
     enumerate_optimal,
     is_dominating,
     is_independent,

@@ -170,9 +170,3 @@ def _require(value, name: str):
     if value is None:
         raise ValueError(f"family parameter {name!r} is required")
     return value
-
-
-def all_roots(graph: Graph | RootedGraph) -> list[RootedGraph]:
-    """One rooted variant per vertex."""
-    g = graph.graph if isinstance(graph, RootedGraph) else graph
-    return [RootedGraph(g, v) for v in range(g.n)]

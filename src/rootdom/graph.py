@@ -55,11 +55,6 @@ class Graph:
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._intervals: tuple[int, ...] | None = None
 
-    @classmethod
-    def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build the simple graph on ``n`` vertices; duplicate edges merge silently."""
-        return cls(n, edges)
-
     # -- basic queries ----------------------------------------------------
 
     @property

@@ -45,7 +45,6 @@ from .solvers import (
     InfeasibleParameterError,
     Membership,
     ParameterKind,
-    SolveBudget,
     classify_root,
     enumerate_optimal,
     solve,  # unused here; perfbench's tracer test reads harness.solve
@@ -153,29 +152,25 @@ def _witness_payload(theorem: TheoremId, G: Graph, H: RootedGraph | None, values
 # hold, so the theorem does not apply to the instance.
 
 
-def _value(graph: Graph, kind: PK, budget) -> int:
-    return solvers.value(graph, kind, budget=budget)
-
-
-def _check_D1(G, H, budget):
-    cls = classify_root(H, PK.DOMINATION, budget=budget)
+def _check_D1(G, H):
+    cls = classify_root(H, PK.DOMINATION)
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
         return None, values
-    gamma_h = _value(H.graph, PK.DOMINATION, budget)
+    gamma_h = solvers.value(H.graph, PK.DOMINATION)
     product = rooted_product(G, H).product
-    gamma_gh = _value(product, PK.DOMINATION, budget)
+    gamma_gh = solvers.value(product, PK.DOMINATION)
     values.update(
         {"gamma_h": gamma_h, "gamma_product": gamma_gh, "expected": G.n * gamma_h}
     )
     return gamma_gh == G.n * gamma_h, values
 
 
-def _check_D2(G, H, budget):
-    gamma_g = _value(G, PK.DOMINATION, budget)
-    gamma_h = _value(H.graph, PK.DOMINATION, budget)
+def _check_D2(G, H):
+    gamma_g = solvers.value(G, PK.DOMINATION)
+    gamma_h = solvers.value(H.graph, PK.DOMINATION)
     product = rooted_product(G, H).product
-    gamma_gh = _value(product, PK.DOMINATION, budget)
+    gamma_gh = solvers.value(product, PK.DOMINATION)
     allowed = {G.n * gamma_h, G.n * (gamma_h - 1) + gamma_g}
     values = {
         "gamma_g": gamma_g,
@@ -186,28 +181,28 @@ def _check_D2(G, H, budget):
     return gamma_gh in allowed, values
 
 
-def _roman_chain(graph: Graph, budget) -> tuple[bool, dict]:
-    g = _value(graph, PK.DOMINATION, budget)
-    r = _value(graph, PK.ROMAN, budget)
+def _roman_chain(graph: Graph) -> tuple[bool, dict]:
+    g = solvers.value(graph, PK.DOMINATION)
+    r = solvers.value(graph, PK.ROMAN)
     return g <= r <= 2 * g, {"gamma": g, "roman": r}
 
 
-def _check_R1(G, H, budget):
-    ok_g, vals_g = _roman_chain(G, budget)
-    ok_h, vals_h = _roman_chain(H.graph, budget)
-    ok_p, vals_p = _roman_chain(rooted_product(G, H).product, budget)
+def _check_R1(G, H):
+    ok_g, vals_g = _roman_chain(G)
+    ok_h, vals_h = _roman_chain(H.graph)
+    ok_p, vals_p = _roman_chain(rooted_product(G, H).product)
     return ok_g and ok_h and ok_p, {"g": vals_g, "h": vals_h, "product": vals_p}
 
 
-def _check_R2(G, H, budget):
+def _check_R2(G, H):
     if G.n < 2:
         return None, {"reason": "needs order >= 2"}
-    roman_g = _value(G, PK.ROMAN, budget)
-    assignments = enumerate_optimal(G, PK.ROMAN, budget=budget)
+    roman_g = solvers.value(G, PK.ROMAN)
+    assignments = enumerate_optimal(G, PK.ROMAN)
     cases = []
     ok = True
     for v in range(G.n):
-        roman_del = _value(delete_vertices(G, {v}).graph, PK.ROMAN, budget)
+        roman_del = solvers.value(delete_vertices(G, {v}).graph, PK.ROMAN)
         for fn in assignments:
             label = fn.label(v)
             if label == 0:
@@ -227,35 +222,37 @@ def _check_R2(G, H, budget):
     return ok, values
 
 
-def _root_label_sets(graph: Graph, budget) -> list[frozenset[int]]:
-    assignments = enumerate_optimal(graph, PK.ROMAN, budget=budget)
-    return [
-        frozenset(fn.label(v) for fn in assignments) for v in range(graph.n)
-    ]
-
-
-def _check_R3(G, H, budget):
-    if G.n < 2:
-        return None, {"reason": "needs order >= 2"}
-    labels = _root_label_sets(G, budget)
-    targets = [v for v in range(G.n) if labels[v] == frozenset({0})]
+def _deletion_check(G, kind: PK, targets: list[int], reason: str, holds):
+    """Test ``holds(value of G, value of G - v)`` for each target vertex v;
+    not applicable, for ``reason``, when there is no target."""
     if not targets:
-        return None, {"reason": "no vertex is 0-labeled in every assignment"}
-    roman_g = _value(G, PK.ROMAN, budget)
+        return None, {"reason": reason}
+    base = solvers.value(G, kind)
     bad = []
     for v in targets:
-        roman_del = _value(delete_vertices(G, {v}).graph, PK.ROMAN, budget)
-        if roman_del != roman_g:
-            bad.append({"v": v, "roman_deleted": roman_del})
-    values = {"roman": roman_g, "tested_vertices": targets, "violations": bad}
-    return not bad, values
+        deleted = solvers.value(delete_vertices(G, {v}).graph, kind)
+        if not holds(base, deleted):
+            bad.append({"v": v, f"{kind.value}_deleted": deleted})
+    return not bad, {kind.value: base, "tested_vertices": targets, "violations": bad}
 
 
-def _check_R4(G, H, budget):
-    gamma_g = _value(G, PK.DOMINATION, budget)
-    roman_h = _value(H.graph, PK.ROMAN, budget)
+def _check_R3(G, H):
+    if G.n < 2:
+        return None, {"reason": "needs order >= 2"}
+    assignments = enumerate_optimal(G, PK.ROMAN)
+    return _deletion_check(
+        G, PK.ROMAN,
+        [v for v in range(G.n) if all(fn.label(v) == 0 for fn in assignments)],
+        "no vertex is 0-labeled in every assignment",
+        lambda roman, roman_del: roman_del == roman,
+    )
+
+
+def _check_R4(G, H):
+    gamma_g = solvers.value(G, PK.DOMINATION)
+    roman_h = solvers.value(H.graph, PK.ROMAN)
     product = rooted_product(G, H).product
-    roman_gh = _value(product, PK.ROMAN, budget)
+    roman_gh = solvers.value(product, PK.ROMAN)
     lower = G.n * (roman_h - 1) + gamma_g
     upper = G.n * roman_h
     values = {
@@ -268,22 +265,22 @@ def _check_R4(G, H, budget):
     return lower <= roman_gh <= upper, values
 
 
-def _check_R5(G, H, budget):
-    cls = classify_root(H, PK.ROMAN, budget=budget)
+def _check_R5(G, H):
+    cls = classify_root(H, PK.ROMAN)
     rv = cls.roman_values or frozenset()
     values = {"root_labels": sorted(rv)}
     branch_zero = rv == frozenset({0})
     branch_one_two = {1, 2} <= rv
     if not branch_zero and not branch_one_two:
         return None, values
-    roman_h = _value(H.graph, PK.ROMAN, budget)
+    roman_h = solvers.value(H.graph, PK.ROMAN)
     product = rooted_product(G, H).product
-    roman_gh = _value(product, PK.ROMAN, budget)
+    roman_gh = solvers.value(product, PK.ROMAN)
     if branch_zero:
         expected = G.n * roman_h
         values["branch"] = "always-zero"
     else:
-        gamma_g = _value(G, PK.DOMINATION, budget)
+        gamma_g = solvers.value(G, PK.DOMINATION)
         expected = G.n * (roman_h - 1) + gamma_g
         values["branch"] = "labels-one-and-two"
         values["gamma_g"] = gamma_g
@@ -291,16 +288,16 @@ def _check_R5(G, H, budget):
     return roman_gh == expected, values
 
 
-def _check_R6(G, H, budget):
-    cls = classify_root(H, PK.ROMAN, budget=budget)
+def _check_R6(G, H):
+    cls = classify_root(H, PK.ROMAN)
     rv = cls.roman_values or frozenset()
     values = {"root_labels": sorted(rv)}
     if rv != frozenset({1}):
         return None, values
-    roman_h = _value(H.graph, PK.ROMAN, budget)
-    roman_g = _value(G, PK.ROMAN, budget)
+    roman_h = solvers.value(H.graph, PK.ROMAN)
+    roman_g = solvers.value(G, PK.ROMAN)
     product = rooted_product(G, H).product
-    roman_gh = _value(product, PK.ROMAN, budget)
+    roman_gh = solvers.value(product, PK.ROMAN)
     expected = G.n * (roman_h - 1) + roman_g
     values.update(
         {"roman_h": roman_h, "roman_g": roman_g, "roman_product": roman_gh, "expected": expected}
@@ -308,31 +305,26 @@ def _check_R6(G, H, budget):
     return roman_gh == expected, values
 
 
-def _check_I1(G, H, budget):
+def _check_I1(G, H):
     if G.n < 2:
         return None, {"reason": "needs order >= 2"}
-    alpha_sets = enumerate_optimal(G, PK.INDEPENDENCE, budget=budget)
-    in_all = sorted(set.intersection(*(set(s) for s in alpha_sets)))
-    if not in_all:
-        return None, {"reason": "no vertex lies in every maximum independent set"}
-    alpha_g = _value(G, PK.INDEPENDENCE, budget)
-    bad = []
-    for v in in_all:
-        alpha_del = _value(delete_vertices(G, {v}).graph, PK.INDEPENDENCE, budget)
-        if not alpha_g >= alpha_del + 1:
-            bad.append({"v": v, "alpha_deleted": alpha_del})
-    values = {"alpha": alpha_g, "tested_vertices": in_all, "violations": bad}
-    return not bad, values
+    alpha_sets = enumerate_optimal(G, PK.INDEPENDENCE)
+    return _deletion_check(
+        G, PK.INDEPENDENCE,
+        sorted(set.intersection(*(set(s) for s in alpha_sets))),
+        "no vertex lies in every maximum independent set",
+        lambda alpha, alpha_del: alpha >= alpha_del + 1,
+    )
 
 
-def _check_I2(G, H, budget):
-    cls = classify_root(H, PK.INDEPENDENCE, budget=budget)
-    alpha_h = _value(H.graph, PK.INDEPENDENCE, budget)
+def _check_I2(G, H):
+    cls = classify_root(H, PK.INDEPENDENCE)
+    alpha_h = solvers.value(H.graph, PK.INDEPENDENCE)
     product = rooted_product(G, H).product
-    alpha_gh = _value(product, PK.INDEPENDENCE, budget)
+    alpha_gh = solvers.value(product, PK.INDEPENDENCE)
     values = {"root_membership": cls.membership.value, "alpha_h": alpha_h, "alpha_product": alpha_gh}
     if cls.membership is Membership.IN_ALL:
-        alpha_g = _value(G, PK.INDEPENDENCE, budget)
+        alpha_g = solvers.value(G, PK.INDEPENDENCE)
         expected = G.n * (alpha_h - 1) + alpha_g
         values["alpha_g"] = alpha_g
     else:
@@ -341,16 +333,16 @@ def _check_I2(G, H, budget):
     return alpha_gh == expected, values
 
 
-def _check_I3(G, H, budget):
+def _check_I3(G, H):
     if G.n < 2:
         return None, {"reason": "needs order >= 2"}
-    i_g = _value(G, PK.INDEPENDENT_DOMINATION, budget)
+    i_g = solvers.value(G, PK.INDEPENDENT_DOMINATION)
     bad = []
     checked = 0
     for k in range(1, G.n):
         for combo in combinations(range(G.n), k):
             removed = frozenset(combo)
-            i_del = _value(delete_vertices(G, removed).graph, PK.INDEPENDENT_DOMINATION, budget)
+            i_del = solvers.value(delete_vertices(G, removed).graph, PK.INDEPENDENT_DOMINATION)
             checked += 1
             if not i_del >= i_g - k:
                 bad.append({"removed": sorted(removed), "i_deleted": i_del})
@@ -358,32 +350,26 @@ def _check_I3(G, H, budget):
     return not bad, values
 
 
-def _check_I4(G, H, budget):
+def _check_I4(G, H):
     if G.n < 2:
         return None, {"reason": "needs order >= 2"}
-    i_sets = enumerate_optimal(G, PK.INDEPENDENT_DOMINATION, budget=budget)
-    member_union = set().union(*i_sets)
-    never = [v for v in range(G.n) if v not in member_union]
-    if not never:
-        return None, {"reason": "every vertex lies in some minimum independent dominating set"}
-    i_g = _value(G, PK.INDEPENDENT_DOMINATION, budget)
-    bad = []
-    for v in never:
-        i_del = _value(delete_vertices(G, {v}).graph, PK.INDEPENDENT_DOMINATION, budget)
-        if i_del != i_g:
-            bad.append({"v": v, "i_deleted": i_del})
-    values = {"i": i_g, "tested_vertices": never, "violations": bad}
-    return not bad, values
+    member_union = set().union(*enumerate_optimal(G, PK.INDEPENDENT_DOMINATION))
+    return _deletion_check(
+        G, PK.INDEPENDENT_DOMINATION,
+        [v for v in range(G.n) if v not in member_union],
+        "every vertex lies in some minimum independent dominating set",
+        lambda i, i_del: i_del == i,
+    )
 
 
-def _check_I5(G, H, budget):
-    i_g = _value(G, PK.INDEPENDENT_DOMINATION, budget)
-    i_h = _value(H.graph, PK.INDEPENDENT_DOMINATION, budget)
-    alpha_g = _value(G, PK.INDEPENDENCE, budget)
+def _check_I5(G, H):
+    i_g = solvers.value(G, PK.INDEPENDENT_DOMINATION)
+    i_h = solvers.value(H.graph, PK.INDEPENDENT_DOMINATION)
+    alpha_g = solvers.value(G, PK.INDEPENDENCE)
     h_minus_root = delete_vertices(H.graph, {H.root}).graph
-    i_h_del = _value(h_minus_root, PK.INDEPENDENT_DOMINATION, budget)
+    i_h_del = solvers.value(h_minus_root, PK.INDEPENDENT_DOMINATION)
     product = rooted_product(G, H).product
-    i_gh = _value(product, PK.INDEPENDENT_DOMINATION, budget)
+    i_gh = solvers.value(product, PK.INDEPENDENT_DOMINATION)
     lower = G.n * (i_h - 1) + i_g
     upper = i_h * alpha_g + i_h_del * (G.n - alpha_g)
     values = {
@@ -398,22 +384,22 @@ def _check_I5(G, H, budget):
     return lower <= i_gh <= upper, values
 
 
-def _check_I7(G, H, budget):
-    cls = classify_root(H, PK.INDEPENDENT_DOMINATION, budget=budget)
+def _check_I7(G, H):
+    cls = classify_root(H, PK.INDEPENDENT_DOMINATION)
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
         return None, values
-    i_h = _value(H.graph, PK.INDEPENDENT_DOMINATION, budget)
+    i_h = solvers.value(H.graph, PK.INDEPENDENT_DOMINATION)
     product = rooted_product(G, H).product
-    i_gh = _value(product, PK.INDEPENDENT_DOMINATION, budget)
+    i_gh = solvers.value(product, PK.INDEPENDENT_DOMINATION)
     values.update({"i_h": i_h, "i_product": i_gh})
     if cls.membership is Membership.IN_NONE:
         expected = G.n * i_h
         values.update({"branch": "root-in-no-set", "expected": expected})
         return i_gh == expected, values
 
-    alpha_g = _value(G, PK.INDEPENDENCE, budget)
-    i_sets = enumerate_optimal(H.graph, PK.INDEPENDENT_DOMINATION, budget=budget)
+    alpha_g = solvers.value(G, PK.INDEPENDENCE)
+    i_sets = enumerate_optimal(H.graph, PK.INDEPENDENT_DOMINATION)
     open_sizes = [
         len(private_neighbor_set(H.graph, s, H.root)) for s in i_sets
     ]
@@ -440,14 +426,14 @@ def _check_I7(G, H, budget):
     return i_gh <= values["bound_min"], values
 
 
-def _two_value_check(G, H, budget, kind: PK, offsets: tuple[str, str]):
-    param_h = _value(H.graph, kind, budget)
+def _two_value_check(G, H, kind: PK, offsets: tuple[str, str]):
+    param_h = solvers.value(H.graph, kind)
     product = rooted_product(G, H).product
-    param_gh = _value(product, kind, budget)
+    param_gh = solvers.value(product, kind)
     if offsets == ("n*h", "n*(h+1)"):
         allowed = {G.n * param_h, G.n * (param_h + 1)}
     else:
-        param_g = _value(G, kind, budget)
+        param_g = solvers.value(G, kind)
         allowed = {G.n * param_h, G.n * param_h + param_g}
     values = {
         f"{kind.value}_h": param_h,
@@ -457,23 +443,23 @@ def _two_value_check(G, H, budget, kind: PK, offsets: tuple[str, str]):
     return param_gh in allowed, values
 
 
-def _check_C1(G, H, budget):
-    return _two_value_check(G, H, budget, PK.CONNECTED, ("n*h", "n*(h+1)"))
+def _check_C1(G, H):
+    return _two_value_check(G, H, PK.CONNECTED, ("n*h", "n*(h+1)"))
 
 
-def _check_X1(G, H, budget):
-    return _two_value_check(G, H, budget, PK.CONVEX, ("n*h", "n*(h+1)"))
+def _check_X1(G, H):
+    return _two_value_check(G, H, PK.CONVEX, ("n*h", "n*(h+1)"))
 
 
-def _check_W1(G, H, budget):
-    return _two_value_check(G, H, budget, PK.WEAKLY_CONNECTED, ("n*h", "n*h+g"))
+def _check_W1(G, H):
+    return _two_value_check(G, H, PK.WEAKLY_CONNECTED, ("n*h", "n*h+g"))
 
 
-def _check_C2(G, H, budget):
+def _check_C2(G, H):
     if not (is_tree(G) and G.n >= 3):
         return None, {"reason": "needs a tree of order >= 3"}
     n1 = len(leaves(G))
-    value = _value(G, PK.CONNECTED, budget)
+    value = solvers.value(G, PK.CONNECTED)
     values = {"connected": value, "n": G.n, "leaf_count": n1, "expected": G.n - n1}
     return value == G.n - n1, values
 
@@ -482,7 +468,7 @@ def _tree_pair_applicable(G, H) -> bool:
     return is_tree(G) and G.n >= 3 and is_tree(H.graph) and H.graph.n >= 3
 
 
-def _check_C3(G, H, budget):
+def _check_C3(G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     product = rooted_product(G, H).product
@@ -505,12 +491,12 @@ def _check_C3(G, H, budget):
     return ok, values
 
 
-def _iff_tree_check(G, H, budget, kind: PK):
+def _iff_tree_check(G, H, kind: PK):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
-    param_h = _value(H.graph, kind, budget)
+    param_h = solvers.value(H.graph, kind)
     product = rooted_product(G, H).product
-    param_gh = _value(product, kind, budget)
+    param_gh = solvers.value(product, kind)
     root_is_leaf = H.root in leaves(H.graph)
     eq_plain = param_gh == G.n * param_h
     eq_plus = param_gh == G.n * (param_h + 1)
@@ -525,32 +511,32 @@ def _iff_tree_check(G, H, budget, kind: PK):
     return ok, values
 
 
-def _check_C4(G, H, budget):
-    return _iff_tree_check(G, H, budget, PK.CONNECTED)
+def _check_C4(G, H):
+    return _iff_tree_check(G, H, PK.CONNECTED)
 
 
-def _check_X2(G, H, budget):
-    return _iff_tree_check(G, H, budget, PK.CONVEX)
+def _check_X2(G, H):
+    return _iff_tree_check(G, H, PK.CONVEX)
 
 
-def _check_W2(G, H, budget):
+def _check_W2(G, H):
     if not (is_tree(G) and G.n >= 3):
         return None, {"reason": "needs a tree of order >= 3"}
     n1 = len(leaves(G))
-    value = _value(G, PK.WEAKLY_CONNECTED, budget)
+    value = solvers.value(G, PK.WEAKLY_CONNECTED)
     values = {"weakly": value, "n": G.n, "leaf_count": n1}
     ok = (2 * value >= G.n - n1 + 1) and (value <= G.n - n1)
     return ok, values
 
 
-def _check_W3(G, H, budget):
+def _check_W3(G, H):
     if not (is_tree(G) and is_tree(H.graph)):
         return None, {"reason": "needs two trees"}
     if H.root in leaves(H.graph):
         return None, {"reason": "root must not be an end vertex"}
-    w_h = _value(H.graph, PK.WEAKLY_CONNECTED, budget)
+    w_h = solvers.value(H.graph, PK.WEAKLY_CONNECTED)
     product = rooted_product(G, H).product
-    w_gh = _value(product, PK.WEAKLY_CONNECTED, budget)
+    w_gh = solvers.value(product, PK.WEAKLY_CONNECTED)
     n1_g = len(leaves(G))
     # First claimed bound pair (leaf-count coefficients), second (order
     # coefficients); both are evaluated exactly as stated.
@@ -571,31 +557,31 @@ def _check_W3(G, H, budget):
     return a_lower and a_upper and b_lower and b_upper, values
 
 
-def _check_S1(G, H, budget):
-    sp_h = _value(H.graph, PK.SUPER, budget)
+def _check_S1(G, H):
+    sp_h = solvers.value(H.graph, PK.SUPER)
     product = rooted_product(G, H).product
-    sp_gh = _value(product, PK.SUPER, budget)
+    sp_gh = solvers.value(product, PK.SUPER)
     expected = G.n * sp_h
     values = {"super_h": sp_h, "super_product": sp_gh, "expected": expected}
     return sp_gh == expected, values
 
 
-def _check_S2(G, H, budget):
+def _check_S2(G, H):
     if not (is_tree(G) and G.n >= 3):
         return None, {"reason": "needs a tree of order >= 3"}
-    value = _value(G, PK.SUPER, budget)
+    value = solvers.value(G, PK.SUPER)
     s = len(support_vertices(G))
     values = {"super": value, "n": G.n, "support_count": s}
     ok = (2 * value >= G.n) and (value <= G.n - s)
     return ok, values
 
 
-def _check_S3(G, H, budget):
+def _check_S3(G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     s_h = len(support_vertices(H.graph))
     product = rooted_product(G, H).product
-    sp_gh = _value(product, PK.SUPER, budget)
+    sp_gh = solvers.value(product, PK.SUPER)
     lower = G.n * s_h
     upper = G.n * (H.graph.n - s_h)
     values = {
@@ -649,27 +635,20 @@ _THEOREMS = {
     TheoremId.S3: (_check_S3, "tree-pair-scan"),
 }
 
-#: Product-order caps: ``TREE_PAIR_PRODUCT_CAP`` for the ``tree-pair-dp``
-#: shape, ``DEFAULT_PRODUCT_CAP`` for every other shape that takes H.
-DEFAULT_PRODUCT_CAP = 20
-TREE_PAIR_PRODUCT_CAP = 40
-
 
 def check(
     theorem: TheoremId,
     G: Graph | None = None,
     H: RootedGraph | None = None,
     *,
-    budget: SolveBudget | None = None,
-    product_cap: int | None = None,
     instance: dict | None = None,
 ) -> TheoremVerdict:
     """Evaluate one theorem on one instance and return the verdict.
 
-    A theorem whose shape takes H refuses a product of order above
-    ``product_cap`` (by default the shape's cap) with ``BudgetExceededError``.
+    The product order is not capped here: the campaign samplers keep it
+    under the config's caps, and a solver call past the scan budget raises
+    ``BudgetExceededError``.
     """
-    budget = budget or solvers.default_budget()
     checker, shape = _THEOREMS[theorem]
     if checker is None:
         raise ValueError("the closed-form theorem is checked via closed_form_check(family, n, m)")
@@ -683,18 +662,11 @@ def check(
     if shape in ("single", "tree-single"):
         if G is None:
             raise ValueError(f"theorem {theorem.value} needs a graph")
-    else:
-        if G is None or H is None:
-            raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
-        if product_cap is None:
-            product_cap = TREE_PAIR_PRODUCT_CAP if shape == "tree-pair-dp" else DEFAULT_PRODUCT_CAP
-        if G.n * H.graph.n > product_cap:
-            raise BudgetExceededError(
-                f"product order {G.n * H.graph.n} exceeds the cap {product_cap}"
-            )
+    elif G is None or H is None:
+        raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
 
     try:
-        ok, values = checker(G, H, budget)
+        ok, values = checker(G, H)
     except InfeasibleParameterError as exc:
         return TheoremVerdict(
             theorem, descriptor, applicable=False, outcome=Outcome.INFEASIBLE,
@@ -708,9 +680,7 @@ def check(
     return TheoremVerdict(theorem, descriptor, True, Outcome.FAIL, values, witness)
 
 
-def closed_form_check(
-    family: str, n: int, m: int, *, budget: SolveBudget | None = None
-) -> TheoremVerdict:
+def closed_form_check(family: str, n: int, m: int) -> TheoremVerdict:
     """Exact check of the two independent-domination closed forms.
 
     ``caterpillar``: path (order n) composed with a star (m leaves) rooted at
@@ -718,7 +688,6 @@ def closed_form_check(
     ``subdivided-star-product``: path composed with a subdivided star rooted
     at the vertex at distance two from the center -> ``n + ceil(n/3)``.
     """
-    budget = budget or solvers.default_budget()
     if n < 2 or m < 2:
         raise ValueError("closed forms need n >= 2 and m >= 2")
     base = path_graph(n)
@@ -731,7 +700,7 @@ def closed_form_check(
     else:
         raise ValueError(f"unknown closed form family {family!r}")
     product = rooted_product(base, rooted).product
-    i_value = _value(product, PK.INDEPENDENT_DOMINATION, budget)
+    i_value = solvers.value(product, PK.INDEPENDENT_DOMINATION)
     values = {"i_product": i_value, "expected": expected, "product_order": product.n}
     descriptor = {"family": family, "n": n, "m": m}
     ok = i_value == expected
@@ -763,12 +732,14 @@ def _witness_graph(payload: dict, key: str) -> Graph:
     return Graph(raw["n"], [tuple(e) for e in raw["edges"]])
 
 
-def check_witness(payload: dict, *, budget: SolveBudget | None = None) -> TheoremVerdict:
+def check_witness(payload: dict) -> TheoremVerdict:
     """Re-run the check recorded in a witness payload.
 
-    A payload of the wrong shape raises ``ValueError``: it is an input
-    fault, not a witness that failed to reproduce.
+    A payload of the wrong shape, or a bad ``ROOTDOM_BUDGET``, raises
+    ``ValueError``: it is an input fault, not a witness that failed to
+    reproduce.
     """
+    solvers.scan_budget()  # even when the recorded check needs no scan
     if not isinstance(payload, dict) or not isinstance(payload.get("theorem"), str):
         raise ValueError('a witness must be a JSON object with a "theorem" id')
     theorem = TheoremId(payload["theorem"])
@@ -779,14 +750,14 @@ def check_witness(payload: dict, *, budget: SolveBudget | None = None) -> Theore
             and _is_int(cf.get("n")) and _is_int(cf.get("m"))
         ):
             raise ValueError('an I6 witness needs "closed_form": {"family": str, "n": int, "m": int}')
-        return closed_form_check(cf["family"], cf["n"], cf["m"], budget=budget)
+        return closed_form_check(cf["family"], cf["n"], cf["m"])
     G = _witness_graph(payload, "g") if "g" in payload else None
     H = None
     if "h" in payload:
         if not _is_int(payload.get("root")):
             raise ValueError('a witness with "h" needs an integer "root"')
         H = RootedGraph(_witness_graph(payload, "h"), payload["root"])
-    return check(theorem, G, H, budget=budget, product_cap=1 << 30)
+    return check(theorem, G, H)
 
 
 # -- campaign ----------------------------------------------------------------
@@ -799,12 +770,12 @@ class CampaignConfig:
     seed: int = 42
     max_g: int = 5
     max_h: int = 4
-    product_cap: int = DEFAULT_PRODUCT_CAP
+    product_cap: int = 20
     deletion_n: int = 8
     tree_min: int = 3
     tree_max: int = 6
     tree_single_max: int = 10
-    tree_product_cap: int = TREE_PAIR_PRODUCT_CAP
+    tree_product_cap: int = 40
 
     def __post_init__(self) -> None:
         """Reject a config that would crash or never finish, with ``ValueError``."""
@@ -817,8 +788,8 @@ class CampaignConfig:
         # A product needs two factors of order >= 2; a tree pair, two trees of
         # order >= tree_min; a single tree, order >= max(3, tree_min).
         for name, least in (
-            ("max_g", 2), ("max_h", 2), ("product_cap", 4), ("deletion_n", 2), ("tree_min", 2),
-            ("tree_max", self.tree_min), ("tree_single_max", max(3, self.tree_min)),
+            ("trials", 0), ("max_g", 2), ("max_h", 2), ("product_cap", 4), ("deletion_n", 2),
+            ("tree_min", 2), ("tree_max", self.tree_min), ("tree_single_max", max(3, self.tree_min)),
             ("product_cap", self.tree_min ** 2), ("tree_product_cap", self.tree_min ** 2),
         ):
             if getattr(self, name) < least:
@@ -961,14 +932,14 @@ def _tree_pairs(rng: random.Random, config: CampaignConfig, cap: int):
             }
 
 
-def _verdicts(theorem: TheoremId, config: CampaignConfig, budget: SolveBudget):
+def _verdicts(theorem: TheoremId, config: CampaignConfig):
     """Each trial's verdict in order, or None for a trial past the budget."""
     shape = _THEOREMS[theorem][1]
     if shape == "grid":
         for family in ("caterpillar", "subdivided-star-product"):
             for n in range(2, 7):
                 for m in range(2, 5):
-                    yield closed_form_check(family, n, m, budget=budget)
+                    yield closed_form_check(family, n, m)
         return
 
     theorem_seed = child_seed(config.seed, list(TheoremId).index(theorem))
@@ -990,15 +961,13 @@ def _verdicts(theorem: TheoremId, config: CampaignConfig, budget: SolveBudget):
         else:
             G, H, desc = next(tree_pairs)
         try:
-            verdict = check(theorem, G, H, budget=budget, product_cap=cap, instance=desc)
+            verdict = check(theorem, G, H, instance=desc)
         except BudgetExceededError:
             verdict = None
         yield verdict
 
 
-def run_theorem(
-    theorem: TheoremId, config: CampaignConfig, *, budget: SolveBudget | None = None
-) -> dict:
+def run_theorem(theorem: TheoremId, config: CampaignConfig) -> dict:
     """All trials for one theorem; deterministic given the config.
 
     ``trials`` counts the verdicts; ``errors`` counts the trials skipped
@@ -1007,7 +976,8 @@ def run_theorem(
     counts = {o: 0 for o in Outcome}
     skips = 0
     failures: list[dict] = []
-    for verdict in _verdicts(theorem, config, budget or solvers.default_budget()):
+    solvers.scan_budget()  # a bad ROOTDOM_BUDGET fails before any trial
+    for verdict in _verdicts(theorem, config):
         if verdict is None:
             skips += 1
             continue

@@ -74,9 +74,6 @@ class RootedProduct:
             for i in range(self.base.n)
         ]
 
-    def base_vertex_set(self) -> frozenset[int]:
-        return frozenset(range(self.base.n))
-
 
 def rooted_product(base: Graph, rooted: RootedGraph) -> RootedProduct:
     """Construct G o H; both factors need order at least two."""

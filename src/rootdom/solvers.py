@@ -20,6 +20,10 @@ Two entry points:
   tree DP for ``i``, connected and convex on every tree, at every order,
   and ``solve()`` otherwise.  The theorem harness and ``enumerate_optimal``
   use it.
+
+The scan budget is the one resource knob: ``scan_budget()`` reads it from
+``ROOTDOM_BUDGET`` (default 22) on every ``solve()`` and enumeration.  The
+witness-list cap of ``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -54,29 +58,25 @@ class EnumerationCapError(BudgetExceededError):
         self.partial_count = partial_count
 
 
-@dataclass(frozen=True)
-class SolveBudget:
-    """Resource limits: max order for 2^n scans and the witness-list cap."""
-
-    max_scan_n: int = 22
-    enumeration_cap: int = 1_000_000
+#: Most optimal witnesses ``enumerate_optimal`` lists before it gives up.
+ENUMERATION_CAP = 1_000_000
 
 
-def default_budget() -> SolveBudget:
-    """Default budget, honoring the ROOTDOM_BUDGET environment override."""
+def scan_budget() -> int:
+    """Largest order the 2^n subset scans take: ``ROOTDOM_BUDGET``, default 22."""
     env = os.environ.get("ROOTDOM_BUDGET")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"ROOTDOM_BUDGET must be an integer, got {env!r}") from None
-        if not 1 <= cap <= kernels.MAX_ORDER:
-            raise ValueError(
-                f"ROOTDOM_BUDGET={cap} is outside the scan budget range 1..{kernels.MAX_ORDER} "
-                "(the C kernel keeps vertex sets in 64-bit masks)"
-            )
-        return SolveBudget(max_scan_n=cap)
-    return SolveBudget()
+    if not env:
+        return 22
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"ROOTDOM_BUDGET must be an integer, got {env!r}") from None
+    if not 1 <= cap <= kernels.MAX_ORDER:
+        raise ValueError(
+            f"ROOTDOM_BUDGET={cap} is outside the scan budget range 1..{kernels.MAX_ORDER} "
+            "(the C kernel keeps vertex sets in 64-bit masks)"
+        )
+    return cap
 
 
 class ParameterKind(str, Enum):
@@ -251,18 +251,18 @@ def _solve_tree(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int]]
     return tree_dp.tree_connected_domination(graph)
 
 
-def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = None) -> SolveResult:
+def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
     """Exact value and witness for one parameter kind."""
-    budget = budget or default_budget()
+    max_scan_n = scan_budget()
     _check_order(graph)
     _require_connected(graph, kind)
 
-    if graph.n > budget.max_scan_n:
+    if graph.n > max_scan_n:
         if kind in _TREE_DP_KINDS and is_tree(graph):
             return SolveResult(kind, *_solve_tree(graph, kind))
         raise BudgetExceededError(
             f"order {graph.n} exceeds the subset-scan budget "
-            f"(n <= {budget.max_scan_n}); set ROOTDOM_BUDGET to raise it"
+            f"(n <= {max_scan_n}); set ROOTDOM_BUDGET to raise it"
         )
 
     if kind is ParameterKind.INDEPENDENCE:
@@ -290,7 +290,7 @@ def solve(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
     return SolveResult(kind, size, _mask_to_set(mask))
 
 
-def value(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = None) -> int:
+def value(graph: Graph, kind: ParameterKind) -> int:
     """Exact value of one parameter kind, without a witness promise.
 
     Trees go to the tree DP for ``i``, connected and convex at every order;
@@ -298,35 +298,34 @@ def value(graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = Non
     """
     if kind in _TREE_DP_KINDS and is_tree(graph):
         return _solve_tree(graph, kind)[0]
-    return solve(graph, kind, budget=budget).value
+    return solve(graph, kind).value
 
 
 # -- enumeration and root classification --------------------------------------
 
 
 def enumerate_optimal(
-    graph: Graph, kind: ParameterKind, *, budget: SolveBudget | None = None
+    graph: Graph, kind: ParameterKind
 ) -> list[frozenset[int]] | list[RomanAssignment]:
     """All optimal witnesses, in lexicographic order.
 
     For the Roman kind this is the complete family of forced-completion
     assignments, ordered by 2-set size then lexicographically.
     """
-    budget = budget or default_budget()
-    target = value(graph, kind, budget=budget)
-    if graph.n > budget.max_scan_n:
+    target = value(graph, kind)
+    max_scan_n = scan_budget()
+    if graph.n > max_scan_n:
         raise BudgetExceededError(
-            f"enumeration needs the scan engine; order {graph.n} exceeds "
-            f"n <= {budget.max_scan_n}"
+            f"enumeration needs the scan engine; order {graph.n} exceeds n <= {max_scan_n}"
         )
 
     if kind is ParameterKind.ROMAN:
         b2_masks, hit_cap = kernels.roman_enumerate(
-            graph.n, graph.closed_masks(), target, budget.enumeration_cap
+            graph.n, graph.closed_masks(), target, ENUMERATION_CAP
         )
         if hit_cap:
             raise EnumerationCapError(
-                f"more than {budget.enumeration_cap} optimal Roman assignments",
+                f"more than {ENUMERATION_CAP} optimal Roman assignments",
                 partial_count=len(b2_masks),
             )
         return [
@@ -346,27 +345,25 @@ def enumerate_optimal(
         graph.closed_masks(),
         intervals,
         target,
-        budget.enumeration_cap,
+        ENUMERATION_CAP,
         forced_in=_forced_in(graph, kind),
     )
     if hit_cap:
         raise EnumerationCapError(
-            f"more than {budget.enumeration_cap} optimal sets",
+            f"more than {ENUMERATION_CAP} optimal sets",
             partial_count=len(masks),
         )
     return [_mask_to_set(mask) for mask in masks]
 
 
-def classify_root(
-    rooted: RootedGraph, kind: ParameterKind, *, budget: SolveBudget | None = None
-) -> RootClassification:
+def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassification:
     """Scan all optimal witnesses and classify the root's membership.
 
     For the Roman kind, membership refers to carrying a positive label and
     ``roman_values`` collects the labels the root attains across all
     minimum-weight assignments.
     """
-    witnesses = enumerate_optimal(rooted.graph, kind, budget=budget)
+    witnesses = enumerate_optimal(rooted.graph, kind)
     root = rooted.root
     if kind is ParameterKind.ROMAN:
         values = frozenset(assignment.label(root) for assignment in witnesses)

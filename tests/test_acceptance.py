@@ -4,6 +4,7 @@ Every tolerance is exact (integer equality); the two timed criteria assert
 their stated wall-clock budgets.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -245,7 +246,9 @@ def test_criterion_11_campaign_determinism_and_runtime():
     mid = time.monotonic()
     second = run_campaign(config)
     end = time.monotonic()
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    text = json.dumps(first, sort_keys=True)
+    assert text == json.dumps(second, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f1c5f89661444551"
     assert mid - start < 600.0 and end - mid < 600.0
     assert first["must_hold_failures"] == 0
     _report(

@@ -150,6 +150,31 @@ class TestVerify:
     def test_verify_needs_theorem_or_witness(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("budget", ["0", "abc", "63"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "C3", "--trials", "3"],  # no solver call
+            ["verify", "--theorem", "I6"],  # tree DP only: no scan
+            ["verify", "--witness", "{witness}"],
+            ["campaign", "--config", "{config}"],
+        ],
+        ids=["C3", "I6", "witness", "campaign"],
+    )
+    def test_bad_budget_exits_two(self, tmp_path, monkeypatch, capsys, budget, argv):
+        # The budget is read before any trial, so theorems that never reach a
+        # scan reject it too.
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps(
+            {"theorem": "I6", "closed_form": {"family": "caterpillar", "n": 3, "m": 2}}
+        ), encoding="utf-8")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"theorems": ["C3"], "trials": 3}), encoding="utf-8")
+        monkeypatch.setenv("ROOTDOM_BUDGET", budget)
+        argv = [a.format(witness=witness, config=config) for a in argv]
+        assert main(["--quiet", *argv]) == 2
+        assert "ROOTDOM_BUDGET" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload", [{}, {"theorem": "D2", "g": {"n": "x", "edges": []}}], ids=["empty", "bad-order"]
     )
@@ -180,9 +205,10 @@ class TestCampaign:
         [
             {"product_cap": 3},  # no product of two factors fits: the sampler gave up
             {"trials": "x"},  # crashed with a TypeError
+            {"trials": -1},  # ran no trial and exited 0
             {"theorems": ["W3"], "tree_min": 5, "tree_max": 6},  # looped forever: 25 > cap 20
         ],
-        ids=["product-cap", "trials-type", "tree-pair-cap"],
+        ids=["product-cap", "trials-type", "trials-negative", "tree-pair-cap"],
     )
     def test_invalid_config_exits_two(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "c.json"

@@ -31,25 +31,25 @@ def small_graphs(draw, max_n=7):
 
 class TestConstruction:
     def test_path(self):
-        g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert (g.n, g.m) == (4, 3)
         assert g.degree(0) == 1 and g.degree(1) == 2
 
     def test_triangle_degrees(self):
-        g = Graph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+        g = Graph(3, [(0, 1), (1, 2), (2, 0)])
         assert all(g.degree(v) == 2 for v in g.vertices)
 
     def test_duplicate_edges_merge(self):
-        g = Graph.from_edge_list(2, [(0, 1), (1, 0)])
+        g = Graph(2, [(0, 1), (1, 0)])
         assert g.m == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            Graph.from_edge_list(3, [(0, 3)])
+            Graph(3, [(0, 3)])
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError, match="loop"):
-            Graph.from_edge_list(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_degree_sum(self):
         g = random_gnp(7, 0.5, seed=3)

@@ -24,7 +24,7 @@ from rootdom.harness import (
     run_theorem,
 )
 from rootdom.product import RootedGraph
-from rootdom.solvers import BudgetExceededError, SolveBudget
+from rootdom.solvers import BudgetExceededError
 
 T = TheoremId
 
@@ -239,8 +239,9 @@ class TestWeaklyAndSuperChecks:
 
 class TestCheckPlumbing:
     def test_product_cap(self):
-        with pytest.raises(BudgetExceededError, match="cap"):
-            check(T.D2, path_graph(6), RootedGraph(path_graph(6), 0), product_cap=20)
+        # check() caps no product order itself; the scan budget refuses P6 o P6.
+        with pytest.raises(BudgetExceededError, match="order 36 exceeds the subset-scan budget"):
+            check(T.D2, path_graph(6), RootedGraph(path_graph(6), 0))
 
     def test_missing_arguments(self):
         with pytest.raises(ValueError):
@@ -278,9 +279,10 @@ class TestCampaign:
         b = run_campaign(cfg)
         assert a == b
 
-    def test_budget_skips_are_counted(self):
+    def test_budget_skips_are_counted(self, monkeypatch):
         # Every S1 product has order >= 4, past a scan budget of 3.
-        result = run_theorem(T.S1, CampaignConfig(trials=4, seed=1), budget=SolveBudget(max_scan_n=3))
+        monkeypatch.setenv("ROOTDOM_BUDGET", "3")
+        result = run_theorem(T.S1, CampaignConfig(trials=4, seed=1))
         assert result["errors"] == 4 and result["trials"] == 0
 
     def test_jobs_match_serial(self):

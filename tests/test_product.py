@@ -3,11 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootdom.families import (
-    all_roots,
     cycle_graph,
     path_graph,
     random_tree,
-    star_graph,
 )
 from rootdom.graph import Graph, is_connected, is_tree, leaves
 from rootdom.product import RootedGraph, rooted_product
@@ -65,7 +63,7 @@ def test_copies_isomorphic_and_base_preserved():
             (u, v) for u, v in prod.edges() if u in copy_ids and v in copy_ids
         }
         assert induced == mapped
-    base_ids = rp.base_vertex_set()
+    base_ids = set(range(base.n))
     induced_base = {(u, v) for u, v in prod.edges() if u in base_ids and v in base_ids}
     assert induced_base == set(base.edges())
 
@@ -110,11 +108,3 @@ def test_tree_product_is_tree_with_leaf_branch(n1, n2, s1, s2, data):
     n1_h = len(leaves(t2))
     expected = n1 * (n1_h - 1) if root in leaves(t2) else n1 * n1_h
     assert len(leaves(rp.product)) == expected
-
-
-def test_all_roots_enumeration():
-    assert len(all_roots(cycle_graph(3))) == 3
-    assert len(all_roots(path_graph(3))) == 3
-    assert len(all_roots(star_graph(3))) == 4
-    roots = [r.root for r in all_roots(path_graph(3))]
-    assert roots == [0, 1, 2]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import labelled_graphs, prufer_tree, random_gnp, tree_shape
-from rootdom import _pykernels, naive
+from rootdom import _pykernels, naive, solvers
 from rootdom.families import (
     complete_graph,
     cycle_graph,
@@ -26,7 +26,6 @@ from rootdom.solvers import (
     Membership,
     ParameterKind,
     RomanAssignment,
-    SolveBudget,
     classify_root,
     enumerate_optimal,
     is_dominating,
@@ -142,11 +141,10 @@ class TestEnumeration:
         fns = enumerate_optimal(cycle_graph(3), PK.ROMAN)
         assert [sorted(f.b2) for f in fns] == [[0], [1], [2]]
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(solvers, "ENUMERATION_CAP", 2)
         with pytest.raises(EnumerationCapError) as info:
-            enumerate_optimal(
-                complete_graph(5), PK.DOMINATION, budget=SolveBudget(enumeration_cap=2)
-            )
+            enumerate_optimal(complete_graph(5), PK.DOMINATION)
         assert info.value.partial_count == 3
 
     def test_forced_ones_structure(self):
@@ -185,9 +183,10 @@ class TestRootClassification:
 
 
 class TestBudgets:
-    def test_budget_error_names_cap(self):
+    def test_budget_error_names_cap(self, monkeypatch):
+        monkeypatch.setenv("ROOTDOM_BUDGET", "4")
         with pytest.raises(BudgetExceededError, match="n <= 4"):
-            solve(path_graph(6), PK.DOMINATION, budget=SolveBudget(max_scan_n=4))
+            solve(path_graph(6), PK.DOMINATION)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("ROOTDOM_BUDGET", "3")
@@ -196,23 +195,23 @@ class TestBudgets:
         monkeypatch.setenv("ROOTDOM_BUDGET", "10")
         assert solve(path_graph(5), PK.DOMINATION).value == 2
 
-    def test_tree_fallback_past_budget(self):
+    def test_tree_fallback_past_budget(self, monkeypatch):
         t = random_tree(12, seed=4)
-        small = SolveBudget(max_scan_n=8)
         from rootdom.graph import leaves
 
-        res = solve(t, PK.CONNECTED, budget=small)
+        scanned_i = solve(t, PK.INDEPENDENT_DOMINATION).value
+        monkeypatch.setenv("ROOTDOM_BUDGET", "8")
+        res = solve(t, PK.CONNECTED)
         assert res.value == 12 - len(leaves(t))
-        assert solve(t, PK.CONVEX, budget=small).value == res.value
-        i_res = solve(t, PK.INDEPENDENT_DOMINATION, budget=small)
-        assert i_res.value == solve(t, PK.INDEPENDENT_DOMINATION).value
+        assert solve(t, PK.CONVEX).value == res.value
+        assert solve(t, PK.INDEPENDENT_DOMINATION).value == scanned_i
         with pytest.raises(BudgetExceededError):
-            solve(t, PK.DOMINATION, budget=small)
+            solve(t, PK.DOMINATION)
 
-    def test_non_tree_past_budget(self):
-        g = cycle_graph(9)
+    def test_non_tree_past_budget(self, monkeypatch):
+        monkeypatch.setenv("ROOTDOM_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
-            solve(g, PK.CONNECTED, budget=SolveBudget(max_scan_n=5))
+            solve(cycle_graph(9), PK.CONNECTED)
 
 
 class TestTreeDP:
@@ -262,13 +261,13 @@ class TestValue:
                 for kind in self.KINDS:
                     assert value(t, kind) == solve(t, kind).value == naive_value(t, kind.value)
 
-    def test_past_the_budget(self):
+    def test_past_the_budget(self, monkeypatch):
         t = random_tree(30, seed=3)
-        small = SolveBudget(max_scan_n=8)
+        monkeypatch.setenv("ROOTDOM_BUDGET", "8")
         for kind in self.KINDS:
-            assert value(t, kind, budget=small) == solve(t, kind, budget=small).value
+            assert value(t, kind) == solve(t, kind).value
         with pytest.raises(BudgetExceededError):
-            value(t, PK.DOMINATION, budget=small)
+            value(t, PK.DOMINATION)
 
     def test_non_trees_match_solve(self):
         graphs = [random_gnp(n, p, seed=n) for n in range(1, 9) for p in (0.2, 0.35, 0.6)]
