@@ -21,9 +21,9 @@ from .graph import format_edge_list, read_edge_list
 from .harness import CampaignConfig, Outcome, TheoremId, check_witness, run_campaign
 from .product import RootedGraph, rooted_product
 from .solvers import (
-    PARAM_BY_NAME,
     BudgetExceededError,
     InfeasibleParameterError,
+    ParameterKind,
     RomanAssignment,
     classify_root,
     enumerate_optimal,
@@ -63,7 +63,7 @@ def _witness_json(witness):
 
 def _cmd_solve(args) -> int:
     graph, _ = read_edge_list(args.file)
-    kind = PARAM_BY_NAME[args.param]
+    kind = ParameterKind(args.param)
     result = solve(graph, kind)
     payload: dict = {
         "param": args.param,
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress human-readable output")
 
     p_solve = sub.add_parser("solve", help="compute one parameter of a graph file")
-    p_solve.add_argument("--param", required=True, choices=sorted(PARAM_BY_NAME))
+    p_solve.add_argument("--param", required=True, choices=sorted(k.value for k in ParameterKind))
     p_solve.add_argument("file")
     p_solve.add_argument("--enumerate", action="store_true", help="list all optimal witnesses")
     p_solve.add_argument("--classify-root", type=int, default=None, metavar="K")

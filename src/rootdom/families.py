@@ -8,6 +8,7 @@ labeled trees); random connected graphs from rejection-sampled G(n, p).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,38 +97,42 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, [])
 
 
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree via Pruefer decoding."""
-    if n < 2:
-        raise ValueError(f"random trees need order >= 2, got {n}")
-    if n == 2:
-        return Graph(2, [(0, 1)])
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+def prufer_tree(seq: Sequence[int]) -> Graph:
+    """The labelled tree on ``len(seq) + 2`` vertices with Pruefer sequence ``seq``."""
+    n = len(seq) + 2
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     edges = []
     for v in seq:
-        for u in range(n):
-            if degree[u] == 1:
-                edges.append((u, v))
-                degree[u] -= 1
-                degree[v] -= 1
-                break
-    tail = [u for u in range(n) if degree[u] == 1]
-    edges.append((tail[0], tail[1]))
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
     return Graph(n, edges)
 
 
-def random_connected_graph(n: int, p: float, seed: int, max_attempts: int = 1000) -> Graph:
-    """Rejection-sample G(n, p) until connected; errors out after the cap."""
+def random_tree(n: int, seed: int) -> Graph:
+    """Uniform random labeled tree: the Pruefer tree of n - 2 seeded draws."""
+    if n < 2:
+        raise ValueError(f"random trees need order >= 2, got {n}")
+    rng = random.Random(seed)
+    return prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+
+
+#: Samples ``random_connected_graph`` draws before it gives up.
+_MAX_ATTEMPTS = 1000
+
+
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
+    """Rejection-sample G(n, p) until connected; ``ValueError`` after the cap."""
     if n < 2:
         raise ValueError(f"random connected graphs need order >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         edges = [
             (u, v)
             for u in range(n)
@@ -137,8 +142,8 @@ def random_connected_graph(n: int, p: float, seed: int, max_attempts: int = 1000
         graph = Graph(n, edges)
         if is_connected(graph):
             return graph
-    raise RuntimeError(
-        f"no connected G({n}, {p}) sample after {max_attempts} attempts"
+    raise ValueError(
+        f"no connected G({n}, {p}) sample after {_MAX_ATTEMPTS} attempts"
     )
 
 

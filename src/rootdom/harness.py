@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import partial
 from itertools import combinations
 
 from . import solvers
@@ -426,33 +427,23 @@ def _check_I7(G, H):
     return i_gh <= values["bound_min"], values
 
 
-def _two_value_check(G, H, kind: PK, offsets: tuple[str, str]):
+def _two_value_check(kind: PK, plus_g: bool, G, H):
+    """C1, X1 and W1: the product value is n*h or n*(h+1), or with ``plus_g``
+    n*h or n*h + g."""
     param_h = solvers.value(H.graph, kind)
     product = rooted_product(G, H).product
     param_gh = solvers.value(product, kind)
-    if offsets == ("n*h", "n*(h+1)"):
-        allowed = {G.n * param_h, G.n * (param_h + 1)}
-    else:
+    if plus_g:
         param_g = solvers.value(G, kind)
         allowed = {G.n * param_h, G.n * param_h + param_g}
+    else:
+        allowed = {G.n * param_h, G.n * (param_h + 1)}
     values = {
         f"{kind.value}_h": param_h,
         f"{kind.value}_product": param_gh,
         "allowed": sorted(allowed),
     }
     return param_gh in allowed, values
-
-
-def _check_C1(G, H):
-    return _two_value_check(G, H, PK.CONNECTED, ("n*h", "n*(h+1)"))
-
-
-def _check_X1(G, H):
-    return _two_value_check(G, H, PK.CONVEX, ("n*h", "n*(h+1)"))
-
-
-def _check_W1(G, H):
-    return _two_value_check(G, H, PK.WEAKLY_CONNECTED, ("n*h", "n*h+g"))
 
 
 def _check_C2(G, H):
@@ -491,7 +482,7 @@ def _check_C3(G, H):
     return ok, values
 
 
-def _iff_tree_check(G, H, kind: PK):
+def _iff_tree_check(kind: PK, G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     param_h = solvers.value(H.graph, kind)
@@ -509,14 +500,6 @@ def _iff_tree_check(G, H, kind: PK):
     }
     ok = (eq_plain == (not root_is_leaf)) and (eq_plus == root_is_leaf)
     return ok, values
-
-
-def _check_C4(G, H):
-    return _iff_tree_check(G, H, PK.CONNECTED)
-
-
-def _check_X2(G, H):
-    return _iff_tree_check(G, H, PK.CONVEX)
 
 
 def _check_W2(G, H):
@@ -621,13 +604,13 @@ _THEOREMS = {
     TheoremId.I5: (_check_I5, "product"),
     TheoremId.I6: (None, "grid"),
     TheoremId.I7: (_check_I7, "product"),
-    TheoremId.C1: (_check_C1, "product"),
+    TheoremId.C1: (partial(_two_value_check, PK.CONNECTED, False), "product"),
     TheoremId.C2: (_check_C2, "tree-single"),
     TheoremId.C3: (_check_C3, "tree-pair-dp"),
-    TheoremId.C4: (_check_C4, "tree-pair-dp"),
-    TheoremId.X1: (_check_X1, "product"),
-    TheoremId.X2: (_check_X2, "tree-pair-dp"),
-    TheoremId.W1: (_check_W1, "product"),
+    TheoremId.C4: (partial(_iff_tree_check, PK.CONNECTED), "tree-pair-dp"),
+    TheoremId.X1: (partial(_two_value_check, PK.CONVEX, False), "product"),
+    TheoremId.X2: (partial(_iff_tree_check, PK.CONVEX), "tree-pair-dp"),
+    TheoremId.W1: (partial(_two_value_check, PK.WEAKLY_CONNECTED, True), "product"),
     TheoremId.W2: (_check_W2, "tree-single"),
     TheoremId.W3: (_check_W3, "tree-pair-scan"),
     TheoremId.S1: (_check_S1, "product"),
@@ -844,31 +827,32 @@ def _sample_factor(rng: random.Random, max_n: int) -> tuple[Graph, dict]:
         return random_connected_graph(n, p, seed), {"family": family, "n": n, "p": p, "seed": seed}
 
 
-def _special_roman_factors(max_h: int) -> list[tuple[Graph, int, dict]]:
-    """Rooted factors guaranteeing coverage of every Roman root-label branch."""
-    specials: list[tuple[Graph, int, dict]] = []
-    k2 = path_graph(2)
-    specials.append((k2, 0, {"family": "path", "n": 2, "root": 0}))
-    p3 = path_graph(3)
-    specials.append((p3, 0, {"family": "path", "n": 3, "root": 0}))
-    specials.append((p3, 1, {"family": "path", "n": 3, "root": 1}))
-    if max_h >= 3:
-        star2 = star_graph(2)
-        specials.append((star2.graph, 0, {"family": "star", "m": 2, "root": 0}))
-        specials.append((star2.graph, 1, {"family": "star", "m": 2, "root": 1}))
-    if max_h >= 4:
-        star3 = star_graph(3)
-        specials.append((star3.graph, 0, {"family": "star", "m": 3, "root": 0}))
-        specials.append((star3.graph, 1, {"family": "star", "m": 3, "root": 1}))
-        sub2 = subdivided_star_graph(2)
-        specials.append((sub2.graph, sub2.root, {"family": "subdivided-star", "m": 2, "root": sub2.root}))
-    if max_h >= 5:
-        sub3 = subdivided_star_graph(3)
-        specials.append((sub3.graph, sub3.root, {"family": "subdivided-star", "m": 3, "root": sub3.root}))
-    for k in (2, 3):
-        if k <= max_h:
-            specials.append((empty_graph(k), 0, {"family": "empty", "n": k, "root": 0}))
-    return specials
+_P3 = path_graph(3)
+_STAR2 = star_graph(2).graph
+_STAR3 = star_graph(3).graph
+_SUB2 = subdivided_star_graph(2)
+_SUB3 = subdivided_star_graph(3)
+
+#: Rooted factors I7 draws half its H factors from.
+_I7_SPECIALS = (
+    (_STAR2, 0, {"family": "star", "m": 2, "root": 0}),
+    (_STAR2, 1, {"family": "star", "m": 2, "root": 1}),
+    (_STAR3, 0, {"family": "star", "m": 3, "root": 0}),
+    (_STAR3, 1, {"family": "star", "m": 3, "root": 1}),
+    (_SUB2.graph, _SUB2.root, {"family": "subdivided-star", "m": 2, "root": _SUB2.root}),
+)
+
+#: Rooted factors covering every Roman root-label branch; R4-R6 draw half
+#: their H factors from here.
+_ROMAN_SPECIALS = (
+    (path_graph(2), 0, {"family": "path", "n": 2, "root": 0}),
+    (_P3, 0, {"family": "path", "n": 3, "root": 0}),
+    (_P3, 1, {"family": "path", "n": 3, "root": 1}),
+    *_I7_SPECIALS,
+    (_SUB3.graph, _SUB3.root, {"family": "subdivided-star", "m": 3, "root": _SUB3.root}),
+    (empty_graph(2), 0, {"family": "empty", "n": 2, "root": 0}),
+    (empty_graph(3), 0, {"family": "empty", "n": 3, "root": 0}),
+)
 
 
 def _product_instance(
@@ -878,15 +862,9 @@ def _product_instance(
     max_h = config.max_h
     if theorem in (TheoremId.R4, TheoremId.R5, TheoremId.R6):
         max_h = max(config.max_h, 5)
-        specials = _special_roman_factors(max_h)
+        specials = _ROMAN_SPECIALS
     if theorem is TheoremId.I7:
-        specials = [
-            (star_graph(2).graph, 0, {"family": "star", "m": 2, "root": 0}),
-            (star_graph(2).graph, 1, {"family": "star", "m": 2, "root": 1}),
-            (star_graph(3).graph, 0, {"family": "star", "m": 3, "root": 0}),
-            (star_graph(3).graph, 1, {"family": "star", "m": 3, "root": 1}),
-            (subdivided_star_graph(2).graph, 3, {"family": "subdivided-star", "m": 2, "root": 3}),
-        ]
+        specials = _I7_SPECIALS
     for _ in range(200):
         g, g_desc = _sample_factor(rng, config.max_g)
         if specials is not None and rng.random() < 0.5:
@@ -894,8 +872,7 @@ def _product_instance(
         else:
             h_graph, h_desc = _sample_factor(rng, max_h)
             root = rng.randrange(h_graph.n)
-            h_desc = dict(h_desc)
-            h_desc["root"] = root
+        h_desc = {**h_desc, "root": root}  # a fresh dict per trial
         if g.n * h_graph.n <= config.product_cap:
             return g, RootedGraph(h_graph, root), {"g": g_desc, "h": h_desc}
     raise ValueError(
@@ -1003,13 +980,19 @@ def _run_theorem_job(args: tuple[dict, str]) -> dict:
 
 
 def run_campaign(config: CampaignConfig, *, jobs: int = 1) -> dict:
-    """Run every configured theorem; deterministic given the config seed."""
+    """Run every configured theorem; deterministic given the config seed.
+
+    ``jobs`` worker processes share the theorems, one process per theorem
+    at most; ``jobs`` below 1 raises ``ValueError``.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ordered = [t for t in TheoremId if t in set(config.theorems)]
     if jobs > 1 and len(ordered) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         payload = [(config.to_dict(), t.value) for t in ordered]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
             results = list(pool.map(_run_theorem_job, payload))
     else:
         results = [run_theorem(t, config) for t in ordered]

@@ -2,15 +2,24 @@
 
 Every routine scans its full search space with set arithmetic and explicit
 definitions, no pruning and no early exit, independent of the bitmask
-kernels.  Distances come from a local Floyd-Warshall rather than the graph's
-BFS cache.  Only sensible at desk scale (n around 8, 3^n for Roman).
+kernels.  Only sensible at desk scale (n around 8, 3^n for Roman).
+
+The set-level predicates are the public ones the witness checks use:
+``solvers.is_dominating``, ``is_independent`` and ``is_super_dominating``,
+and ``graph.is_connected_subset``.  Two stay local.  Convexity reads
+distances from a local Floyd-Warshall, because the convex kernel's interval
+masks come from the graph's BFS distance table, which the referee must not
+share.  Weak connectivity is a direct search over N[S], because the public
+form (``weakly_induced_subgraph`` plus ``is_connected``) builds a ``Graph``
+for every subset.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .graph import Graph
+from .graph import Graph, is_connected_subset
+from .solvers import is_dominating, is_independent, is_super_dominating
 
 _FAR = 1 << 30
 
@@ -37,29 +46,6 @@ def _floyd_warshall(graph: Graph) -> list[list[int]]:
                 if alt < du[v]:
                     du[v] = alt
     return dist
-
-
-def _dominating(graph: Graph, sub: set[int]) -> bool:
-    return all(v in sub or (graph.neighbors(v) & sub) for v in range(graph.n))
-
-
-def _independent(graph: Graph, sub: set[int]) -> bool:
-    return all(not (graph.neighbors(v) & sub) for v in sub)
-
-
-def _connected_sub(graph: Graph, sub: set[int]) -> bool:
-    if not sub:
-        return False
-    start = next(iter(sub))
-    seen = {start}
-    todo = [start]
-    while todo:
-        u = todo.pop()
-        for w in graph.neighbors(u):
-            if w in sub and w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen == sub
 
 
 def _convex(graph: Graph, sub: set[int], dist: list[list[int]]) -> bool:
@@ -92,18 +78,6 @@ def _weakly_connected(graph: Graph, sub: set[int]) -> bool:
     return seen == closed
 
 
-def _super(graph: Graph, sub: set[int]) -> bool:
-    for v in range(graph.n):
-        if v in sub:
-            continue
-        allowed = sub | {v}
-        if not any(
-            graph.neighbors(u) <= allowed for u in graph.neighbors(v) & sub
-        ):
-            return False
-    return True
-
-
 def naive_value(graph: Graph, kind: str) -> int | None:
     """Exact parameter value by full unpruned enumeration; None if infeasible.
 
@@ -117,7 +91,7 @@ def naive_value(graph: Graph, kind: str) -> int | None:
         best = -1
         for sub in _all_subsets(n):
             s = set(sub)
-            if _independent(graph, s) and len(s) > best:
+            if is_independent(graph, s) and len(s) > best:
                 best = len(s)
         return best
 
@@ -131,17 +105,17 @@ def naive_value(graph: Graph, kind: str) -> int | None:
     for sub in _all_subsets(n):
         s = set(sub)
         if kind == "gamma":
-            ok = _dominating(graph, s)
+            ok = is_dominating(graph, s)
         elif kind == "i":
-            ok = _dominating(graph, s) and _independent(graph, s)
+            ok = is_dominating(graph, s) and is_independent(graph, s)
         elif kind == "connected":
-            ok = _dominating(graph, s) and _connected_sub(graph, s)
+            ok = is_dominating(graph, s) and bool(s) and is_connected_subset(graph, s)
         elif kind == "convex":
-            ok = _dominating(graph, s) and _convex(graph, s, dist)
+            ok = is_dominating(graph, s) and _convex(graph, s, dist)
         elif kind == "weakly":
-            ok = _dominating(graph, s) and bool(s) and _weakly_connected(graph, s)
+            ok = is_dominating(graph, s) and bool(s) and _weakly_connected(graph, s)
         elif kind == "super":
-            ok = _super(graph, s)
+            ok = is_super_dominating(graph, s)
         else:
             raise ValueError(f"unknown parameter name {kind!r}")
         if ok and (best is None or len(s) < best):

@@ -92,10 +92,9 @@ class ParameterKind(str, Enum):
     SUPER = "super"
 
 
-PARAM_BY_NAME = {kind.value: kind for kind in ParameterKind}
-
 _KIND_CODE = {
     ParameterKind.DOMINATION: kernels.KIND_DOMINATING,
+    ParameterKind.INDEPENDENCE: kernels.KIND_INDEPENDENT,
     ParameterKind.INDEPENDENT_DOMINATION: kernels.KIND_INDEPENDENT_DOMINATING,
     ParameterKind.CONNECTED: kernels.KIND_CONNECTED_DOMINATING,
     ParameterKind.CONVEX: kernels.KIND_CONVEX_DOMINATING,
@@ -245,6 +244,13 @@ def _forced_in(graph: Graph, kind: ParameterKind) -> int:
     return graph.cut_vertices() if kind in _CUT_VERTICES_FORCED else 0
 
 
+def _scan_args(graph: Graph, kind: ParameterKind) -> tuple:
+    """The kernel arguments every subset scan of ``kind`` starts with: kind
+    code, order, open and closed masks, and the convex intervals."""
+    intervals = graph.interval_masks() if kind is ParameterKind.CONVEX else None
+    return _KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), intervals
+
+
 def _solve_tree(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int]]:
     if kind is ParameterKind.INDEPENDENT_DOMINATION:
         return tree_dp.tree_independent_domination(graph)
@@ -275,15 +281,7 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
         witness = RomanAssignment(_mask_to_set(b1_mask), _mask_to_set(b2_mask))
         return SolveResult(kind, weight, witness)
 
-    intervals = graph.interval_masks() if kind is ParameterKind.CONVEX else None
-    found = kernels.scan_min(
-        _KIND_CODE[kind],
-        graph.n,
-        graph.open_masks(),
-        graph.closed_masks(),
-        intervals,
-        forced_in=_forced_in(graph, kind),
-    )
+    found = kernels.scan_min(*_scan_args(graph, kind), forced_in=_forced_in(graph, kind))
     if found is None:
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
     size, mask = found
@@ -333,20 +331,8 @@ def enumerate_optimal(
             for mask in b2_masks
         ]
 
-    if kind is ParameterKind.INDEPENDENCE:
-        code = kernels.KIND_INDEPENDENT
-    else:
-        code = _KIND_CODE[kind]
-    intervals = graph.interval_masks() if kind is ParameterKind.CONVEX else None
     masks, hit_cap = kernels.enumerate_size(
-        code,
-        graph.n,
-        graph.open_masks(),
-        graph.closed_masks(),
-        intervals,
-        target,
-        ENUMERATION_CAP,
-        forced_in=_forced_in(graph, kind),
+        *_scan_args(graph, kind), target, ENUMERATION_CAP, forced_in=_forced_in(graph, kind)
     )
     if hit_cap:
         raise EnumerationCapError(

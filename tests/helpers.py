@@ -45,22 +45,6 @@ def min_plus_distances(graph: Graph) -> list[list[int]]:
     return [[d if d < big else -1 for d in row] for row in dist]
 
 
-def prufer_tree(seq: tuple[int, ...]) -> Graph:
-    """The labelled tree on ``len(seq) + 2`` vertices with Pruefer sequence ``seq``."""
-    n = len(seq) + 2
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = degree.index(1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    edges.append(tuple(u for u in range(n) if degree[u] == 1))
-    return Graph(n, edges)
-
-
 def tree_shape(tree: Graph) -> str:
     """Isomorphism-invariant code of a tree: the AHU encoding from its centre."""
     degree = [tree.degree(v) for v in range(tree.n)]

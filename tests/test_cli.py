@@ -95,6 +95,11 @@ class TestGen:
     def test_invalid_size(self, capsys):
         assert main(["gen", "--family", "cycle", "--n", "2"]) == 2
 
+    def test_random_connected_gives_up_exits_two(self, capsys):
+        argv = ["gen", "--family", "random-connected", "--n", "12", "--p", "0.01", "--seed", "1"]
+        assert main(argv) == 2
+        assert "1000 attempts" in capsys.readouterr().err
+
 
 class TestProduct:
     def test_product_files(self, tmp_path, p4_file):
@@ -194,6 +199,10 @@ class TestCampaign:
         assert main(["--quiet", "campaign", "--config", str(cfg_path), "--out", str(out_a)]) == 0
         assert main(["--quiet", "campaign", "--config", str(cfg_path), "--out", str(out_b)]) == 0
         assert _strip_meta(out_a) == _strip_meta(out_b)
+
+    def test_jobs_below_one_exits_two(self, capsys):
+        assert main(["--quiet", "campaign", "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
 
     def test_bad_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rootdom.families import (
@@ -5,6 +7,7 @@ from rootdom.families import (
     FamilySpec,
     child_seed,
     generate,
+    prufer_tree,
     random_connected_graph,
     random_tree,
     star_graph,
@@ -22,6 +25,19 @@ def test_same_seed_same_edges():
     c = generate(FamilySpec(Family.RANDOM_CONNECTED, n=8, p=0.4, seed=7))
     d = generate(FamilySpec(Family.RANDOM_CONNECTED, n=8, p=0.4, seed=7))
     assert c.edges() == d.edges()
+
+
+def test_prufer_decoding_is_a_bijection():
+    # Cayley: the n^(n-2) sequences decode to as many distinct labelled trees.
+    counts = []
+    for n in range(2, 8):
+        trees = set()
+        for seq in itertools.product(range(n), repeat=n - 2):
+            tree = prufer_tree(seq)
+            assert is_tree(tree) and tree.n == n, seq
+            trees.add(tuple(tree.edges()))
+        counts.append(len(trees))
+    assert counts == [1, 3, 16, 125, 1296, 16807]
 
 
 def test_different_seeds_differ_somewhere():
@@ -61,7 +77,7 @@ def test_random_connected_is_connected():
 
 
 def test_random_connected_gives_up():
-    with pytest.raises(RuntimeError, match="1000 attempts"):
+    with pytest.raises(ValueError, match="1000 attempts"):
         random_connected_graph(6, 1e-9, seed=1)
 
 

@@ -289,6 +289,22 @@ class TestCampaign:
         cfg = CampaignConfig(theorems=[T.D2, T.I5], trials=5, seed=3)
         assert run_campaign(cfg, jobs=2) == run_campaign(cfg, jobs=1)
 
+    def test_jobs_capped_at_theorem_count(self, monkeypatch):
+        # The stub records the pool size and raises, so no process starts.
+        import concurrent.futures
+
+        sizes = []
+
+        def stub(max_workers):
+            sizes.append(max_workers)
+            raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", stub)
+        cfg = CampaignConfig(theorems=[T.D2, T.I5], trials=1, seed=3)
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_campaign(cfg, jobs=5000)
+        assert sizes == [2]
+
     def test_failures_carry_witnesses(self):
         cfg = CampaignConfig(theorems=[T.S1], trials=40, seed=42)
         report = run_campaign(cfg)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labelled_graphs, prufer_tree, random_gnp, tree_shape
+from helpers import labelled_graphs, random_gnp, tree_shape
 from rootdom import _pykernels, naive, solvers
 from rootdom.families import (
     complete_graph,
     cycle_graph,
     empty_graph,
     path_graph,
+    prufer_tree,
     random_tree,
     star_graph,
     subdivided_star_graph,
@@ -308,7 +309,7 @@ class TestValue:
 
 class TestSuperWitnessIdentity:
     """The pruned super scan against brute force over every subset, in
-    cardinality-then-lexicographic order, with the naive predicate."""
+    cardinality-then-lexicographic order, with the witness predicate."""
 
     @staticmethod
     def _graphs():
@@ -327,7 +328,7 @@ class TestSuperWitnessIdentity:
                 optima = [
                     frozenset(sub)
                     for sub in itertools.combinations(range(g.n), k)
-                    if naive._super(g, set(sub))
+                    if is_super_dominating(g, sub)
                 ]
                 if optima:
                     break
@@ -342,7 +343,8 @@ class TestSuperWitnessIdentity:
 class TestConnectedFamilyWitnessIdentity:
     """The connected, convex and weakly scans, with their forced cut vertices,
     degree-sum start sizes and convex-hull cut, against brute force over every
-    subset in cardinality-then-lexicographic order, with the naive predicates."""
+    subset in cardinality-then-lexicographic order, with the witness predicates
+    and the referee's convex and weakly checks."""
 
     KINDS = (PK.CONNECTED, PK.CONVEX, PK.WEAKLY_CONNECTED)
 
@@ -360,11 +362,11 @@ class TestConnectedFamilyWitnessIdentity:
     @staticmethod
     def _predicate(g, kind):
         if kind is PK.CONNECTED:
-            return lambda s: naive._dominating(g, s) and naive._connected_sub(g, s)
+            return lambda s: is_dominating(g, s) and is_connected_subset(g, s)
         if kind is PK.CONVEX:
             dist = naive._floyd_warshall(g)
-            return lambda s: naive._dominating(g, s) and naive._convex(g, s, dist)
-        return lambda s: bool(s) and naive._dominating(g, s) and naive._weakly_connected(g, s)
+            return lambda s: is_dominating(g, s) and naive._convex(g, s, dist)
+        return lambda s: is_dominating(g, s) and naive._weakly_connected(g, s)
 
     def test_witness_and_enumeration(self):
         connected = 0
