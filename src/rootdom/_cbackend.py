@@ -17,7 +17,6 @@ from ._kernelspec import (
     KIND_INDEPENDENT,
     MAX_ORDER,
     check_forced_in,
-    sort_roman,
 )
 
 
@@ -108,9 +107,7 @@ def load(path: str):
     def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
         cm, out = masks(closed_m, n, n), MaskList()
         status = c_roman_enumerate(n, cm.buffer_info()[0], target_weight, cap, ctypes.byref(out))
-        found, hit_cap = take(status, out)
-        sort_roman(found, n)
-        return found, hit_cap
+        return take(status, out)
 
     return SimpleNamespace(
         BACKEND="c",

@@ -81,10 +81,9 @@ typedef struct {
     int64_t capacity, cap;
     int out_of_memory;
     u64 found;
-    /* Roman scans: the weight bound, and the 2-label count and reversed mask
-     * of the best 2-set so far (its mask is `found`). */
+    /* Roman scans: the weight bound, and the 2-label count of the best
+     * 2-set so far (its mask is `found`). */
     int64_t bound, twos;
-    u64 rev;
 } scan;
 
 static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *closed_m,
@@ -110,7 +109,6 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->out_of_memory = 0;
     s->found = NOT_FOUND;
     s->bound = s->twos = 0;
-    s->rev = 0;
     if (out) {
         out->masks = NULL;
         out->count = 0;
@@ -329,34 +327,24 @@ int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
     return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in));
 }
 
-static u64 rev_mask(u64 mask, int n)
-{
-    u64 rev = 0;
-    for (int v = 0; v < n; v++)
-        if (mask & BIT(v))
-            rev |= BIT(n - 1 - v);
-    return rev;
-}
-
 /* A complete 2-set: listed when its weight meets the bound, else kept when it
- * beats the best so far (lower weight, fewer 2-labels, lex-smaller 2-set). */
+ * is no worse than the best so far (weight, then 2-labels).  A tie goes to the
+ * later 2-set, the lex-smaller one, as rec_roman meets 2-sets of one size in
+ * reverse lexicographic order. */
 static int roman_leaf(scan *s, int64_t weight, int64_t twos, u64 mask)
 {
     if (s->out)
         return weight != s->bound || visit(s, mask);
-    if (weight < s->bound
-        || (weight == s->bound
-            && (twos < s->twos || (twos == s->twos && rev_mask(mask, s->n) > s->rev)))) {
+    if (weight < s->bound || (weight == s->bound && twos <= s->twos)) {
         s->bound = weight;
         s->twos = twos;
-        s->rev = rev_mask(mask, s->n);
         s->found = mask;
     }
     return 1;
 }
 
 /* Decides vertex v out of, then into, the 2-set, pruning by the weight
- * bound; returns 0 once the scan stopped. */
+ * bound; returns 0 once the scan stopped.  Vertex 0 is decided first. */
 static int rec_roman(scan *s, int v, int64_t twos, u64 cover, u64 mask)
 {
     if (2 * twos + POPCOUNT(s->full & ~(cover | s->suffix[v])) > s->bound)
@@ -383,7 +371,8 @@ int64_t roman_min(int n, const u64 *closed_m, u64 *b2)
     return s.bound;
 }
 
-/* All B2 masks whose forced completion has the target weight, unsorted. */
+/* All B2 masks whose forced completion has the target weight, in scan order;
+ * rootdom.solvers sorts them. */
 int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, mask_list *out)
 {
     scan s;

@@ -1,5 +1,5 @@
-"""What both kernel backends share: the kind codes, the largest order, the
-check of a forced-in mask, and the output order of ``roman_enumerate``.
+"""What both kernel backends share: the kind codes, the largest order and
+the check of a forced-in mask.
 
 A module of its own, so that the C backend loads without compiling the
 pure-Python kernels.
@@ -25,17 +25,3 @@ def check_forced_in(n: int, forced_in: int) -> None:
     if not 0 <= forced_in < 1 << n:
         raise ValueError(f"forced_in {forced_in:#x} is not a set of vertices of a graph of order {n}")
 
-
-def rev_mask(mask: int, n: int) -> int:
-    """``mask`` with bit v moved to bit n - 1 - v: of two vertex sets of one
-    size, the lexicographically smaller has the larger reversed mask."""
-    rev = 0
-    for v in range(n):
-        if mask & (1 << v):
-            rev |= 1 << (n - 1 - v)
-    return rev
-
-
-def sort_roman(b2_masks: list[int], n: int) -> None:
-    """Order 2-sets by size, then lexicographically."""
-    b2_masks.sort(key=lambda m: (m.bit_count(), -rev_mask(m, n)))

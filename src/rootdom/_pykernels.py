@@ -53,8 +53,6 @@ from ._kernelspec import (
     KIND_SUPER_DOMINATING,
     KIND_WEAKLY_CONNECTED_DOMINATING,
     check_forced_in,
-    rev_mask,
-    sort_roman,
 )
 
 BACKEND = "python"
@@ -285,7 +283,8 @@ def _roman_scan(n: int, closed_m, bound: list[int], leaf) -> bool:
     """Decides each vertex out of, then into, the 2-set B2, skipping every
     branch whose weight must exceed ``bound[0]``.  Calls ``leaf(weight,
     twos, b2_mask)`` on each complete B2 until it returns False; returns
-    whether the scan ran to the end."""
+    whether the scan ran to the end.  Vertex 0 is decided first, so 2-sets
+    of one size arrive in reverse lexicographic order."""
     full = (1 << n) - 1
     suffix = _suffix_cover(n, closed_m)
 
@@ -308,15 +307,15 @@ def roman_min(n: int, closed_m):
     outside N[B2] with 1, giving weight ``2|B2| + n - |N[B2]|``; every
     minimum-weight assignment has this forced form, since a 1-label inside
     N[B2] could be lowered to 0.  Returns ``(weight, b2_mask)`` with ties
-    broken by fewest 2-labels, then lexicographically smallest B2.
+    broken by fewest 2-labels, then lexicographically smallest B2: a tie
+    goes to the last candidate, which the scan order makes the smallest.
     """
     bound = [3 * n + 1]
-    best = [(3 * n + 1, 0, 0), 0]
+    best = [(3 * n + 1, 0), 0]
 
     def keep(weight: int, twos: int, mask: int) -> bool:
-        key = (weight, twos, -rev_mask(mask, n))
-        if key < best[0]:
-            best[:] = key, mask
+        if (weight, twos) <= best[0]:
+            best[:] = (weight, twos), mask
             bound[0] = weight
         return True
 
@@ -325,7 +324,8 @@ def roman_min(n: int, closed_m):
 
 
 def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
-    """All B2 masks whose forced completion has the target weight."""
+    """All B2 masks whose forced completion has the target weight, in scan
+    order: ``(masks, hit_cap)``.  ``solvers.enumerate_optimal`` sorts them."""
     out: list[int] = []
 
     def collect(weight: int, twos: int, mask: int) -> bool:
@@ -334,6 +334,4 @@ def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
         return len(out) <= cap
 
     completed = _roman_scan(n, closed_m, [target_weight], collect)
-    sort_roman(out, n)
     return out, not completed
-

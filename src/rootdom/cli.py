@@ -173,7 +173,8 @@ def _cmd_verify(args) -> int:
     if args.witness:
         payload = json.loads(Path(args.witness).read_text(encoding="utf-8"))
         verdict = check_witness(payload)
-        print(f"{verdict.theorem.value}: {verdict.outcome.value}")
+        if not args.quiet:
+            print(f"{verdict.theorem.value}: {verdict.outcome.value}")
         _dump_json({"meta": _meta(), "verdict": verdict.to_json()}, args.out)
         return 0 if verdict.outcome is Outcome.FAIL else 1
     if not args.theorem:

@@ -10,11 +10,15 @@ Two entry points:
   a member of its own.  The Roman engine scans 2-label sets only,
   with the 1-labels forced onto the vertices left uncovered -- every
   minimum-weight assignment has that form, since a 1-label next to a 2
-  could be lowered to 0.  Past the scan budget, tree instances fall back to
-  the exact tree DP for independent domination (``i``) and the connected
-  and convex kinds (on trees convex and connected dominating sets coincide
-  because geodesics are unique); its witnesses are deterministic but carry
-  no lexicographic promise.  Every other kind, ``alpha`` included, raises
+  could be lowered to 0.  It meets the 2-sets of one size in reverse
+  lexicographic order, so a tie goes to the last candidate, and
+  ``enumerate_optimal`` sorts the listing it gets in scan order.  Past the
+  scan budget, tree instances fall back to ``tree_dp``: for the connected
+  and convex kinds the non-leaves (on trees convex and connected dominating
+  sets coincide because geodesics are unique), which keep the lexicographic
+  promise, since from order 3 on they are the only optimum; for independent
+  domination (``i``) a DP whose witnesses are deterministic but carry no
+  lexicographic promise.  Every other kind, ``alpha`` included, raises
   ``BudgetExceededError`` there.
 * ``value()`` returns the value alone, by the cheapest exact method: the
   tree DP for ``i``, connected and convex on every tree, at every order,
@@ -326,6 +330,9 @@ def enumerate_optimal(
                 f"more than {ENUMERATION_CAP} optimal Roman assignments",
                 partial_count=len(b2_masks),
             )
+        # The scan lists 2-sets of one size in reverse lexicographic order.
+        b2_masks.reverse()
+        b2_masks.sort(key=int.bit_count)
         return [
             RomanAssignment(_mask_to_set(_forced_ones(graph, mask)), _mask_to_set(mask))
             for mask in b2_masks

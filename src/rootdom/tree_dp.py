@@ -1,16 +1,19 @@
-"""Exact dynamic programming on trees, at any order.
+"""Exact minimum independent and connected dominating sets of trees, at
+any order.
 
-Covers minimum independent dominating sets and minimum connected dominating
-sets.  On trees geodesics are unique, so a set is convex exactly when it
-induces a connected subgraph; the connected-domination routine therefore
-doubles as the convex-domination solver on trees.
+Independent domination is a dynamic program.  Connected domination needs
+none: the non-leaves are the optimum.  On trees geodesics are unique, so a
+set is convex exactly when it induces a connected subgraph, and the
+connected routine doubles as the convex-domination solver on trees.
 
 ``solvers.value()`` (and through it the theorem harness) uses these
 routines on every tree, at every order; ``solvers.solve()`` uses them only
-past the subset-scan budget, because their witnesses are reconstructed by
-deterministic backtracking (fixed traversal and tie preferences) -- repeated
-runs agree bit for bit, but unlike the scan engine they are not guaranteed
-to be the lexicographically smallest optimum.
+past the subset-scan budget.  There the connected witness is the
+lexicographically smallest optimum, as the scan's is: from order 3 on it is
+the only one, and below that it is ``{0}``.  The independent witness is
+rebuilt by deterministic backtracking (fixed traversal and tie
+preferences): repeated runs agree bit for bit, but it carries no
+lexicographic promise.
 """
 
 from __future__ import annotations
@@ -92,37 +95,16 @@ def tree_independent_domination(graph: Graph) -> tuple[int, frozenset[int]]:
 def tree_connected_domination(graph: Graph) -> tuple[int, frozenset[int]]:
     """Minimum connected dominating set of a tree: ``(size, witness)``.
 
-    Rooted at a leaf; a selected vertex needs every child with grandchildren
-    selected too, while childless children may be left out (the parent
-    dominates them).  The topmost selected vertex is either the leaf root or
-    its unique child.
+    From order 3 on, the non-leaves are the one optimum.  Each of them is a
+    cut vertex, and a connected dominating set holds every cut vertex (one
+    without cut vertex v lies inside one component of T - v and leaves the
+    others undominated).  The non-leaves also dominate every leaf and induce
+    a subtree, so nothing more is needed.  The same set is the one minimum
+    convex dominating set, since on a tree convex means connected.
     """
     if not is_tree(graph):
         raise ValueError("tree DP called on a non-tree")
-    n = graph.n
-    if n == 1:
+    if graph.n <= 2:
         return 1, frozenset({0})
-    if n == 2:
-        return 1, frozenset({0})
-    root = min(v for v in range(n) if graph.degree(v) == 1)
-    order, children = _rooted_orientation(graph, root)
-
-    dp_in = [0] * n
-    for v in reversed(order):
-        total = 1
-        for c in children[v]:
-            if children[c]:
-                total += dp_in[c]
-        dp_in[v] = total
-
-    child0 = children[root][0]
-    top = child0 if dp_in[child0] <= dp_in[root] else root
-    selected: set[int] = set()
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        selected.add(v)
-        for c in children[v]:
-            if children[c]:
-                stack.append(c)
-    return dp_in[top], frozenset(selected)
+    inner = frozenset(v for v in range(graph.n) if graph.degree(v) > 1)
+    return len(inner), inner

@@ -16,7 +16,8 @@ def p4_file(tmp_path):
 
 
 def _strip_meta(path):
-    data = json.loads(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as f:
+        data = json.load(f)
     data.pop("meta", None)
     return data
 
@@ -144,6 +145,16 @@ class TestVerify:
         witness_files = sorted(tmp_path.glob("s1-witness-*.json"))
         assert witness_files
         assert main(["verify", "--witness", str(witness_files[0])]) == 0
+
+    def test_quiet_witness_check_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s1.json"
+        main(["--quiet", "verify", "--theorem", "S1", "--trials", "40", "--seed", "42", "--out", str(out)])
+        witness = sorted(tmp_path.glob("s1-witness-*.json"))[0]
+        capsys.readouterr()
+        verdict = tmp_path / "v.json"
+        assert main(["--quiet", "verify", "--witness", str(witness), "--out", str(verdict)]) == 0
+        assert capsys.readouterr().out == ""
+        assert _strip_meta(verdict)["verdict"]["outcome"] == "FAIL"
 
     def test_unreproduced_witness_fails(self, tmp_path):
         # A witness claiming a passing instance fails reproduction.

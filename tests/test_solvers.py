@@ -148,6 +148,23 @@ class TestEnumeration:
             enumerate_optimal(complete_graph(5), PK.DOMINATION)
         assert info.value.partial_count == 3
 
+    def test_roman_listing_and_witness_by_brute_force(self):
+        # Every B2 whose forced completion is optimal, by size then
+        # lexicographically; the witness of solve() is the first of them.
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                fns = enumerate_optimal(g, PK.ROMAN)
+                weight = {}
+                for k in range(n + 1):
+                    for b2 in itertools.combinations(range(n), k):
+                        covered = set().union(*(g.closed_neighborhood(v) for v in b2))
+                        weight[b2] = 2 * k + n - len(covered)
+                best = min(weight.values())
+                expected = sorted((list(b2) for b2, w in weight.items() if w == best),
+                                  key=lambda b2: (len(b2), b2))
+                assert [sorted(f.b2) for f in fns] == expected, g.edges()
+                assert solve(g, PK.ROMAN).witness == fns[0]
+
     def test_forced_ones_structure(self):
         for seed in range(10):
             g = random_gnp(7, 0.4, seed=seed)
@@ -242,7 +259,10 @@ class TestValue:
     KINDS = (PK.INDEPENDENT_DOMINATION, PK.CONNECTED, PK.CONVEX)
 
     def test_every_labelled_tree_up_to_order_7(self):
+        from rootdom.tree_dp import tree_connected_domination
+
         # The referee's value is an isomorphism invariant: run it once per shape.
+        # For connected and convex the tree routine also gives solve()'s witness.
         referee = {}
         for n in range(2, 8):
             for seq in itertools.product(range(n), repeat=n - 2):
@@ -251,8 +271,10 @@ class TestValue:
                 for kind in self.KINDS:
                     if (shape, kind) not in referee:
                         referee[shape, kind] = naive_value(t, kind.value)
-                    assert value(t, kind) == solve(t, kind).value == referee[shape, kind], (
-                        seq, kind)
+                    found = solve(t, kind)
+                    assert value(t, kind) == found.value == referee[shape, kind], (seq, kind)
+                    if kind is not PK.INDEPENDENT_DOMINATION:
+                        assert tree_connected_domination(t) == (found.value, found.witness), (seq, kind)
         assert len(referee) == 3 * (1 + 1 + 2 + 3 + 6 + 11)
 
     def test_random_trees_of_order_8_to_12(self):
