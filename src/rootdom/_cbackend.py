@@ -3,6 +3,12 @@
 ``rootdom.kernels`` imports this module only when the library exists, so a
 pure-Python install never loads ctypes.  Every buffer handed to C is
 checked for size in Python first, since C reads it without bounds.
+
+Each buffer role (open masks, closed masks, interval masks) keeps the last
+mask tuple it converted and its ``array``, and reuses the array when the
+next call passes the same tuple object.  ``Graph`` hands out one cached
+tuple per table and tuples cannot change, so a repeated scan of one graph
+skips the conversion.  Other sequences are converted on every call.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from ._kernelspec import (
     KIND_DOMINATING,
     KIND_INDEPENDENT,
     MAX_ORDER,
-    check_forced_in,
+    check_mask,
 )
 
 
@@ -37,9 +43,9 @@ def load(path: str):
         ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, u64)),
         ("scan_max_independent", u64, (ctypes.c_int, ptr)),
         ("enumerate_size", ctypes.c_int,
-         (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int, i64, u64, ptr)),
+         (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int, i64, u64, u64, ptr)),
         ("roman_min", i64, (ctypes.c_int, ptr, ptr)),
-        ("roman_enumerate", ctypes.c_int, (ctypes.c_int, ptr, i64, i64, ptr)),
+        ("roman_enumerate", ctypes.c_int, (ctypes.c_int, ptr, i64, i64, u64, u64, ptr)),
         ("free_masks", None, (ptr,)),
     ):
         try:
@@ -53,22 +59,45 @@ def load(path: str):
     c_scan_min, c_scan_max = lib.scan_min, lib.scan_max_independent
     c_enumerate, c_roman_min, c_roman_enumerate = lib.enumerate_size, lib.roman_min, lib.roman_enumerate
 
-    def masks(seq, n: int, size: int):
-        # The C side reads ``size`` words, so a short sequence must not reach it.
-        if not 0 <= n <= MAX_ORDER:
-            raise ValueError(f"the C kernels take orders 0..{MAX_ORDER}, got {n}")
-        buf = array("Q", seq)
-        if len(buf) < size:
-            raise ValueError(f"expected {size} masks, got {len(buf)}")
-        return buf
+    def converter():
+        """Converts one buffer role's masks, reusing the last array when the
+        same tuple comes again."""
+        last = (None, None)  # one pair, read in one step, so threads see it whole
 
-    def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int):
+        def masks(seq, n: int, size: int):
+            nonlocal last
+            # The C side reads ``size`` words, so a short sequence must not reach it.
+            if not 0 <= n <= MAX_ORDER:
+                raise ValueError(f"the C kernels take orders 0..{MAX_ORDER}, got {n}")
+            held, buf = last
+            if seq is not held:
+                buf = array("Q", seq)
+                if type(seq) is tuple:
+                    last = seq, buf
+            if len(buf) < size:
+                raise ValueError(f"expected {size} masks, got {len(buf)}")
+            return buf
+
+        return masks
+
+    open_masks, closed_masks, interval_masks = converter(), converter(), converter()
+
+    def check_forced(n: int, forced_in: int, forced_out: int) -> None:
+        # ctypes would wrap a mask outside the vertices to 64 bits silently.
+        check_mask(n, forced_in, "forced_in")
+        check_mask(n, forced_out, "forced_out")
+
+    def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int, forced_out: int = 0):
         if not KIND_DOMINATING <= kind <= KIND_INDEPENDENT:
             raise ValueError(f"unknown kind code {kind}")
-        check_forced_in(n, forced_in)  # ctypes would wrap it to 64 bits silently
+        check_forced(n, forced_in, forced_out)
         # Only the convex kind reads interval masks, and it needs all n * n.
         size = n * n if kind == KIND_CONVEX_DOMINATING else 0
-        return masks(open_m, n, n), masks(closed_m, n, n), masks((intervals or ()) if size else (), n, size)
+        return (
+            open_masks(open_m, n, n),
+            closed_masks(closed_m, n, n),
+            interval_masks((intervals or ()) if size else (), n, size),
+        )
 
     def take(status: int, out) -> tuple[list[int], bool]:
         if status:
@@ -86,27 +115,32 @@ def load(path: str):
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
-        om = masks(open_m, n, n)
+        om = open_masks(open_m, n, n)
         found = c_scan_max(n, om.buffer_info()[0])
         return found.bit_count(), found
 
-    def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0):
-        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in)
+    def enumerate_size(
+        kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
+    ):
+        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in, forced_out)
         out = MaskList()
         status = c_enumerate(
-            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], k, cap, forced_in,
+            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], k, cap, forced_in, forced_out,
             ctypes.byref(out),
         )
         return take(status, out)
 
     def roman_min(n: int, closed_m):
-        cm, b2 = masks(closed_m, n, n), u64()
+        cm, b2 = closed_masks(closed_m, n, n), u64()
         weight = c_roman_min(n, cm.buffer_info()[0], ctypes.byref(b2))
         return weight, b2.value
 
-    def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
-        cm, out = masks(closed_m, n, n), MaskList()
-        status = c_roman_enumerate(n, cm.buffer_info()[0], target_weight, cap, ctypes.byref(out))
+    def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
+        cm, out = closed_masks(closed_m, n, n), MaskList()
+        check_forced(n, forced_in, forced_out)
+        status = c_roman_enumerate(
+            n, cm.buffer_info()[0], target_weight, cap, forced_in, forced_out, ctypes.byref(out)
+        )
         return take(status, out)
 
     return SimpleNamespace(

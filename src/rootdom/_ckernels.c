@@ -37,6 +37,26 @@
  * Every cut drops only sets that fail the leaf test, so feasible sets are
  * visited in the same lexicographic order, and witnesses and listings are
  * unchanged.
+ *
+ * enumerate_size also takes a forced_out mask and visits only the feasible
+ * sets that miss it; root classification asks it for one such set (cap 0).
+ * A forced-out vertex is never picked: the coverage test reads must[v], what
+ * must be covered once v is picked, and a forced-out v has the bit n there,
+ * which no cover holds, so a scan without forced-out vertices runs no extra
+ * test per candidate.  The closed neighbourhoods of forced-out vertices also
+ * leave the suffix cover, which makes the coverage cut stronger.  The cut
+ * stays sound: a completion of the picked set adds only vertices above the
+ * last pick that are not forced out, so it dominates no vertex outside the
+ * picked set's closed neighbourhoods and that suffix cover, and a pick that
+ * leaves such a vertex is skipped.  Overlapping forced_in and forced_out
+ * masks list nothing.
+ *
+ * roman_enumerate takes 2-set masks the same way.  Forced-in vertices start
+ * in B2 and forced-out vertices stay out; rec_roman runs over the list of
+ * the other vertices, so roman_min, which forces nothing, pays no new test
+ * per node.  Its suffix cover holds those vertices only, and the weight
+ * bound stays a lower bound: a vertex outside the cover so far and outside
+ * every closed neighbourhood still open to B2 takes the label 1.
  */
 
 #include <stdint.h>
@@ -73,10 +93,17 @@ typedef struct {
  */
 typedef struct {
     int kind, n, k;
-    int independent, covering, convex, super_dominating;
+    int independent, convex, super_dominating;
     u64 full;
     const u64 *open_m, *closed_m, *intervals;
-    u64 suffix[64]; /* suffix[v]: union of the closed neighbourhoods of v..n-1 */
+    /* The vertices of `fixed` (init_scan) are never picked.  suffix[v]: the
+     * union of the closed neighbourhoods of the other vertices in v..n-1.
+     * must[v]: what must be covered once v is picked -- every vertex for a
+     * dominating kind, none for KIND_INDEPENDENT, and for a fixed v the bit
+     * n, which no cover holds, so the coverage test turns v away. */
+    u64 suffix[64], must[64];
+    /* Roman scans: the vertices rec_roman decides, in increasing order, then n. */
+    int decide[64], ndecide;
     mask_list *out;
     int64_t capacity, cap;
     int out_of_memory;
@@ -87,13 +114,12 @@ typedef struct {
 } scan;
 
 static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *closed_m,
-                      const u64 *intervals, mask_list *out, int64_t cap)
+                      const u64 *intervals, u64 fixed, mask_list *out, int64_t cap)
 {
     s->kind = kind;
     s->n = n;
     s->k = 0;
     s->independent = kind == KIND_INDEPENDENT_DOMINATING || kind == KIND_INDEPENDENT;
-    s->covering = kind != KIND_INDEPENDENT;
     s->convex = kind == KIND_CONVEX_DOMINATING;
     s->super_dominating = kind == KIND_SUPER_DOMINATING;
     s->full = BIT(n) - 1;
@@ -101,8 +127,16 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->closed_m = closed_m;
     s->intervals = intervals;
     s->suffix[n] = 0;
-    for (int v = n - 1; v >= 0; v--)
-        s->suffix[v] = s->suffix[v + 1] | closed_m[v];
+    for (int v = n - 1; v >= 0; v--) {
+        int is_fixed = (fixed >> v) & 1;
+        s->suffix[v] = s->suffix[v + 1] | (is_fixed ? 0 : closed_m[v]);
+        s->must[v] = is_fixed ? BIT(n) : kind == KIND_INDEPENDENT ? 0 : s->full;
+    }
+    s->ndecide = 0;
+    for (int v = 0; v < n; v++)
+        if (!((fixed >> v) & 1))
+            s->decide[s->ndecide++] = v;
+    s->decide[s->ndecide] = n;
     s->out = out;
     s->capacity = 0;
     s->cap = cap;
@@ -243,7 +277,7 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
         if (s->independent && (s->open_m[v] & sub))
             continue;
         u64 new_cover = cover | s->closed_m[v];
-        if (s->covering && (s->full & ~(new_cover | s->suffix[v + 1])))
+        if (s->must[v] & ~(new_cover | s->suffix[v + 1]))
             continue;
         u64 new_need = need;
         if (s->convex) {
@@ -295,7 +329,7 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 
              u64 forced_in)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, intervals, NULL, 0);
+    init_scan(&s, kind, n, open_m, closed_m, intervals, 0, NULL, 0);
     for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in); s.k++)
         ;
     return s.found;
@@ -306,18 +340,22 @@ u64 scan_max_independent(int n, const u64 *open_m)
 {
     static const u64 no_cover[64];
     scan s;
-    init_scan(&s, KIND_INDEPENDENT, n, open_m, no_cover, NULL, NULL, 0);
+    init_scan(&s, KIND_INDEPENDENT, n, open_m, no_cover, NULL, 0, NULL, 0);
     for (s.k = n; s.k > 0 && rec_scan(&s, 0, 0, 0, 0, 0); s.k--)
         ;
     return s.k ? s.found : 0;
 }
 
-/* All feasible subsets of size k that hold forced_in, in lex order. */
+/* All feasible subsets of size k that hold forced_in and miss forced_out, in
+ * lex order; with cap 0 it stops at the first. */
 int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
-                   const u64 *intervals, int k, int64_t cap, u64 forced_in, mask_list *out)
+                   const u64 *intervals, int k, int64_t cap, u64 forced_in, u64 forced_out,
+                   mask_list *out)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, intervals, out, cap);
+    init_scan(&s, kind, n, open_m, closed_m, intervals, forced_out, out, cap);
+    if (forced_in & forced_out)
+        return finish(&s, 1);
     if (k <= 0) { /* the empty set is listed whatever the cap */
         if (k == 0 && !forced_in && leaf_ok(&s, 0, 0))
             visit(&s, 0);
@@ -343,16 +381,18 @@ static int roman_leaf(scan *s, int64_t weight, int64_t twos, u64 mask)
     return 1;
 }
 
-/* Decides vertex v out of, then into, the 2-set, pruning by the weight
- * bound; returns 0 once the scan stopped.  Vertex 0 is decided first. */
-static int rec_roman(scan *s, int v, int64_t twos, u64 cover, u64 mask)
+/* Decides vertex v = s->decide[i] out of, then into, the 2-set, pruning by
+ * the weight bound; returns 0 once the scan stopped.  The lowest vertex is
+ * decided first. */
+static int rec_roman(scan *s, int i, int64_t twos, u64 cover, u64 mask)
 {
+    int v = s->decide[i];
     if (2 * twos + POPCOUNT(s->full & ~(cover | s->suffix[v])) > s->bound)
         return 1;
-    if (v == s->n)
+    if (i == s->ndecide)
         return roman_leaf(s, 2 * twos + POPCOUNT(s->full & ~cover), twos, mask);
-    return rec_roman(s, v + 1, twos, cover, mask)
-        && rec_roman(s, v + 1, twos + 1, cover | s->closed_m[v], mask | BIT(v));
+    return rec_roman(s, i + 1, twos, cover, mask)
+        && rec_roman(s, i + 1, twos + 1, cover | s->closed_m[v], mask | BIT(v));
 }
 
 /*
@@ -363,7 +403,7 @@ static int rec_roman(scan *s, int v, int64_t twos, u64 cover, u64 mask)
 int64_t roman_min(int n, const u64 *closed_m, u64 *b2)
 {
     scan s;
-    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, NULL, 0);
+    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, 0, NULL, 0);
     s.bound = 3 * (int64_t)n + 1;
     s.found = 0;
     rec_roman(&s, 0, 0, 0, 0);
@@ -371,14 +411,21 @@ int64_t roman_min(int n, const u64 *closed_m, u64 *b2)
     return s.bound;
 }
 
-/* All B2 masks whose forced completion has the target weight, in scan order;
- * rootdom.solvers sorts them. */
-int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, mask_list *out)
+/* All B2 masks that hold forced_in, miss forced_out and whose forced
+ * completion has the target weight, in scan order; rootdom.solvers sorts
+ * them.  The forced vertices are decided before the scan starts. */
+int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, u64 forced_in,
+                    u64 forced_out, mask_list *out)
 {
     scan s;
-    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, out, cap);
+    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, forced_in | forced_out, out, cap);
     s.bound = target;
-    return finish(&s, rec_roman(&s, 0, 0, 0, 0));
+    if (forced_in & forced_out)
+        return finish(&s, 1);
+    u64 cover = 0;
+    for (u64 rest = forced_in; rest; rest &= rest - 1)
+        cover |= closed_m[VERTEX(rest)];
+    return finish(&s, rec_roman(&s, 0, POPCOUNT(forced_in), cover, forced_in));
 }
 
 void free_masks(u64 *masks)

@@ -1,5 +1,5 @@
 """What both kernel backends share: the kind codes, the largest order and
-the check of a forced-in mask.
+the check of a forced-in or forced-out mask.
 
 A module of its own, so that the C backend loads without compiling the
 pure-Python kernels.
@@ -20,8 +20,8 @@ KIND_INDEPENDENT = 6
 MAX_ORDER = 62
 
 
-def check_forced_in(n: int, forced_in: int) -> None:
-    """A forced-in mask must be a set of vertices 0..n-1."""
-    if not 0 <= forced_in < 1 << n:
-        raise ValueError(f"forced_in {forced_in:#x} is not a set of vertices of a graph of order {n}")
+def check_mask(n: int, mask: int, name: str) -> None:
+    """A forced mask, named ``name`` in the error, must be a set of vertices 0..n-1."""
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"{name} {mask:#x} is not a set of vertices of a graph of order {n}")
 

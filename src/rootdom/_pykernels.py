@@ -35,6 +35,27 @@ Every cut drops only subsets that fail the leaf test, so the feasible
 subsets are visited in the same order as without them, and values,
 witnesses and enumerations are unchanged.
 
+``enumerate_size`` also takes a ``forced_out`` mask and visits only the
+feasible sets that miss it; root classification asks it for one such set
+(``cap == 0``).  A forced-out vertex is never picked: the coverage test
+reads a per-vertex table ``must`` (what must be covered once the vertex is
+picked), and a forced-out vertex's entry is the bit n, which no cover
+holds.  So a scan without forced-out vertices runs no extra test per
+candidate.  The closed neighbourhoods of forced-out vertices also leave the
+suffix cover, which makes the coverage cut stronger.  The cut stays sound:
+a completion of the picked set adds only vertices above the last pick that
+are not forced out, so it dominates no vertex outside the picked set's
+closed neighbourhoods and that suffix cover, and a pick that leaves such a
+vertex is skipped.  Overlapping ``forced_in`` and ``forced_out`` masks list
+nothing.
+
+``roman_enumerate`` takes 2-set masks the same way.  Forced-in vertices
+start in B2 and forced-out vertices stay out; the recursion runs over the
+list of the other vertices, so ``roman_min``, which forces nothing, pays no
+new test per node.  Its suffix cover holds those vertices only, and the
+weight bound stays a lower bound: a vertex outside the cover so far and
+outside every closed neighbourhood still open to B2 takes the label 1.
+
 The C kernels in ``_ckernels.c`` have identical semantics, and
 ``tests/test_backends.py`` holds them to it with this module as the referee.
 To compare their speed, run ``perfbench/run.py`` in a checkout with the
@@ -52,7 +73,7 @@ from ._kernelspec import (
     KIND_INDEPENDENT_DOMINATING,
     KIND_SUPER_DOMINATING,
     KIND_WEAKLY_CONNECTED_DOMINATING,
-    check_forced_in,
+    check_mask,
 )
 
 BACKEND = "python"
@@ -157,21 +178,37 @@ def _leaf_ok(kind: int, sub: int, cover: int, full: int, n: int, open_m, interva
     raise ValueError(f"unknown kind code {kind}")
 
 
-def _suffix_cover(n: int, closed_m) -> list[int]:
+def _scan_frame(kind: int, n: int, closed_m, forced_out: int):
+    """The per-vertex tables of a subset scan that never picks ``forced_out``.
+    ``suffix[v]`` is the union of the closed neighbourhoods of the vertices
+    at or above v that are not forced out.  ``must[v]`` is what must be
+    covered once v is picked: every vertex for a dominating kind, nothing
+    for ``KIND_INDEPENDENT``, and for a forced-out v the bit n, which no
+    cover holds, so the coverage test turns v away at no extra cost."""
+    full = (1 << n) - 1 if kind != KIND_INDEPENDENT else 0
+    must = [full] * n
+    if forced_out:
+        closed_m = list(closed_m[:n])
+        for v in range(n):
+            if forced_out >> v & 1:
+                must[v] = 1 << n
+                closed_m[v] = 0
     suffix = [0] * (n + 2)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] | closed_m[v]
-    return suffix
+    return suffix, must
 
 
-def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, visit) -> bool:
+def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) -> bool:
     """Calls ``visit`` on each feasible subset of size k that contains
-    ``forced_in``, in lex order, until it returns False; returns whether the
-    scan ran to the end."""
+    ``forced_in`` and misses the forced-out vertices of ``frame`` (see
+    ``_scan_frame``), in lex order, until it returns False; returns whether
+    the scan ran to the end."""
     independent = kind in _INDEPENDENT_KINDS
-    covering = kind != KIND_INDEPENDENT
     convex = kind == KIND_CONVEX_DOMINATING
     super_dominating = kind == KIND_SUPER_DOMINATING
+    full = (1 << n) - 1
+    suffix, must = frame
 
     def rec(first: int, picked: int, sub: int, cover: int, need: int) -> bool:
         if picked == k:
@@ -186,7 +223,7 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, vi
             if independent and (open_m[v] & sub):
                 continue
             new_cover = cover | closed_m[v]
-            if covering and (full & ~(new_cover | suffix[v + 1])):
+            if must[v] & ~(new_cover | suffix[v + 1]):
                 continue
             bit = 1 << v
             new_need = need
@@ -210,16 +247,15 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, vi
 def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0):
     """``(k, mask)`` of the lex-first feasible subset containing ``forced_in``
     of the first size in ``sizes`` that has one, or None."""
-    full = (1 << n) - 1
-    suffix = _suffix_cover(n, closed_m)
     found: list[int] = []
 
     def stop(sub: int) -> bool:
         found.append(sub)
         return False
 
+    frame = _scan_frame(kind, n, closed_m, 0)
     for k in sizes:
-        if not _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, stop):
+        if not _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, stop):
             return k, found[0]
     return None
 
@@ -249,7 +285,7 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
 def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0):
     """Minimum feasible subset containing ``forced_in``: ``(size, mask)``, or
     None when there is none."""
-    check_forced_in(n, forced_in)
+    check_mask(n, forced_in, "forced_in")
     sizes = range(start(kind, n, open_m, forced_in), n + 1)
     return _first(kind, n, sizes, open_m, closed_m, intervals, forced_in)
 
@@ -259,45 +295,63 @@ def scan_max_independent(n: int, open_m):
     return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None) or (0, 0)
 
 
-def enumerate_size(kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0):
-    """All feasible subsets of size k that contain ``forced_in``, in lex
-    order: ``(masks, hit_cap)``."""
-    check_forced_in(n, forced_in)
-    full = (1 << n) - 1
+def enumerate_size(
+    kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
+):
+    """All feasible subsets of size k that contain ``forced_in`` and miss
+    ``forced_out``, in lex order: ``(masks, hit_cap)``.  With ``cap == 0``
+    this is an existence test: it stops at the first such subset."""
+    check_mask(n, forced_in, "forced_in")
+    check_mask(n, forced_out, "forced_out")
     out: list[int] = []
 
     def collect(sub: int) -> bool:
         out.append(sub)
         return len(out) <= cap
 
+    if forced_in & forced_out:
+        return out, False
     if k == 0:
-        if not forced_in and _leaf_ok(kind, 0, 0, full, n, open_m, intervals):
+        if not forced_in and _leaf_ok(kind, 0, 0, (1 << n) - 1, n, open_m, intervals):
             out.append(0)
         return out, False
-    suffix = _suffix_cover(n, closed_m)
-    completed = _scan_k(kind, n, k, open_m, closed_m, intervals, full, suffix, forced_in, collect)
+    frame = _scan_frame(kind, n, closed_m, forced_out)
+    completed = _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, collect)
     return out, not completed
 
 
-def _roman_scan(n: int, closed_m, bound: list[int], leaf) -> bool:
+def _roman_scan(n: int, closed_m, bound: list[int], leaf, forced_in: int = 0, forced_out: int = 0) -> bool:
     """Decides each vertex out of, then into, the 2-set B2, skipping every
-    branch whose weight must exceed ``bound[0]``.  Calls ``leaf(weight,
-    twos, b2_mask)`` on each complete B2 until it returns False; returns
-    whether the scan ran to the end.  Vertex 0 is decided first, so 2-sets
-    of one size arrive in reverse lexicographic order."""
+    branch whose weight must exceed ``bound[0]``.  The vertices of
+    ``forced_in`` start in B2 and those of ``forced_out`` stay out, so the
+    recursion runs over the list of the other, free vertices.  Calls
+    ``leaf(weight, twos, b2_mask)`` on each complete B2 until it returns
+    False; returns whether the scan ran to the end.  The lowest free vertex
+    is decided first, so 2-sets of one size arrive in reverse lexicographic
+    order."""
     full = (1 << n) - 1
-    suffix = _suffix_cover(n, closed_m)
+    fixed = forced_in | forced_out
+    free = [v for v in range(n) if not fixed >> v & 1]
+    closed = [closed_m[v] for v in free]
+    bits = [1 << v for v in free]
+    last = len(free)
+    # suffix[i]: the union of the closed neighbourhoods of free[i:]
+    suffix = [0] * (last + 1)
+    for i in range(last - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | closed[i]
 
-    def rec(v: int, twos: int, cover: int, mask: int) -> bool:
-        if 2 * twos + (full & ~(cover | suffix[v])).bit_count() > bound[0]:
+    def rec(i: int, twos: int, cover: int, mask: int) -> bool:
+        if 2 * twos + (full & ~(cover | suffix[i])).bit_count() > bound[0]:
             return True
-        if v == n:
+        if i == last:
             return leaf(2 * twos + (full & ~cover).bit_count(), twos, mask)
-        return rec(v + 1, twos, cover, mask) and rec(
-            v + 1, twos + 1, cover | closed_m[v], mask | (1 << v)
-        )
+        return rec(i + 1, twos, cover, mask) and rec(i + 1, twos + 1, cover | closed[i], mask | bits[i])
 
-    return rec(0, 0, 0, 0)
+    cover = 0
+    for v in range(n):
+        if forced_in >> v & 1:
+            cover |= closed_m[v]
+    return rec(0, forced_in.bit_count(), cover, forced_in)
 
 
 def roman_min(n: int, closed_m):
@@ -323,9 +377,13 @@ def roman_min(n: int, closed_m):
     return bound[0], best[1]
 
 
-def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
-    """All B2 masks whose forced completion has the target weight, in scan
-    order: ``(masks, hit_cap)``.  ``solvers.enumerate_optimal`` sorts them."""
+def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
+    """All B2 masks that contain ``forced_in``, miss ``forced_out`` and whose
+    forced completion has the target weight, in scan order: ``(masks,
+    hit_cap)``.  ``solvers.enumerate_optimal`` sorts them.  With ``cap == 0``
+    this is an existence test."""
+    check_mask(n, forced_in, "forced_in")
+    check_mask(n, forced_out, "forced_out")
     out: list[int] = []
 
     def collect(weight: int, twos: int, mask: int) -> bool:
@@ -333,5 +391,7 @@ def roman_enumerate(n: int, closed_m, target_weight: int, cap: int):
             out.append(mask)
         return len(out) <= cap
 
-    completed = _roman_scan(n, closed_m, [target_weight], collect)
+    if forced_in & forced_out:
+        return out, False
+    completed = _roman_scan(n, closed_m, [target_weight], collect, forced_in, forced_out)
     return out, not completed

@@ -449,8 +449,12 @@ def _two_value_check(kind: PK, plus_g: bool, G, H):
 def _check_C2(G, H):
     if not (is_tree(G) and G.n >= 3):
         return None, {"reason": "needs a tree of order >= 3"}
+    # The subset scan, not value(): on a tree value() is the formula checked
+    # here, and so is solve() past the scan budget, so such a trial is skipped.
+    budget = solvers.scan_budget()
+    if G.n > budget:
+        raise BudgetExceededError(f"C2 needs the subset scan; order {G.n} exceeds n <= {budget}")
     n1 = len(leaves(G))
-    # The subset scan, not value(): on a tree value() is the formula checked here.
     value = solve(G, PK.CONNECTED).value
     values = {"connected": value, "n": G.n, "leaf_count": n1, "expected": G.n - n1}
     return value == G.n - n1, values

@@ -25,9 +25,20 @@ Two entry points:
   and ``solve()`` otherwise.  The theorem harness and ``enumerate_optimal``
   use it.
 
+``classify_root()`` says whether a root lies in every optimum, in none or in
+some.  It takes one optimum -- the tree DP's where ``value()`` would use it,
+``solve()``'s otherwise -- and runs one existence scan at the optimal size
+(``enumerate_size`` with ``cap == 0``) with the root forced to the side that
+optimum does not show; a cut vertex is in every connected and convex optimum
+and needs no scan.  For Roman it reads one root label off ``solve()``'s
+witness and asks one scan per missing label, with 2-set masks.  It lists no
+optimum, so unlike ``enumerate_optimal`` it never raises
+``EnumerationCapError``.
+
 The scan budget is the one resource knob: ``scan_budget()`` reads it from
-``ROOTDOM_BUDGET`` (default 22) on every ``solve()`` and enumeration.  The
-witness-list cap of ``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
+``ROOTDOM_BUDGET`` (default 22) on every ``solve()``, enumeration and root
+classification.  The witness-list cap of ``enumerate_optimal`` is the fixed
+``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -292,18 +303,33 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
     return SolveResult(kind, size, _mask_to_set(mask))
 
 
+def _optimum(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int] | RomanAssignment]:
+    """Value and some optimum by the cheapest exact method: the tree DP for
+    ``i``, connected and convex on every tree, ``solve()`` otherwise."""
+    if kind in _TREE_DP_KINDS and is_tree(graph):
+        return _solve_tree(graph, kind)
+    found = solve(graph, kind)
+    return found.value, found.witness
+
+
 def value(graph: Graph, kind: ParameterKind) -> int:
     """Exact value of one parameter kind, without a witness promise.
 
     Trees go to the tree DP for ``i``, connected and convex at every order;
     everything else is ``solve(...).value``, with its errors.
     """
-    if kind in _TREE_DP_KINDS and is_tree(graph):
-        return _solve_tree(graph, kind)[0]
-    return solve(graph, kind).value
+    return _optimum(graph, kind)[0]
 
 
 # -- enumeration and root classification --------------------------------------
+
+
+def _require_scan(graph: Graph, task: str) -> None:
+    max_scan_n = scan_budget()
+    if graph.n > max_scan_n:
+        raise BudgetExceededError(
+            f"{task} needs the scan engine; order {graph.n} exceeds n <= {max_scan_n}"
+        )
 
 
 def enumerate_optimal(
@@ -315,11 +341,7 @@ def enumerate_optimal(
     assignments, ordered by 2-set size then lexicographically.
     """
     target = value(graph, kind)
-    max_scan_n = scan_budget()
-    if graph.n > max_scan_n:
-        raise BudgetExceededError(
-            f"enumeration needs the scan engine; order {graph.n} exceeds n <= {max_scan_n}"
-        )
+    _require_scan(graph, "enumeration")
 
     if kind is ParameterKind.ROMAN:
         b2_masks, hit_cap = kernels.roman_enumerate(
@@ -350,21 +372,68 @@ def enumerate_optimal(
 
 
 def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassification:
-    """Scan all optimal witnesses and classify the root's membership.
+    """Classify the root's membership across all optimal witnesses.
+
+    One optimum W says on which side of the question the root lies; one
+    existence scan at the optimal size then asks for an optimum on the other
+    side.  If the root is in W, the root is in every optimum unless some
+    optimum has it forced out; otherwise it is in none unless some optimum
+    has it forced in.  A cut vertex is in every connected or convex optimum
+    (``_CUT_VERTICES_FORCED``), so such a root needs no scan.
 
     For the Roman kind, membership refers to carrying a positive label and
     ``roman_values`` collects the labels the root attains across all
-    minimum-weight assignments.
+    minimum-weight assignments; see ``_roman_labels``.
+
+    Nothing is listed, so the result does not depend on ``ENUMERATION_CAP``.
+    Raises ``InfeasibleParameterError`` where ``solve()`` does and
+    ``BudgetExceededError`` past the scan budget, on trees too.
     """
-    witnesses = enumerate_optimal(rooted.graph, kind)
-    root = rooted.root
+    graph, root = rooted.graph, rooted.root
+    target, witness = _optimum(graph, kind)
+    _require_scan(graph, "root classification")
     if kind is ParameterKind.ROMAN:
-        values = frozenset(assignment.label(root) for assignment in witnesses)
-        flags = [v > 0 for v in values]
-        membership = _membership(flags)
-        return RootClassification(kind, membership, roman_values=values)
-    flags = [root in witness for witness in witnesses]
-    return RootClassification(kind, _membership(flags))
+        values = _roman_labels(graph, root, target, witness.label(root))
+        return RootClassification(kind, _membership(v > 0 for v in values), roman_values=values)
+    bit = 1 << root
+    forced_in = _forced_in(graph, kind)
+    if forced_in & bit:
+        return RootClassification(kind, Membership.IN_ALL)
+    if root in witness:  # in every optimum, unless one leaves it out
+        masks, unless_found = (forced_in, bit), Membership.IN_ALL
+    else:  # in none, unless one holds it
+        masks, unless_found = (forced_in | bit, 0), Membership.IN_NONE
+    found, _ = kernels.enumerate_size(*_scan_args(graph, kind), target, 0, *masks)
+    return RootClassification(kind, Membership.IN_SOME if found else unless_found)
+
+
+def _roman_labels(graph: Graph, root: int, weight: int, first: int) -> frozenset[int]:
+    """The labels the root carries across the minimum-weight Roman
+    assignments, given one of them, ``first``.  Each missing label is one
+    question about the 2-set B2 of an optimum, asked of the scan with forced
+    masks: label 2 holds the root in B2; label 1 keeps N[root] out of B2;
+    label 0 keeps the root out and some neighbour u in, one scan per u, each
+    with the neighbours already tried kept out too."""
+    closed = graph.closed_masks()
+
+    def exists(forced_in: int, forced_out: int) -> bool:
+        found, _ = kernels.roman_enumerate(graph.n, closed, weight, 0, forced_in, forced_out)
+        return bool(found)
+
+    labels = {first}
+    bit = 1 << root
+    if first != 2 and exists(bit, 0):
+        labels.add(2)
+    if first != 1 and exists(0, closed[root]):
+        labels.add(1)
+    if first != 0:
+        tried = bit
+        for u in sorted(graph.neighbors(root)):
+            if exists(1 << u, tried):
+                labels.add(0)
+                break
+            tried |= 1 << u
+    return frozenset(labels)
 
 
 def _membership(flags: Iterable[bool]) -> Membership:

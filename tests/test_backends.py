@@ -169,6 +169,63 @@ def test_forced_in_keeps_exactly_the_sets_that_hold_it(fast):
         assert slow.scan_min(*args) == fast.scan_min(*args) == first
 
 
+def test_forced_out_on_products_identical(fast):
+    # Existence scans (cap 0), a cut short listing (cap 1) and a full one,
+    # with a forced-out vertex and, for some scans, a forced-in one: the
+    # constrained scans root classification runs.
+    rng = random.Random(11)
+    stopped = 0
+    for g in _products():
+        om, cm = g.open_masks(), g.closed_masks()
+        for kind in KINDS:
+            intervals = g.interval_masks() if kind == slow.KIND_CONVEX_DOMINATING else None
+            cut = g.cut_vertices() if kind in (slow.KIND_CONNECTED_DOMINATING, slow.KIND_CONVEX_DOMINATING) else 0
+            if kind == slow.KIND_INDEPENDENT:
+                size = slow.scan_max_independent(g.n, om)[0]
+            else:
+                size = slow.scan_min(kind, g.n, om, cm, intervals, cut)[0]
+            every, _ = slow.enumerate_size(kind, g.n, om, cm, intervals, size, 10**6, cut)
+            out = (1 << rng.randrange(g.n)) & ~cut
+            forced_in = cut | (rng.choice((0, 1 << rng.randrange(g.n))) & ~out)
+            held = [m for m in every if m & forced_in == forced_in and not m & out]
+            for cap in (0, 1, 10**6):
+                args = (kind, g.n, om, cm, intervals, size, cap, forced_in, out)
+                result = fast.enumerate_size(*args)
+                assert result == slow.enumerate_size(*args) == (held[: cap + 1], len(held) > cap)
+                stopped += result[1]
+    assert stopped  # some scans stopped early
+
+
+def test_roman_with_forced_2_sets_on_products_identical(fast):
+    rng = random.Random(12)
+    found = 0
+    for g in _products():
+        cm = g.closed_masks()
+        weight = slow.roman_min(g.n, cm)[0]
+        every, _ = slow.roman_enumerate(g.n, cm, weight, 10**6)
+        for _ in range(3):
+            forced_in = rng.choice((0, 1 << rng.randrange(g.n)))
+            out = cm[rng.randrange(g.n)] & ~forced_in
+            held = [m for m in every if m & forced_in == forced_in and not m & out]
+            for cap in (0, 1, 10**6):
+                args = (g.n, cm, weight, cap, forced_in, out)
+                result = fast.roman_enumerate(*args)
+                assert result == slow.roman_enumerate(*args) == (held[: cap + 1], len(held) > cap)
+                found += bool(result[0])
+    assert found  # some forced scans found an optimum
+
+
+def test_overlapping_forced_masks_list_nothing(fast):
+    g = cycle_graph(6)
+    om, cm = g.open_masks(), g.closed_masks()
+    for backend in (fast, slow):
+        for kind in KINDS:
+            intervals = g.interval_masks() if kind == slow.KIND_CONVEX_DOMINATING else None
+            for k in (0, 2, 6):
+                assert backend.enumerate_size(kind, 6, om, cm, intervals, k, 10, 0b11, 0b10) == ([], False)
+        assert backend.roman_enumerate(6, cm, 4, 10, 0b100, 0b110) == ([], False)
+
+
 def test_roman_identical(fast):
     hit_cap = 0
     for g in _graphs():
@@ -204,6 +261,32 @@ def test_forced_in_outside_the_vertices_is_rejected(fast):
                 backend.scan_min(*args, forced)
             with pytest.raises(ValueError, match="forced_in"):
                 backend.enumerate_size(*args, 1, 10, forced)
+            with pytest.raises(ValueError, match="forced_in"):
+                backend.roman_enumerate(3, g.closed_masks(), 2, 10, forced)
+
+
+def test_forced_out_outside_the_vertices_is_rejected(fast):
+    g = Graph(3, [(0, 1), (1, 2)])
+    args = (slow.KIND_DOMINATING, 3, g.open_masks(), g.closed_masks(), None)
+    for forced in (-1, 1 << 3, 1 << 64):
+        for backend in (fast, slow):
+            with pytest.raises(ValueError, match="forced_out"):
+                backend.enumerate_size(*args, 1, 10, 0, forced)
+            with pytest.raises(ValueError, match="forced_out"):
+                backend.roman_enumerate(3, g.closed_masks(), 2, 10, 0, forced)
+
+
+def test_a_converted_mask_array_is_reused_only_for_the_same_tuple(fast):
+    path, star = Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (0, 2), (0, 3)])
+    masks = list(path.closed_masks())
+    assert fast.roman_min(4, masks) == (3, 0b10)
+    masks[:] = star.closed_masks()  # a list changed in place is converted again
+    assert fast.roman_min(4, masks) == (2, 0b1)
+    for g in (path, star, path, path):
+        assert fast.roman_min(4, g.closed_masks()) == slow.roman_min(4, g.closed_masks())
+        assert fast.scan_min(0, 4, g.open_masks(), g.closed_masks()) == slow.scan_min(
+            0, 4, g.open_masks(), g.closed_masks()
+        )
 
 
 def test_a_library_without_the_kernels_is_refused():

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from rootdom import tree_dp
 from rootdom.families import (
     cycle_graph,
     empty_graph,
@@ -164,6 +165,17 @@ class TestConnectedConvexChecks:
             t = random_tree(7, seed=seed)
             assert check(T.C2, t).outcome is Outcome.PASS
         assert check(T.C2, cycle_graph(5)).outcome is Outcome.NOT_APPLICABLE
+
+    def test_tree_connected_domination_formula_is_not_checked_against_itself(self, monkeypatch):
+        # Past the scan budget solve() returns the formula C2 states; such a
+        # trial is a budget skip, not a pass.
+        def formula(graph):
+            raise AssertionError(f"C2 read the tree formula on a tree of order {graph.n}")
+
+        monkeypatch.setattr(tree_dp, "tree_connected_domination", formula)
+        result = run_theorem(T.C2, CampaignConfig(theorems=[T.C2], trials=10, seed=1, tree_single_max=30))
+        assert result["errors"] > 0
+        assert result["trials"] + result["errors"] == 10
 
     def test_two_value_and_iff(self):
         t2 = path_graph(3)
