@@ -123,7 +123,7 @@ def _cmd_product(args) -> int:
     rp = rooted_product(base, rooted)
     text = format_edge_list(rp.product)
     sidecar = {
-        "base": [rp.base_vertex(i) for i in range(base.n)],
+        "base": list(range(base.n)),
         "copies": [sorted(s) for s in rp.copy_vertex_sets()],
         "root": args.root,
     }

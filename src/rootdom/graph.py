@@ -4,9 +4,11 @@ Vertices are dense integers ``0..n-1``.  Graphs are immutable after
 construction; derived data (connectivity flag, distance table, geodesic
 interval masks, cut vertices) is computed once on demand and cached with
 single-assignment semantics, so instances are safe to share across
-concurrent workers.  Connectivity costs one bitmask BFS and the cut vertices
-one depth-first pass; only the interval masks, convexity tests and
-``distance`` build the all-pairs table.
+concurrent workers.  Connectivity, of the graph and of a vertex subset, is
+one bitmask BFS restricted to a vertex mask, and the cut vertices one
+depth-first pass; only the interval masks and convexity tests build the
+all-pairs table.  Vertex-deleted and weakly induced subgraphs share one
+relabelling path.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package; the
 per-vertex neighbourhoods, interval tables and cut vertices the kernels read
@@ -143,9 +145,6 @@ class Graph:
             self._dist = tuple(rows)
         return self._dist
 
-    def distance(self, u: int, v: int) -> int:
-        return self.distances()[u][v]
-
     def interval_masks(self) -> tuple[int, ...]:
         """Geodesic interval bitmasks, flattened to ``n*n`` entries.
 
@@ -197,35 +196,44 @@ class InducedSubgraph(NamedTuple):
     new_to_old: tuple[int, ...]
 
 
+def _relabelled(keep: list[int], edges: Iterable[tuple[int, int]]) -> InducedSubgraph:
+    """``keep`` (increasing old ids) renumbered from 0, with the ``edges`` that stay inside it."""
+    old_to_new = {v: i for i, v in enumerate(keep)}
+    kept = [
+        (old_to_new[u], old_to_new[v]) for u, v in edges if u in old_to_new and v in old_to_new
+    ]
+    return InducedSubgraph(Graph(len(keep), kept), old_to_new, tuple(keep))
+
+
 def delete_vertices(graph: Graph, removed: frozenset[int] | set[int]) -> InducedSubgraph:
     """Induced subgraph on ``V - removed``, with the id relabeling exposed."""
     _check_subset(graph, removed, "removed")
     keep = [v for v in range(graph.n) if v not in removed]
     if not keep:
         raise ValueError("deleting every vertex leaves the empty graph, which is not supported")
-    old_to_new = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in graph.edges()
-        if u in old_to_new and v in old_to_new
-    ]
-    return InducedSubgraph(Graph(len(keep), edges), old_to_new, tuple(keep))
+    return _relabelled(keep, graph.edges())
+
+
+def _reach(masks: tuple[int, ...], seed: int, within: int) -> int:
+    """Mask of the vertices of ``within`` reachable from the ``seed`` bits
+    through ``within``: one bitmask BFS over the open-neighbourhood masks."""
+    seen = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_connected(graph: Graph) -> bool:
     """One bitmask BFS from vertex 0; the empty graph is not connected."""
     if graph._connected is None:
-        masks = graph.open_masks()
-        seen = frontier = 1 if graph.n else 0
-        while frontier:
-            reach = 0
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                reach |= masks[bit.bit_length() - 1]
-            frontier = reach & ~seen
-            seen |= frontier
-        graph._connected = graph.n > 0 and seen == (1 << graph.n) - 1
+        full = (1 << graph.n) - 1
+        graph._connected = graph.n > 0 and _reach(graph.open_masks(), 1, full) == full
     return graph._connected
 
 
@@ -234,16 +242,10 @@ def is_connected_subset(graph: Graph, subset: frozenset[int] | set[int]) -> bool
     if not subset:
         raise ValueError("connectivity of the empty set is undefined")
     _check_subset(graph, subset)
-    start = next(iter(subset))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w in subset and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == set(subset)
+    mask = 0
+    for v in subset:
+        mask |= 1 << v
+    return _reach(graph.open_masks(), mask & -mask, mask) == mask
 
 
 def is_convex_set(graph: Graph, subset: frozenset[int] | set[int]) -> bool:
@@ -278,14 +280,8 @@ def weakly_induced_subgraph(
     closed = set(dominators)
     for v in dominators:
         closed |= graph.neighbors(v)
-    keep = sorted(closed)
-    old_to_new = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in graph.edges()
-        if (u in dominators or v in dominators) and u in old_to_new and v in old_to_new
-    ]
-    return InducedSubgraph(Graph(len(keep), edges), old_to_new, tuple(keep))
+    edges = [(u, v) for u, v in graph.edges() if u in dominators or v in dominators]
+    return _relabelled(sorted(closed), edges)
 
 
 def leaves(graph: Graph) -> frozenset[int]:
@@ -342,7 +338,8 @@ def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | N
 
     Line 1 is ``n m``, followed by ``m`` lines ``u v`` (0-based ids).
     ``#`` starts a comment, blank lines are ignored.  A comment of the form
-    ``# root k`` marks a root vertex; it is returned alongside the graph.
+    ``# root k``, whose first word is exactly ``root``, marks a root vertex;
+    it is returned alongside the graph.
     """
     root: int | None = None
     header: tuple[int, int] | None = None
@@ -351,10 +348,9 @@ def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | N
         line = raw.split("#", 1)
         comment = line[1].strip() if len(line) > 1 else ""
         body = line[0].strip()
-        if comment.startswith("root"):
-            parts = comment.split()
-            if len(parts) == 2 and parts[1].lstrip("-").isdigit():
-                root = int(parts[1])
+        parts = comment.split()
+        if len(parts) == 2 and parts[0] == "root" and parts[1].lstrip("-").isdigit():
+            root = int(parts[1])
         if not body:
             continue
         fields = body.split()

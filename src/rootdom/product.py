@@ -1,10 +1,12 @@
 """Rooted product construction with a full provenance map.
 
-The product of a base graph G (order n) and a rooted graph H identifies
-vertex i of G with the root of the i-th copy of H.  Vertex numbering is
-deterministic: base vertices come first as ``0..n-1`` (each doubling as the
-root of its copy), then the non-root vertices of copy i occupy the block
-``n + i*(h-1) .. n + (i+1)*(h-1) - 1`` in increasing H-id order.
+The product of a base graph G (order n) and a rooted graph H (order h, root
+r) identifies vertex i of G with the root of the i-th copy of H.  Vertex
+numbering is one formula, stated by ``RootedProduct.copy_vertex``: vertex v
+of H in copy i has the id ``i`` when v is the root, and otherwise
+``n + i*(h-1) + v - (v > r)``.  So base vertex i is id ``i``, and the
+non-root vertices of copy i fill the block ``n + i*(h-1) .. n + (i+1)*(h-1) - 1``
+in increasing H-id order.
 """
 
 from __future__ import annotations
@@ -35,37 +37,30 @@ class RootedGraph:
 class RootedProduct:
     """The product graph plus the (copy, H-vertex) -> product-id bookkeeping."""
 
-    __slots__ = ("product", "base", "rooted", "_non_root_rank")
+    __slots__ = ("product", "base", "rooted")
 
     def __init__(self, base: Graph, rooted: RootedGraph):
         if base.n < 2:
             raise ValueError("the base factor must have at least two vertices")
         self.base = base
         self.rooted = rooted
-        h = rooted.graph
-        non_root = [v for v in range(h.n) if v != rooted.root]
-        self._non_root_rank = {v: i for i, v in enumerate(non_root)}
-
-        edges = list(base.edges())
+        h_edges = rooted.graph.edges()
+        edges = base.edges()
         for i in range(base.n):
-            for u, v in h.edges():
-                edges.append((self.copy_vertex(i, u), self.copy_vertex(i, v)))
-        self.product = Graph(base.n * h.n, edges)
-
-    def base_vertex(self, i: int) -> int:
-        """Product id of base vertex ``i`` (the identified root of copy ``i``)."""
-        if not (0 <= i < self.base.n):
-            raise ValueError(f"base index {i} out of range")
-        return i
+            ids = [self.copy_vertex(i, v) for v in range(rooted.n)]
+            edges += [(ids[u], ids[v]) for u, v in h_edges]
+        self.product = Graph(base.n * rooted.n, edges)
 
     def copy_vertex(self, i: int, h_vertex: int) -> int:
         """Product id of vertex ``h_vertex`` of H inside copy ``i``."""
         if not (0 <= i < self.base.n):
             raise ValueError(f"copy index {i} out of range")
-        if h_vertex == self.rooted.root:
+        h, root = self.rooted.n, self.rooted.root
+        if not (0 <= h_vertex < h):
+            raise ValueError(f"H-vertex {h_vertex} out of range for order {h}")
+        if h_vertex == root:
             return i
-        rank = self._non_root_rank[h_vertex]
-        return self.base.n + i * (self.rooted.n - 1) + rank
+        return self.base.n + i * (h - 1) + h_vertex - (h_vertex > root)
 
     def copy_vertex_sets(self) -> list[frozenset[int]]:
         """The vertex set of each copy of H, as product ids."""

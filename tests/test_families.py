@@ -66,7 +66,7 @@ def test_subdivided_star_shape():
     rooted = subdivided_star_graph(3)
     g = rooted.graph
     assert g.n == 5
-    assert g.distance(rooted.root, 0) == 2  # root sits two steps from the center
+    assert g.distances()[rooted.root][0] == 2  # root sits two steps from the center
     assert solve(g, ParameterKind.INDEPENDENT_DOMINATION).value == 2
 
 

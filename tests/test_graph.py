@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import labelled_graphs, min_plus_distances, random_gnp
+from rootdom import _pykernels
 from rootdom.families import cycle_graph, path_graph, random_tree, star_graph
 from rootdom.graph import (
     Graph,
@@ -87,14 +88,14 @@ class TestDeletion:
 
 class TestDistances:
     def test_path_span(self):
-        assert path_graph(4).distance(0, 3) == 3
+        assert path_graph(4).distances()[0][3] == 3
 
     def test_cycle_antipodal(self):
-        assert cycle_graph(6).distance(0, 3) == 3
+        assert cycle_graph(6).distances()[0][3] == 3
 
     def test_disconnected_sentinel(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert g.distance(0, 2) == UNREACHABLE
+        assert g.distances()[0][2] == UNREACHABLE
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs())
@@ -189,6 +190,19 @@ class TestSubsets:
     def test_connected_subset_empty_rejected(self):
         with pytest.raises(ValueError):
             is_connected_subset(path_graph(2), frozenset())
+
+    def test_connected_subset_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="not a vertex"):
+            is_connected_subset(path_graph(3), {1, 3})
+
+    def test_connected_subset_matches_the_kernel_bfs(self):
+        # The kernels' own BFS is an independent implementation.
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                for mask in range(1, 1 << n):
+                    members = {v for v in range(n) if mask >> v & 1}
+                    expected = _pykernels._connected_mask(mask, g.open_masks())
+                    assert is_connected_subset(g, members) == expected, (g.edges(), members)
 
     def test_convex_arc(self):
         c6 = cycle_graph(6)
@@ -321,6 +335,11 @@ class TestEdgeListFormat:
         text = format_edge_list(star_graph(2).graph, root=0)
         parsed, root = parse_edge_list(text)
         assert root == 0 and parsed.n == 3
+
+    def test_root_marker_is_the_exact_word(self):
+        assert parse_edge_list("2 1\n0 1\n# root 1\n")[1] == 1
+        assert parse_edge_list("2 1\n0 1\n# rooted 1\n")[1] is None
+        assert parse_edge_list("2 1\n0 1  # root 1\n")[1] == 1
 
     def test_comments_and_blanks(self):
         text = "3 2\n# a comment\n\n0 1\n1 2  # trailing\n"

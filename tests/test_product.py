@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_gnp
 from rootdom.families import (
     cycle_graph,
     path_graph,
@@ -45,7 +46,7 @@ def test_copy_sets_partition():
     for i in range(4):
         for j in range(i + 1, 4):
             assert not (sets[i] & sets[j])
-        assert rp.base_vertex(i) in sets[i]
+        assert i in sets[i]  # base vertex i is product id i
 
 
 def test_copies_isomorphic_and_base_preserved():
@@ -73,8 +74,43 @@ def test_base_vertices_are_cut_vertices():
 
     rp = rooted_product(path_graph(3), RootedGraph(cycle_graph(3), 0))
     for i in range(3):
-        rest = delete_vertices(rp.product, {rp.base_vertex(i)}).graph
+        rest = delete_vertices(rp.product, {i}).graph
         assert not is_connected(rest)
+
+
+def test_copy_vertex_rejects_vertices_outside_h():
+    rp = rooted_product(path_graph(2), RootedGraph(path_graph(3), 1))
+    assert rp.copy_vertex(1, 2) == 5
+    for bad in (-1, 3, 7):
+        with pytest.raises(ValueError, match="H-vertex"):
+            rp.copy_vertex(0, bad)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="copy index"):
+            rp.copy_vertex(bad, 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copy_vertex_is_the_numbering_formula(seed):
+    g = random_gnp(2 + seed % 4, 0.5, seed=seed)
+    h = random_gnp(2 + (seed * 7) % 5, 0.6, seed=100 + seed)
+    n, order = g.n, h.n
+    for root in sorted({0, order // 2, order - 1}):
+        rp = rooted_product(g, RootedGraph(h, root))
+        ids = {}
+        for i in range(n):
+            for v in range(order):
+                expected = i if v == root else n + i * (order - 1) + v - (v > root)
+                assert rp.copy_vertex(i, v) == expected
+                ids[expected] = (i, v)
+        assert sorted(ids) == list(range(n * order))
+        base_edges, h_edges = set(g.edges()), set(h.edges())
+        for a, b in rp.product.edges():
+            (i, u), (j, v) = ids[a], ids[b]
+            if u == v == root:
+                assert (min(i, j), max(i, j)) in base_edges
+            else:
+                assert i == j and (min(u, v), max(u, v)) in h_edges
+        assert rp.product.m == g.m + n * h.m
 
 
 def test_order_one_factors_rejected():
