@@ -89,7 +89,10 @@ _DEGREE_BOUND = {
 }
 
 
-def _connected_mask(sub: int, open_m) -> bool:
+def connected_mask(sub: int, open_m) -> bool:
+    """True iff the nonempty vertex mask ``sub`` induces a connected
+    subgraph: one bitmask BFS from its lowest vertex, kept inside ``sub``.
+    ``graph.is_connected`` and ``graph.is_connected_subset`` use it too."""
     reach = sub & (-sub)
     frontier = reach
     while frontier:
@@ -168,7 +171,7 @@ def _leaf_ok(kind: int, sub: int, cover: int, full: int, n: int, open_m, interva
     if kind in (KIND_DOMINATING, KIND_INDEPENDENT_DOMINATING):
         return True
     if kind == KIND_CONNECTED_DOMINATING:
-        return _connected_mask(sub, open_m)
+        return connected_mask(sub, open_m)
     if kind == KIND_CONVEX_DOMINATING:
         return _convex(sub, n, intervals)
     if kind == KIND_WEAKLY_CONNECTED_DOMINATING:

@@ -5,10 +5,10 @@ construction; derived data (connectivity flag, distance table, geodesic
 interval masks, cut vertices) is computed once on demand and cached with
 single-assignment semantics, so instances are safe to share across
 concurrent workers.  Connectivity, of the graph and of a vertex subset, is
-one bitmask BFS restricted to a vertex mask, and the cut vertices one
-depth-first pass; only the interval masks and convexity tests build the
-all-pairs table.  Vertex-deleted and weakly induced subgraphs share one
-relabelling path.
+the kernels' one bitmask BFS restricted to a vertex mask
+(``_pykernels.connected_mask``), and the cut vertices one depth-first pass;
+only the interval masks and convexity tests build the all-pairs table.
+Vertex-deleted and weakly induced subgraphs share one relabelling path.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package; the
 per-vertex neighbourhoods, interval tables and cut vertices the kernels read
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, NamedTuple
+
+from ._pykernels import connected_mask
 
 #: Sentinel distance for vertex pairs in different components.
 UNREACHABLE = -1
@@ -214,26 +216,10 @@ def delete_vertices(graph: Graph, removed: frozenset[int] | set[int]) -> Induced
     return _relabelled(keep, graph.edges())
 
 
-def _reach(masks: tuple[int, ...], seed: int, within: int) -> int:
-    """Mask of the vertices of ``within`` reachable from the ``seed`` bits
-    through ``within``: one bitmask BFS over the open-neighbourhood masks."""
-    seen = frontier = seed
-    while frontier:
-        reach = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            reach |= masks[bit.bit_length() - 1]
-        frontier = reach & within & ~seen
-        seen |= frontier
-    return seen
-
-
 def is_connected(graph: Graph) -> bool:
     """One bitmask BFS from vertex 0; the empty graph is not connected."""
     if graph._connected is None:
-        full = (1 << graph.n) - 1
-        graph._connected = graph.n > 0 and _reach(graph.open_masks(), 1, full) == full
+        graph._connected = graph.n > 0 and connected_mask((1 << graph.n) - 1, graph.open_masks())
     return graph._connected
 
 
@@ -245,7 +231,7 @@ def is_connected_subset(graph: Graph, subset: frozenset[int] | set[int]) -> bool
     mask = 0
     for v in subset:
         mask |= 1 << v
-    return _reach(graph.open_masks(), mask & -mask, mask) == mask
+    return connected_mask(mask, graph.open_masks())
 
 
 def is_convex_set(graph: Graph, subset: frozenset[int] | set[int]) -> bool:

@@ -5,20 +5,22 @@ definitions, no pruning and no early exit, independent of the bitmask
 kernels.  Only sensible at desk scale (n around 8, 3^n for Roman).
 
 The set-level predicates are the public ones the witness checks use:
-``solvers.is_dominating``, ``is_independent`` and ``is_super_dominating``,
-and ``graph.is_connected_subset``.  Two stay local.  Convexity reads
-distances from a local Floyd-Warshall, because the convex kernel's interval
-masks come from the graph's BFS distance table, which the referee must not
-share.  Weak connectivity is a direct search over N[S], because the public
-form (``weakly_induced_subgraph`` plus ``is_connected``) builds a ``Graph``
-for every subset.
+``solvers.is_dominating``, ``is_independent`` and ``is_super_dominating``.
+Three stay local.  Connectivity is a search over ``graph.neighbors``,
+because ``graph.is_connected_subset`` runs the kernels' own bitmask BFS on
+the neighbourhood masks the kernels read, which the referee must not share.
+Convexity reads distances from a local Floyd-Warshall, because the convex
+kernel's interval masks come from the graph's BFS distance table.  Weak
+connectivity is a direct search over N[S], because the public form
+(``weakly_induced_subgraph`` plus ``is_connected``) builds a ``Graph`` for
+every subset.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .graph import Graph, is_connected_subset
+from .graph import Graph
 from .solvers import is_dominating, is_independent, is_super_dominating
 
 _FAR = 1 << 30
@@ -58,6 +60,18 @@ def _convex(graph: Graph, sub: set[int], dist: list[list[int]]) -> bool:
                 if dist[u][x] + dist[x][w] == dist[u][w]:
                     return False
     return True
+
+
+def _connected(graph: Graph, sub: set[int]) -> bool:
+    start = min(sub)
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in graph.neighbors(todo.pop()) & sub:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen == sub
 
 
 def _weakly_connected(graph: Graph, sub: set[int]) -> bool:
@@ -109,7 +123,7 @@ def naive_value(graph: Graph, kind: str) -> int | None:
         elif kind == "i":
             ok = is_dominating(graph, s) and is_independent(graph, s)
         elif kind == "connected":
-            ok = is_dominating(graph, s) and bool(s) and is_connected_subset(graph, s)
+            ok = is_dominating(graph, s) and bool(s) and _connected(graph, s)
         elif kind == "convex":
             ok = is_dominating(graph, s) and _convex(graph, s, dist)
         elif kind == "weakly":

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import labelled_graphs, min_plus_distances, random_gnp
-from rootdom import _pykernels
+from rootdom import naive
 from rootdom.families import cycle_graph, path_graph, random_tree, star_graph
 from rootdom.graph import (
     Graph,
@@ -195,13 +195,18 @@ class TestSubsets:
         with pytest.raises(ValueError, match="not a vertex"):
             is_connected_subset(path_graph(3), {1, 3})
 
-    def test_connected_subset_matches_the_kernel_bfs(self):
-        # The kernels' own BFS is an independent implementation.
+    def test_connected_subset_matches_set_searches(self):
+        # Two paths that share neither the bitmask BFS nor the masks: the
+        # referee's search over neighbors(), and the distance table of the
+        # induced subgraph.
         for n in range(1, 6):
             for g in labelled_graphs(n):
                 for mask in range(1, 1 << n):
                     members = {v for v in range(n) if mask >> v & 1}
-                    expected = _pykernels._connected_mask(mask, g.open_masks())
+                    expected = naive._connected(g, members)
+                    induced = delete_vertices(g, set(range(n)) - members).graph
+                    reachable = UNREACHABLE not in {d for row in induced.distances() for d in row}
+                    assert expected == reachable, (g.edges(), members)
                     assert is_connected_subset(g, members) == expected, (g.edges(), members)
 
     def test_convex_arc(self):
