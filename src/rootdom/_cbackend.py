@@ -17,7 +17,7 @@ import ctypes
 from array import array
 from types import SimpleNamespace
 
-from ._kernelspec import (
+from ._pykernels import (
     KIND_CONVEX_DOMINATING,
     KIND_DOMINATING,
     KIND_INDEPENDENT,

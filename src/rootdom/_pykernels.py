@@ -1,5 +1,9 @@
 """Pure-Python bitmask kernels: the fallback when ``_ckernels.c`` is not built.
 
+This module also holds what both backends share: the kind codes,
+``MAX_ORDER`` and ``check_mask``.  ``graph`` imports ``connected_mask``
+from it, so it is loaded on either backend.
+
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
 the sorted vertex tuples, so the first feasible subset found is the
@@ -65,18 +69,27 @@ it.
 
 from __future__ import annotations
 
-from ._kernelspec import (
-    KIND_CONNECTED_DOMINATING,
-    KIND_CONVEX_DOMINATING,
-    KIND_DOMINATING,
-    KIND_INDEPENDENT,
-    KIND_INDEPENDENT_DOMINATING,
-    KIND_SUPER_DOMINATING,
-    KIND_WEAKLY_CONNECTED_DOMINATING,
-    check_mask,
-)
-
 BACKEND = "python"
+
+#: Kind codes, shared with the C kernels and with ``_cbackend``.
+KIND_DOMINATING = 0
+KIND_INDEPENDENT_DOMINATING = 1
+KIND_CONNECTED_DOMINATING = 2
+KIND_CONVEX_DOMINATING = 3
+KIND_WEAKLY_CONNECTED_DOMINATING = 4
+KIND_SUPER_DOMINATING = 5
+KIND_INDEPENDENT = 6
+
+#: Largest order the kernels are called with: the C kernels keep vertex sets
+#: in 64-bit masks.  It is also the ceiling of the scan budget.
+MAX_ORDER = 62
+
+
+def check_mask(n: int, mask: int, name: str) -> None:
+    """A forced mask, named ``name`` in the error, must be a set of vertices 0..n-1."""
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"{name} {mask:#x} is not a set of vertices of a graph of order {n}")
+
 
 _INDEPENDENT_KINDS = (KIND_INDEPENDENT_DOMINATING, KIND_INDEPENDENT)
 

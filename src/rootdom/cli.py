@@ -64,37 +64,34 @@ def _witness_json(witness):
 def _cmd_solve(args) -> int:
     graph, _ = read_edge_list(args.file)
     kind = ParameterKind(args.param)
+    # Every check and computation runs before the first line is printed, so
+    # a request that fails prints its error alone.
+    rooted = None if args.classify_root is None else RootedGraph(graph, args.classify_root)
     result = solve(graph, kind)
+    witnesses = enumerate_optimal(graph, kind) if args.enumerate else None
+    cls = None if rooted is None else classify_root(rooted, kind)
+
     payload: dict = {
         "param": args.param,
         "value": result.value,
         "witness": _witness_json(result.witness),
     }
-    if not args.quiet:
-        print(f"{args.param} = {result.value}")
-        print(f"witness = {_format_witness(result.witness)}")
-    if args.enumerate:
-        witnesses = enumerate_optimal(graph, kind)
+    lines = [f"{args.param} = {result.value}", f"witness = {_format_witness(result.witness)}"]
+    if witnesses is not None:
         payload["optimal_count"] = len(witnesses)
         payload["optimal"] = [_witness_json(w) for w in witnesses]
-        if not args.quiet:
-            print(f"optimal_count = {len(witnesses)}")
-    if args.classify_root is not None:
-        rooted = RootedGraph(graph, args.classify_root)
-        cls = classify_root(rooted, kind)
-        payload["classification"] = {
-            "root": args.classify_root,
-            "membership": cls.membership.value,
-        }
+        lines.append(f"optimal_count = {len(witnesses)}")
+    if cls is not None:
+        payload["classification"] = {"root": rooted.root, "membership": cls.membership.value}
+        extra = ""
         if cls.roman_values is not None:
             payload["classification"]["roman_values"] = sorted(cls.roman_values)
-        if not args.quiet:
-            extra = (
-                f" labels={sorted(cls.roman_values)}" if cls.roman_values is not None else ""
-            )
-            print(f"root {args.classify_root} membership = {cls.membership.value}{extra}")
+            extra = f" labels={sorted(cls.roman_values)}"
+        lines.append(f"root {rooted.root} membership = {cls.membership.value}{extra}")
     if args.out:
         _dump_json({"meta": _meta(), **payload}, args.out)
+    if not args.quiet:
+        print("\n".join(lines))
     return 0
 
 

@@ -1,15 +1,20 @@
 """Machine checks for the rooted-product domination theorems.
 
-Each theorem id maps to one executable check that evaluates the claim's
-hypothesis on a concrete instance, computes both sides exactly with the
-solvers, and returns a verdict.  A FAIL verdict always carries a standalone
-witness payload (edge lists plus every computed value) from which
-``check_witness`` reproduces the verdict deterministically.
+Every theorem id has one row in ``_THEOREMS``: ``(checker, sampler,
+must_hold)``.  The checker evaluates the claim's hypothesis on a concrete
+instance, computes both sides exactly with the solvers, and returns the
+values; it reads the value of the product G o H only through
+``_product_value``.  The sampler is the theorem's endless seeded stream of
+``(G, H or None, descriptor)`` instances; a single-graph sampler (``_gnps``,
+``_trees``) yields no H.  ``must_hold`` marks the theorems with airtight
+proofs, whose failure makes a campaign exit nonzero; the remaining claims
+get reported rather than asserted, and a failing instance is a first-class
+finding, not a crash.  I6, the closed forms, has no checker and no sampler:
+``closed_form_check`` runs its fixed grid.
 
-The campaign runner sweeps seeded instances per theorem.  The must-hold
-theorems are the ones with airtight proofs; the remaining claims get
-reported rather than asserted, and a failing instance is a first-class
-finding, not a crash.
+A FAIL verdict always carries a standalone witness payload (edge lists plus
+every computed value) from which ``check_witness`` reproduces the verdict
+deterministically.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
-from itertools import combinations
+from itertools import combinations, count, islice
 
 from . import solvers
 from .families import (
@@ -84,24 +89,6 @@ class TheoremId(str, Enum):
     S3 = "S3"
 
 
-#: Theorems whose failure makes a campaign exit nonzero.
-MUST_HOLD = frozenset(
-    {
-        TheoremId.D2,
-        TheoremId.R1,
-        TheoremId.R2,
-        TheoremId.R3,
-        TheoremId.R4,
-        TheoremId.I1,
-        TheoremId.I3,
-        TheoremId.I4,
-        TheoremId.I5,
-        TheoremId.C2,
-        TheoremId.C3,
-    }
-)
-
-
 class Outcome(str, Enum):
     PASS = "PASS"
     FAIL = "FAIL"
@@ -153,14 +140,18 @@ def _witness_payload(theorem: TheoremId, G: Graph, H: RootedGraph | None, values
 # hold, so the theorem does not apply to the instance.
 
 
+def _product_value(G: Graph, H: RootedGraph, kind: PK) -> int:
+    """The value of ``kind`` on G o H: every checker reads the product side here."""
+    return solvers.value(rooted_product(G, H).product, kind)
+
+
 def _check_D1(G, H):
     cls = classify_root(H, PK.DOMINATION)
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
         return None, values
     gamma_h = solvers.value(H.graph, PK.DOMINATION)
-    product = rooted_product(G, H).product
-    gamma_gh = solvers.value(product, PK.DOMINATION)
+    gamma_gh = _product_value(G, H, PK.DOMINATION)
     values.update(
         {"gamma_h": gamma_h, "gamma_product": gamma_gh, "expected": G.n * gamma_h}
     )
@@ -170,8 +161,7 @@ def _check_D1(G, H):
 def _check_D2(G, H):
     gamma_g = solvers.value(G, PK.DOMINATION)
     gamma_h = solvers.value(H.graph, PK.DOMINATION)
-    product = rooted_product(G, H).product
-    gamma_gh = solvers.value(product, PK.DOMINATION)
+    gamma_gh = _product_value(G, H, PK.DOMINATION)
     allowed = {G.n * gamma_h, G.n * (gamma_h - 1) + gamma_g}
     values = {
         "gamma_g": gamma_g,
@@ -182,16 +172,17 @@ def _check_D2(G, H):
     return gamma_gh in allowed, values
 
 
-def _roman_chain(graph: Graph) -> tuple[bool, dict]:
-    g = solvers.value(graph, PK.DOMINATION)
-    r = solvers.value(graph, PK.ROMAN)
+def _roman_chain(value_of) -> tuple[bool, dict]:
+    """gamma <= gamma_R <= 2 gamma, with ``value_of(kind)`` one graph's values."""
+    g = value_of(PK.DOMINATION)
+    r = value_of(PK.ROMAN)
     return g <= r <= 2 * g, {"gamma": g, "roman": r}
 
 
 def _check_R1(G, H):
-    ok_g, vals_g = _roman_chain(G)
-    ok_h, vals_h = _roman_chain(H.graph)
-    ok_p, vals_p = _roman_chain(rooted_product(G, H).product)
+    ok_g, vals_g = _roman_chain(partial(solvers.value, G))
+    ok_h, vals_h = _roman_chain(partial(solvers.value, H.graph))
+    ok_p, vals_p = _roman_chain(partial(_product_value, G, H))
     return ok_g and ok_h and ok_p, {"g": vals_g, "h": vals_h, "product": vals_p}
 
 
@@ -252,8 +243,7 @@ def _check_R3(G, H):
 def _check_R4(G, H):
     gamma_g = solvers.value(G, PK.DOMINATION)
     roman_h = solvers.value(H.graph, PK.ROMAN)
-    product = rooted_product(G, H).product
-    roman_gh = solvers.value(product, PK.ROMAN)
+    roman_gh = _product_value(G, H, PK.ROMAN)
     lower = G.n * (roman_h - 1) + gamma_g
     upper = G.n * roman_h
     values = {
@@ -275,8 +265,7 @@ def _check_R5(G, H):
     if not branch_zero and not branch_one_two:
         return None, values
     roman_h = solvers.value(H.graph, PK.ROMAN)
-    product = rooted_product(G, H).product
-    roman_gh = solvers.value(product, PK.ROMAN)
+    roman_gh = _product_value(G, H, PK.ROMAN)
     if branch_zero:
         expected = G.n * roman_h
         values["branch"] = "always-zero"
@@ -297,8 +286,7 @@ def _check_R6(G, H):
         return None, values
     roman_h = solvers.value(H.graph, PK.ROMAN)
     roman_g = solvers.value(G, PK.ROMAN)
-    product = rooted_product(G, H).product
-    roman_gh = solvers.value(product, PK.ROMAN)
+    roman_gh = _product_value(G, H, PK.ROMAN)
     expected = G.n * (roman_h - 1) + roman_g
     values.update(
         {"roman_h": roman_h, "roman_g": roman_g, "roman_product": roman_gh, "expected": expected}
@@ -321,8 +309,7 @@ def _check_I1(G, H):
 def _check_I2(G, H):
     cls = classify_root(H, PK.INDEPENDENCE)
     alpha_h = solvers.value(H.graph, PK.INDEPENDENCE)
-    product = rooted_product(G, H).product
-    alpha_gh = solvers.value(product, PK.INDEPENDENCE)
+    alpha_gh = _product_value(G, H, PK.INDEPENDENCE)
     values = {"root_membership": cls.membership.value, "alpha_h": alpha_h, "alpha_product": alpha_gh}
     if cls.membership is Membership.IN_ALL:
         alpha_g = solvers.value(G, PK.INDEPENDENCE)
@@ -369,8 +356,7 @@ def _check_I5(G, H):
     alpha_g = solvers.value(G, PK.INDEPENDENCE)
     h_minus_root = delete_vertices(H.graph, {H.root}).graph
     i_h_del = solvers.value(h_minus_root, PK.INDEPENDENT_DOMINATION)
-    product = rooted_product(G, H).product
-    i_gh = solvers.value(product, PK.INDEPENDENT_DOMINATION)
+    i_gh = _product_value(G, H, PK.INDEPENDENT_DOMINATION)
     lower = G.n * (i_h - 1) + i_g
     upper = i_h * alpha_g + i_h_del * (G.n - alpha_g)
     values = {
@@ -391,8 +377,7 @@ def _check_I7(G, H):
     if cls.membership is Membership.IN_SOME:
         return None, values
     i_h = solvers.value(H.graph, PK.INDEPENDENT_DOMINATION)
-    product = rooted_product(G, H).product
-    i_gh = solvers.value(product, PK.INDEPENDENT_DOMINATION)
+    i_gh = _product_value(G, H, PK.INDEPENDENT_DOMINATION)
     values.update({"i_h": i_h, "i_product": i_gh})
     if cls.membership is Membership.IN_NONE:
         expected = G.n * i_h
@@ -431,8 +416,7 @@ def _two_value_check(kind: PK, plus_g: bool, G, H):
     """C1, X1 and W1: the product value is n*h or n*(h+1), or with ``plus_g``
     n*h or n*h + g."""
     param_h = solvers.value(H.graph, kind)
-    product = rooted_product(G, H).product
-    param_gh = solvers.value(product, kind)
+    param_gh = _product_value(G, H, kind)
     if plus_g:
         param_g = solvers.value(G, kind)
         allowed = {G.n * param_h, G.n * param_h + param_g}
@@ -491,8 +475,7 @@ def _iff_tree_check(kind: PK, G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     param_h = solvers.value(H.graph, kind)
-    product = rooted_product(G, H).product
-    param_gh = solvers.value(product, kind)
+    param_gh = _product_value(G, H, kind)
     root_is_leaf = H.root in leaves(H.graph)
     eq_plain = param_gh == G.n * param_h
     eq_plus = param_gh == G.n * (param_h + 1)
@@ -523,8 +506,7 @@ def _check_W3(G, H):
     if H.root in leaves(H.graph):
         return None, {"reason": "root must not be an end vertex"}
     w_h = solvers.value(H.graph, PK.WEAKLY_CONNECTED)
-    product = rooted_product(G, H).product
-    w_gh = solvers.value(product, PK.WEAKLY_CONNECTED)
+    w_gh = _product_value(G, H, PK.WEAKLY_CONNECTED)
     n1_g = len(leaves(G))
     # First claimed bound pair (leaf-count coefficients), second (order
     # coefficients); both are evaluated exactly as stated.
@@ -547,8 +529,7 @@ def _check_W3(G, H):
 
 def _check_S1(G, H):
     sp_h = solvers.value(H.graph, PK.SUPER)
-    product = rooted_product(G, H).product
-    sp_gh = solvers.value(product, PK.SUPER)
+    sp_gh = _product_value(G, H, PK.SUPER)
     expected = G.n * sp_h
     values = {"super_h": sp_h, "super_product": sp_gh, "expected": expected}
     return sp_gh == expected, values
@@ -568,8 +549,7 @@ def _check_S3(G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     s_h = len(support_vertices(H.graph))
-    product = rooted_product(G, H).product
-    sp_gh = solvers.value(product, PK.SUPER)
+    sp_gh = _product_value(G, H, PK.SUPER)
     lower = G.n * s_h
     upper = G.n * (H.graph.n - s_h)
     values = {
@@ -581,47 +561,184 @@ def _check_S3(G, H):
     return lower <= sp_gh <= upper, values
 
 
-#: Every theorem's checker and instance shape.  The shape says what the
-#: checker takes and how a campaign samples its instances:
-#:
-#: ``product``         base G and rooted H from the factor sampler
-#: ``single``          one G(n, p) graph of order up to ``deletion_n``
-#: ``tree-single``     one random tree of order up to ``tree_single_max``
-#: ``tree-pair-dp``    two random trees, every root of the second; the
-#:                     products are trees the exact tree DP solves at any
-#:                     order, so they get the higher ``tree_product_cap``
-#: ``tree-pair-scan``  as ``tree-pair-dp``, but the parameter needs the
-#:                     subset scan, so they keep ``product_cap``
-#: ``grid``            the fixed grid of ``closed_form_check``; no checker
+# -- instance samplers -------------------------------------------------------
+#
+# A sampler takes the theorem's seed and the campaign config and yields
+# (G, H or None, descriptor) without end.
+
+
+_BASE_FAMILIES = ("path", "cycle", "complete", "star", "random-tree", "random-connected")
+
+
+def _sample_factor(rng: random.Random, max_n: int) -> tuple[Graph, dict]:
+    """One connected factor graph of order 2..max_n plus its descriptor."""
+    while True:
+        family = rng.choice(_BASE_FAMILIES)
+        if family == "path":
+            n = rng.randint(2, max_n)
+            return path_graph(n), {"family": family, "n": n}
+        if family == "cycle":
+            if max_n < 3:
+                continue
+            n = rng.randint(3, max_n)
+            return cycle_graph(n), {"family": family, "n": n}
+        if family == "complete":
+            n = rng.randint(2, max_n)
+            return complete_graph(n), {"family": family, "n": n}
+        if family == "star":
+            if max_n < 3:
+                continue
+            m = rng.randint(2, max_n - 1)
+            return star_graph(m).graph, {"family": family, "m": m}
+        if family == "random-tree":
+            n = rng.randint(2, max_n)
+            seed = rng.randrange(1 << 48)
+            return random_tree(n, seed), {"family": family, "n": n, "seed": seed}
+        n = rng.randint(2, max_n)
+        seed = rng.randrange(1 << 48)
+        p = rng.choice((0.3, 0.5, 0.8))
+        return random_connected_graph(n, p, seed), {"family": family, "n": n, "p": p, "seed": seed}
+
+
+_P3 = path_graph(3)
+_STAR2 = star_graph(2).graph
+_STAR3 = star_graph(3).graph
+_SUB2 = subdivided_star_graph(2)
+_SUB3 = subdivided_star_graph(3)
+
+#: Rooted factors I7 draws half its H factors from.
+_I7_SPECIALS = (
+    (_STAR2, 0, {"family": "star", "m": 2, "root": 0}),
+    (_STAR2, 1, {"family": "star", "m": 2, "root": 1}),
+    (_STAR3, 0, {"family": "star", "m": 3, "root": 0}),
+    (_STAR3, 1, {"family": "star", "m": 3, "root": 1}),
+    (_SUB2.graph, _SUB2.root, {"family": "subdivided-star", "m": 2, "root": _SUB2.root}),
+)
+
+#: Rooted factors covering every Roman root-label branch; R4-R6 draw half
+#: their H factors from here.
+_ROMAN_SPECIALS = (
+    (path_graph(2), 0, {"family": "path", "n": 2, "root": 0}),
+    (_P3, 0, {"family": "path", "n": 3, "root": 0}),
+    (_P3, 1, {"family": "path", "n": 3, "root": 1}),
+    *_I7_SPECIALS,
+    (_SUB3.graph, _SUB3.root, {"family": "subdivided-star", "m": 3, "root": _SUB3.root}),
+    (empty_graph(2), 0, {"family": "empty", "n": 2, "root": 0}),
+    (empty_graph(3), 0, {"family": "empty", "n": 3, "root": 0}),
+)
+
+
+def _product_instance(rng: random.Random, config: CampaignConfig, specials=(), max_h: int = 0):
+    """A base G and a rooted H of product order at most ``product_cap``: H of
+    order up to max(``config.max_h``, ``max_h``), or half the time one of
+    ``specials``."""
+    max_h = max(config.max_h, max_h)
+    for _ in range(200):
+        g, g_desc = _sample_factor(rng, config.max_g)
+        if specials and rng.random() < 0.5:
+            h_graph, root, h_desc = specials[rng.randrange(len(specials))]
+        else:
+            h_graph, h_desc = _sample_factor(rng, max_h)
+            root = rng.randrange(h_graph.n)
+        h_desc = {**h_desc, "root": root}  # a fresh dict per trial
+        if g.n * h_graph.n <= config.product_cap:
+            return g, RootedGraph(h_graph, root), {"g": g_desc, "h": h_desc}
+    raise ValueError(
+        f"could not sample a product instance of order <= {config.product_cap} "
+        "in 200 tries; raise product_cap"
+    )
+
+
+def _gnp_instance(rng: random.Random, config: CampaignConfig) -> tuple[Graph, None, dict]:
+    """One G(n, p) graph of order up to ``deletion_n``."""
+    n = rng.randint(2, config.deletion_n)
+    p = rng.choice((0.3, 0.5, 0.7))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges), None, {"family": "gnp", "n": n, "p": p}
+
+
+def _tree_instance(rng: random.Random, config: CampaignConfig) -> tuple[Graph, None, dict]:
+    """One random tree of order up to ``tree_single_max``."""
+    n = rng.randint(max(3, config.tree_min), config.tree_single_max)
+    seed = rng.randrange(1 << 48)
+    return random_tree(n, seed), None, {"family": "random-tree", "n": n, "seed": seed}
+
+
+def _per_trial(draw, seed: int, config: CampaignConfig):
+    """Endless instances, trial t drawn by ``draw`` from ``Random(child_seed(seed, t + 1))``."""
+    for trial in count():
+        yield draw(random.Random(child_seed(seed, trial + 1)), config)
+
+
+_products = partial(_per_trial, _product_instance)
+_roman_products = partial(_per_trial, partial(_product_instance, specials=_ROMAN_SPECIALS, max_h=5))
+_i7_products = partial(_per_trial, partial(_product_instance, specials=_I7_SPECIALS))
+_gnps = partial(_per_trial, _gnp_instance)
+_trees = partial(_per_trial, _tree_instance)
+
+
+def _tree_pairs(cap_field: str, seed: int, config: CampaignConfig):
+    """Pairs (T1, rooted T2) of product order up to the config field
+    ``cap_field``, every root of T2 in turn; all pairs come from one
+    ``Random(child_seed(seed, 0))``, a pair drawn only when needed."""
+    rng = random.Random(child_seed(seed, 0))
+    cap = getattr(config, cap_field)
+    while True:
+        n1 = rng.randint(config.tree_min, config.tree_max)
+        n2 = rng.randint(config.tree_min, config.tree_max)
+        if n1 * n2 > cap:
+            continue
+        seed1 = rng.randrange(1 << 48)
+        seed2 = rng.randrange(1 << 48)
+        t1 = random_tree(n1, seed1)
+        t2 = random_tree(n2, seed2)
+        for root in range(n2):
+            yield t1, RootedGraph(t2, root), {
+                "g": {"family": "random-tree", "n": n1, "seed": seed1},
+                "h": {"family": "random-tree", "n": n2, "seed": seed2, "root": root},
+            }
+
+
+#: The products are trees the exact tree DP solves at any order, so they get
+#: the higher ``tree_product_cap``.
+_dp_tree_pairs = partial(_tree_pairs, "tree_product_cap")
+#: The parameter needs the subset scan, so the products keep ``product_cap``.
+_scan_tree_pairs = partial(_tree_pairs, "product_cap")
+
+
+#: Every theorem's row: (checker, sampler, must_hold).
 _THEOREMS = {
-    TheoremId.D1: (_check_D1, "product"),
-    TheoremId.D2: (_check_D2, "product"),
-    TheoremId.R1: (_check_R1, "product"),
-    TheoremId.R2: (_check_R2, "single"),
-    TheoremId.R3: (_check_R3, "single"),
-    TheoremId.R4: (_check_R4, "product"),
-    TheoremId.R5: (_check_R5, "product"),
-    TheoremId.R6: (_check_R6, "product"),
-    TheoremId.I1: (_check_I1, "single"),
-    TheoremId.I2: (_check_I2, "product"),
-    TheoremId.I3: (_check_I3, "single"),
-    TheoremId.I4: (_check_I4, "single"),
-    TheoremId.I5: (_check_I5, "product"),
-    TheoremId.I6: (None, "grid"),
-    TheoremId.I7: (_check_I7, "product"),
-    TheoremId.C1: (partial(_two_value_check, PK.CONNECTED, False), "product"),
-    TheoremId.C2: (_check_C2, "tree-single"),
-    TheoremId.C3: (_check_C3, "tree-pair-dp"),
-    TheoremId.C4: (partial(_iff_tree_check, PK.CONNECTED), "tree-pair-dp"),
-    TheoremId.X1: (partial(_two_value_check, PK.CONVEX, False), "product"),
-    TheoremId.X2: (partial(_iff_tree_check, PK.CONVEX), "tree-pair-dp"),
-    TheoremId.W1: (partial(_two_value_check, PK.WEAKLY_CONNECTED, True), "product"),
-    TheoremId.W2: (_check_W2, "tree-single"),
-    TheoremId.W3: (_check_W3, "tree-pair-scan"),
-    TheoremId.S1: (_check_S1, "product"),
-    TheoremId.S2: (_check_S2, "tree-single"),
-    TheoremId.S3: (_check_S3, "tree-pair-scan"),
+    TheoremId.D1: (_check_D1, _products, False),
+    TheoremId.D2: (_check_D2, _products, True),
+    TheoremId.R1: (_check_R1, _products, True),
+    TheoremId.R2: (_check_R2, _gnps, True),
+    TheoremId.R3: (_check_R3, _gnps, True),
+    TheoremId.R4: (_check_R4, _roman_products, True),
+    TheoremId.R5: (_check_R5, _roman_products, False),
+    TheoremId.R6: (_check_R6, _roman_products, False),
+    TheoremId.I1: (_check_I1, _gnps, True),
+    TheoremId.I2: (_check_I2, _products, False),
+    TheoremId.I3: (_check_I3, _gnps, True),
+    TheoremId.I4: (_check_I4, _gnps, True),
+    TheoremId.I5: (_check_I5, _products, True),
+    TheoremId.I6: (None, None, False),
+    TheoremId.I7: (_check_I7, _i7_products, False),
+    TheoremId.C1: (partial(_two_value_check, PK.CONNECTED, False), _products, False),
+    TheoremId.C2: (_check_C2, _trees, True),
+    TheoremId.C3: (_check_C3, _dp_tree_pairs, True),
+    TheoremId.C4: (partial(_iff_tree_check, PK.CONNECTED), _dp_tree_pairs, False),
+    TheoremId.X1: (partial(_two_value_check, PK.CONVEX, False), _products, False),
+    TheoremId.X2: (partial(_iff_tree_check, PK.CONVEX), _dp_tree_pairs, False),
+    TheoremId.W1: (partial(_two_value_check, PK.WEAKLY_CONNECTED, True), _products, False),
+    TheoremId.W2: (_check_W2, _trees, False),
+    TheoremId.W3: (_check_W3, _scan_tree_pairs, False),
+    TheoremId.S1: (_check_S1, _products, False),
+    TheoremId.S2: (_check_S2, _trees, False),
+    TheoremId.S3: (_check_S3, _scan_tree_pairs, False),
 }
+
+#: Theorems whose failure makes a campaign exit nonzero.
+MUST_HOLD = frozenset(t for t, (_, _, must) in _THEOREMS.items() if must)
 
 
 def check(
@@ -637,21 +754,18 @@ def check(
     under the config's caps, and a solver call past the scan budget raises
     ``BudgetExceededError``.
     """
-    checker, shape = _THEOREMS[theorem]
+    checker, sampler, _ = _THEOREMS[theorem]
     if checker is None:
         raise ValueError("the closed-form theorem is checked via closed_form_check(family, n, m)")
+    if G is None:
+        raise ValueError(f"theorem {theorem.value} needs a graph")
+    if H is None and sampler not in (_gnps, _trees):
+        raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
     descriptor = dict(instance or {})
-    if G is not None:
-        descriptor.setdefault("g_order", G.n)
+    descriptor.setdefault("g_order", G.n)
     if H is not None:
         descriptor.setdefault("h_order", H.graph.n)
         descriptor.setdefault("root", H.root)
-
-    if shape in ("single", "tree-single"):
-        if G is None:
-            raise ValueError(f"theorem {theorem.value} needs a graph")
-    elif G is None or H is None:
-        raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
 
     try:
         ok, values = checker(G, H)
@@ -799,149 +913,17 @@ class CampaignConfig:
         return out
 
 
-_BASE_FAMILIES = ("path", "cycle", "complete", "star", "random-tree", "random-connected")
-
-
-def _sample_factor(rng: random.Random, max_n: int) -> tuple[Graph, dict]:
-    """One connected factor graph of order 2..max_n plus its descriptor."""
-    while True:
-        family = rng.choice(_BASE_FAMILIES)
-        if family == "path":
-            n = rng.randint(2, max_n)
-            return path_graph(n), {"family": family, "n": n}
-        if family == "cycle":
-            if max_n < 3:
-                continue
-            n = rng.randint(3, max_n)
-            return cycle_graph(n), {"family": family, "n": n}
-        if family == "complete":
-            n = rng.randint(2, max_n)
-            return complete_graph(n), {"family": family, "n": n}
-        if family == "star":
-            if max_n < 3:
-                continue
-            m = rng.randint(2, max_n - 1)
-            return star_graph(m).graph, {"family": family, "m": m}
-        if family == "random-tree":
-            n = rng.randint(2, max_n)
-            seed = rng.randrange(1 << 48)
-            return random_tree(n, seed), {"family": family, "n": n, "seed": seed}
-        n = rng.randint(2, max_n)
-        seed = rng.randrange(1 << 48)
-        p = rng.choice((0.3, 0.5, 0.8))
-        return random_connected_graph(n, p, seed), {"family": family, "n": n, "p": p, "seed": seed}
-
-
-_P3 = path_graph(3)
-_STAR2 = star_graph(2).graph
-_STAR3 = star_graph(3).graph
-_SUB2 = subdivided_star_graph(2)
-_SUB3 = subdivided_star_graph(3)
-
-#: Rooted factors I7 draws half its H factors from.
-_I7_SPECIALS = (
-    (_STAR2, 0, {"family": "star", "m": 2, "root": 0}),
-    (_STAR2, 1, {"family": "star", "m": 2, "root": 1}),
-    (_STAR3, 0, {"family": "star", "m": 3, "root": 0}),
-    (_STAR3, 1, {"family": "star", "m": 3, "root": 1}),
-    (_SUB2.graph, _SUB2.root, {"family": "subdivided-star", "m": 2, "root": _SUB2.root}),
-)
-
-#: Rooted factors covering every Roman root-label branch; R4-R6 draw half
-#: their H factors from here.
-_ROMAN_SPECIALS = (
-    (path_graph(2), 0, {"family": "path", "n": 2, "root": 0}),
-    (_P3, 0, {"family": "path", "n": 3, "root": 0}),
-    (_P3, 1, {"family": "path", "n": 3, "root": 1}),
-    *_I7_SPECIALS,
-    (_SUB3.graph, _SUB3.root, {"family": "subdivided-star", "m": 3, "root": _SUB3.root}),
-    (empty_graph(2), 0, {"family": "empty", "n": 2, "root": 0}),
-    (empty_graph(3), 0, {"family": "empty", "n": 3, "root": 0}),
-)
-
-
-def _product_instance(
-    rng: random.Random, config: CampaignConfig, theorem: TheoremId
-) -> tuple[Graph, RootedGraph, dict]:
-    specials = None
-    max_h = config.max_h
-    if theorem in (TheoremId.R4, TheoremId.R5, TheoremId.R6):
-        max_h = max(config.max_h, 5)
-        specials = _ROMAN_SPECIALS
-    if theorem is TheoremId.I7:
-        specials = _I7_SPECIALS
-    for _ in range(200):
-        g, g_desc = _sample_factor(rng, config.max_g)
-        if specials is not None and rng.random() < 0.5:
-            h_graph, root, h_desc = specials[rng.randrange(len(specials))]
-        else:
-            h_graph, h_desc = _sample_factor(rng, max_h)
-            root = rng.randrange(h_graph.n)
-        h_desc = {**h_desc, "root": root}  # a fresh dict per trial
-        if g.n * h_graph.n <= config.product_cap:
-            return g, RootedGraph(h_graph, root), {"g": g_desc, "h": h_desc}
-    raise ValueError(
-        f"could not sample a product instance of order <= {config.product_cap} "
-        "in 200 tries; raise product_cap"
-    )
-
-
-def _gnp_instance(rng: random.Random, config: CampaignConfig) -> tuple[Graph, dict]:
-    n = rng.randint(2, config.deletion_n)
-    p = rng.choice((0.3, 0.5, 0.7))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges), {"family": "gnp", "n": n, "p": p}
-
-
-def _tree_pairs(rng: random.Random, config: CampaignConfig, cap: int):
-    """Endless stream of (T1, rooted T2, descriptor) covering every root per pair.
-
-    A pair is drawn from ``rng`` only once the previous pair's roots are used.
-    """
-    while True:
-        n1 = rng.randint(config.tree_min, config.tree_max)
-        n2 = rng.randint(config.tree_min, config.tree_max)
-        if n1 * n2 > cap:
-            continue
-        seed1 = rng.randrange(1 << 48)
-        seed2 = rng.randrange(1 << 48)
-        t1 = random_tree(n1, seed1)
-        t2 = random_tree(n2, seed2)
-        for root in range(n2):
-            yield t1, RootedGraph(t2, root), {
-                "g": {"family": "random-tree", "n": n1, "seed": seed1},
-                "h": {"family": "random-tree", "n": n2, "seed": seed2, "root": root},
-            }
-
-
 def _verdicts(theorem: TheoremId, config: CampaignConfig):
     """Each trial's verdict in order, or None for a trial past the budget."""
-    shape = _THEOREMS[theorem][1]
-    if shape == "grid":
+    sampler = _THEOREMS[theorem][1]
+    if sampler is None:
         for family in ("caterpillar", "subdivided-star-product"):
             for n in range(2, 7):
                 for m in range(2, 5):
                     yield closed_form_check(family, n, m)
         return
-
-    theorem_seed = child_seed(config.seed, list(TheoremId).index(theorem))
-    cap = config.tree_product_cap if shape == "tree-pair-dp" else config.product_cap
-    # Lazy: only the tree-pair shapes draw from this stream.
-    tree_pairs = _tree_pairs(random.Random(child_seed(theorem_seed, 0)), config, cap)
-    for trial in range(config.trials):
-        rng = random.Random(child_seed(theorem_seed, trial + 1))
-        H = None
-        if shape == "product":
-            G, H, desc = _product_instance(rng, config, theorem)
-        elif shape == "single":
-            G, desc = _gnp_instance(rng, config)
-        elif shape == "tree-single":
-            n = rng.randint(max(3, config.tree_min), config.tree_single_max)
-            seed = rng.randrange(1 << 48)
-            G = random_tree(n, seed)
-            desc = {"family": "random-tree", "n": n, "seed": seed}
-        else:
-            G, H, desc = next(tree_pairs)
+    seed = child_seed(config.seed, list(TheoremId).index(theorem))
+    for G, H, desc in islice(sampler(seed, config), config.trials):
         try:
             verdict = check(theorem, G, H, instance=desc)
         except BudgetExceededError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from ._kernelspec import (
+from ._pykernels import (
     KIND_CONNECTED_DOMINATING,
     KIND_CONVEX_DOMINATING,
     KIND_DOMINATING,

@@ -64,6 +64,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "bad.el:2" in err
 
+    @pytest.mark.parametrize(
+        "graph,extra",
+        [(path_graph(30), ["--enumerate"]), (path_graph(3), ["--classify-root", "5"])],
+        ids=["enumerate-past-scan-budget", "root-out-of-range"],
+    )
+    def test_failing_request_prints_only_its_error(self, tmp_path, capsys, graph, extra):
+        path = tmp_path / "g.el"
+        path.write_text(format_edge_list(graph), encoding="utf-8")
+        assert main(["solve", "--param", "connected", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("budget", ["3", "0", "-5", "63"])
     def test_budget_env(self, p4_file, monkeypatch, capsys, budget):
         monkeypatch.setenv("ROOTDOM_BUDGET", budget)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from itertools import islice
 
 import pytest
 
@@ -14,6 +15,7 @@ from rootdom.families import (
 )
 from rootdom.graph import Graph
 from rootdom.harness import (
+    _THEOREMS,
     MUST_HOLD,
     CampaignConfig,
     Outcome,
@@ -338,5 +340,45 @@ class TestCampaign:
             CampaignConfig.from_dict({"nope": 1})
 
     def test_must_hold_membership(self):
-        assert T.D2 in MUST_HOLD and T.C2 in MUST_HOLD
-        assert T.S1 not in MUST_HOLD and T.W3 not in MUST_HOLD and T.D1 not in MUST_HOLD
+        assert MUST_HOLD == {
+            T.D2, T.R1, T.R2, T.R3, T.R4, T.I1, T.I3, T.I4, T.I5, T.C2, T.C3,
+        }
+
+
+#: Theorems checked on one graph; every other sampled theorem needs G and H.
+SINGLE_GRAPH = {T.R2, T.R3, T.I1, T.I3, T.I4, T.C2, T.W2, T.S2}
+
+
+class TestTheoremTable:
+    def test_every_theorem_has_one_row(self):
+        assert set(_THEOREMS) == set(TheoremId)
+        for theorem, (checker, sampler, must_hold) in _THEOREMS.items():
+            assert isinstance(must_hold, bool)
+            if theorem is T.I6:
+                assert (checker, sampler) == (None, None)
+            else:
+                assert callable(checker) and callable(sampler)
+
+    def test_samplers_yield_h_exactly_for_two_factor_theorems(self):
+        cfg = CampaignConfig(seed=3)
+        for theorem, (_, sampler, _) in _THEOREMS.items():
+            if sampler is None:
+                continue
+            for G, H, desc in islice(sampler(11, cfg), 6):
+                assert isinstance(G, Graph) and isinstance(desc, dict)
+                assert (H is None) == (theorem in SINGLE_GRAPH)
+
+    @pytest.mark.parametrize("theorem", sorted(set(TheoremId) - SINGLE_GRAPH - {T.I6}))
+    def test_two_factor_theorem_rejects_a_lone_graph(self, theorem):
+        with pytest.raises(ValueError, match="needs a base graph and a rooted graph"):
+            check(theorem, path_graph(3))
+        payload = {"theorem": theorem.value, "g": {"n": 3, "edges": [[0, 1], [1, 2]]}}
+        with pytest.raises(ValueError, match="needs a base graph and a rooted graph"):
+            check_witness(payload)
+
+    @pytest.mark.parametrize("theorem", sorted(SINGLE_GRAPH))
+    def test_single_graph_theorem_takes_one_graph(self, theorem):
+        verdict = check(theorem, path_graph(4))
+        assert verdict.outcome in (Outcome.PASS, Outcome.NOT_APPLICABLE)
+        with pytest.raises(ValueError, match="needs a graph"):
+            check(theorem)
