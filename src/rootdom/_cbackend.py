@@ -3,12 +3,6 @@
 ``rootdom.kernels`` imports this module only when the library exists, so a
 pure-Python install never loads ctypes.  Every buffer handed to C is
 checked for size in Python first, since C reads it without bounds.
-
-Each buffer role (open masks, closed masks, interval masks) keeps the last
-mask tuple it converted and its ``array``, and reuses the array when the
-next call passes the same tuple object.  ``Graph`` hands out one cached
-tuple per table and tuples cannot change, so a repeated scan of one graph
-skips the conversion.  Other sequences are converted on every call.
 """
 
 from __future__ import annotations
@@ -59,28 +53,14 @@ def load(path: str):
     c_scan_min, c_scan_max = lib.scan_min, lib.scan_max_independent
     c_enumerate, c_roman_min, c_roman_enumerate = lib.enumerate_size, lib.roman_min, lib.roman_enumerate
 
-    def converter():
-        """Converts one buffer role's masks, reusing the last array when the
-        same tuple comes again."""
-        last = (None, None)  # one pair, read in one step, so threads see it whole
-
-        def masks(seq, n: int, size: int):
-            nonlocal last
-            # The C side reads ``size`` words, so a short sequence must not reach it.
-            if not 0 <= n <= MAX_ORDER:
-                raise ValueError(f"the C kernels take orders 0..{MAX_ORDER}, got {n}")
-            held, buf = last
-            if seq is not held:
-                buf = array("Q", seq)
-                if type(seq) is tuple:
-                    last = seq, buf
-            if len(buf) < size:
-                raise ValueError(f"expected {size} masks, got {len(buf)}")
-            return buf
-
-        return masks
-
-    open_masks, closed_masks, interval_masks = converter(), converter(), converter()
+    def masks(seq, n: int, size: int):
+        # The C side reads ``size`` words, so a short sequence must not reach it.
+        if not 0 <= n <= MAX_ORDER:
+            raise ValueError(f"the C kernels take orders 0..{MAX_ORDER}, got {n}")
+        buf = array("Q", seq)
+        if len(buf) < size:
+            raise ValueError(f"expected {size} masks, got {len(buf)}")
+        return buf
 
     def check_forced(n: int, forced_in: int, forced_out: int) -> None:
         # ctypes would wrap a mask outside the vertices to 64 bits silently.
@@ -93,11 +73,7 @@ def load(path: str):
         check_forced(n, forced_in, forced_out)
         # Only the convex kind reads interval masks, and it needs all n * n.
         size = n * n if kind == KIND_CONVEX_DOMINATING else 0
-        return (
-            open_masks(open_m, n, n),
-            closed_masks(closed_m, n, n),
-            interval_masks((intervals or ()) if size else (), n, size),
-        )
+        return masks(open_m, n, n), masks(closed_m, n, n), masks((intervals or ()) if size else (), n, size)
 
     def take(status: int, out) -> tuple[list[int], bool]:
         if status:
@@ -115,7 +91,7 @@ def load(path: str):
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
-        om = open_masks(open_m, n, n)
+        om = masks(open_m, n, n)
         found = c_scan_max(n, om.buffer_info()[0])
         return found.bit_count(), found
 
@@ -131,12 +107,12 @@ def load(path: str):
         return take(status, out)
 
     def roman_min(n: int, closed_m):
-        cm, b2 = closed_masks(closed_m, n, n), u64()
+        cm, b2 = masks(closed_m, n, n), u64()
         weight = c_roman_min(n, cm.buffer_info()[0], ctypes.byref(b2))
         return weight, b2.value
 
     def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
-        cm, out = closed_masks(closed_m, n, n), MaskList()
+        cm, out = masks(closed_m, n, n), MaskList()
         check_forced(n, forced_in, forced_out)
         status = c_roman_enumerate(
             n, cm.buffer_info()[0], target_weight, cap, forced_in, forced_out, ctypes.byref(out)

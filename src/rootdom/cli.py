@@ -233,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check one theorem over seeded instances")
     p_verify.add_argument("--theorem", choices=[t.value for t in TheoremId])
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--max-g", type=int, default=5)
-    p_verify.add_argument("--max-h", type=int, default=4)
+    p_verify.add_argument("--trials", type=int, default=CampaignConfig.trials)
+    p_verify.add_argument("--seed", type=int, default=CampaignConfig.seed)
+    p_verify.add_argument("--max-g", type=int, default=CampaignConfig.max_g)
+    p_verify.add_argument("--max-h", type=int, default=CampaignConfig.max_h)
     p_verify.add_argument("--witness", default=None, help="re-run a recorded witness file")
     p_verify.add_argument("--out", default=None)
 

@@ -435,9 +435,7 @@ def _check_C2(G, H):
         return None, {"reason": "needs a tree of order >= 3"}
     # The subset scan, not value(): on a tree value() is the formula checked
     # here, and so is solve() past the scan budget, so such a trial is skipped.
-    budget = solvers.scan_budget()
-    if G.n > budget:
-        raise BudgetExceededError(f"C2 needs the subset scan; order {G.n} exceeds n <= {budget}")
+    solvers._require_scan(G, "C2")
     n1 = len(leaves(G))
     value = solve(G, PK.CONNECTED).value
     values = {"connected": value, "n": G.n, "leaf_count": n1, "expected": G.n - n1}
@@ -741,6 +739,12 @@ _THEOREMS = {
 MUST_HOLD = frozenset(t for t, (_, _, must) in _THEOREMS.items() if must)
 
 
+def _on_products(theorem: TheoremId) -> bool:
+    """Whether ``theorem`` is checked on a base graph and a rooted graph, read
+    off its row: every sampler but the single-graph ones yields an H."""
+    return _THEOREMS[theorem][1] not in (_gnps, _trees)
+
+
 def check(
     theorem: TheoremId,
     G: Graph | None = None,
@@ -754,13 +758,16 @@ def check(
     under the config's caps, and a solver call past the scan budget raises
     ``BudgetExceededError``.
     """
-    checker, sampler, _ = _THEOREMS[theorem]
+    checker = _THEOREMS[theorem][0]
     if checker is None:
         raise ValueError("the closed-form theorem is checked via closed_form_check(family, n, m)")
     if G is None:
         raise ValueError(f"theorem {theorem.value} needs a graph")
-    if H is None and sampler not in (_gnps, _trees):
+    on_products = _on_products(theorem)
+    if on_products and H is None:
         raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
+    if H is not None and not on_products:
+        raise ValueError(f"theorem {theorem.value} takes one graph, not a rooted graph")
     descriptor = dict(instance or {})
     descriptor.setdefault("g_order", G.n)
     if H is not None:

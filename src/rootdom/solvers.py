@@ -28,17 +28,23 @@ Two entry points:
 ``classify_root()`` says whether a root lies in every optimum, in none or in
 some.  It takes one optimum -- the tree DP's where ``value()`` would use it,
 ``solve()``'s otherwise -- and runs one existence scan at the optimal size
-(``enumerate_size`` with ``cap == 0``) with the root forced to the side that
-optimum does not show; a cut vertex is in every connected and convex optimum
-and needs no scan.  For Roman it reads one root label off ``solve()``'s
-witness and asks one scan per missing label, with 2-set masks.  It lists no
-optimum, so unlike ``enumerate_optimal`` it never raises
-``EnumerationCapError``.
+(``cap == 0``) with the root forced to the side that optimum does not show;
+a cut vertex is in every connected and convex optimum and needs no scan.
+For Roman it reads one root label off ``solve()``'s witness and asks one
+scan per missing label, with 2-set masks.  It lists no optimum, so unlike
+``enumerate_optimal`` it never raises ``EnumerationCapError``.
+
+One seam leads to the kernels.  ``solve()`` calls the three minimum
+kernels; ``_listing()`` is the one caller of the two listing kernels
+(``enumerate_size``, ``roman_enumerate``), for enumeration and for every
+existence scan, and adds the forced cut vertices; ``_witness()`` is the one
+decoder of a kernel mask into a set or a Roman assignment.
 
 The scan budget is the one resource knob: ``scan_budget()`` reads it from
-``ROOTDOM_BUDGET`` (default 22) on every ``solve()``, enumeration and root
-classification.  The witness-list cap of ``enumerate_optimal`` is the fixed
-``ENUMERATION_CAP``.
+``ROOTDOM_BUDGET`` (default 22), and ``_require_scan()`` is the one guard
+that raises ``BudgetExceededError`` past it, for ``solve()``, enumeration,
+root classification and the harness's C2 check.  The witness-list cap of
+``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from . import kernels, tree_dp
 from .graph import Graph, is_connected, is_tree
@@ -234,12 +239,17 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _forced_ones(graph: Graph, b2_mask: int) -> int:
+def _witness(graph: Graph, kind: ParameterKind, mask: int) -> frozenset[int] | RomanAssignment:
+    """The witness a kernel mask stands for: the set itself, or for Roman the
+    assignment with 2-set ``mask`` and the 1-labels forced onto the vertices
+    it leaves uncovered."""
+    if kind is not ParameterKind.ROMAN:
+        return _mask_to_set(mask)
     covered = 0
     for v in range(graph.n):
-        if b2_mask & (1 << v):
+        if mask & (1 << v):
             covered |= graph.closed_masks()[v]
-    return ((1 << graph.n) - 1) & ~covered
+    return RomanAssignment(_mask_to_set(((1 << graph.n) - 1) & ~covered), _mask_to_set(mask))
 
 
 def _check_order(graph: Graph) -> None:
@@ -266,6 +276,40 @@ def _scan_args(graph: Graph, kind: ParameterKind) -> tuple:
     return _KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), intervals
 
 
+def _require_scan(graph: Graph, task: str) -> None:
+    """The one budget guard: ``BudgetExceededError`` when ``task`` would scan
+    a graph past ``scan_budget()``."""
+    max_scan_n = scan_budget()
+    if graph.n > max_scan_n:
+        raise BudgetExceededError(
+            f"{task} needs the subset scan, and order {graph.n} exceeds the subset-scan "
+            f"budget (n <= {max_scan_n}); set ROOTDOM_BUDGET to raise it"
+        )
+
+
+def _listing(
+    graph: Graph, kind: ParameterKind, target: int, cap: int, forced_in: int = 0, forced_out: int = 0
+) -> list[int]:
+    """Masks of the optima of ``kind`` at value ``target`` that hold
+    ``forced_in`` and miss ``forced_out``, in scan order; for Roman, their
+    2-sets.  The kind's forced cut vertices are added to ``forced_in``.
+    ``cap == 0`` asks only whether one exists, and the list then says so by
+    being empty or not; past a positive ``cap`` it raises
+    ``EnumerationCapError``."""
+    forced_in |= _forced_in(graph, kind)
+    if kind is ParameterKind.ROMAN:
+        masks, hit_cap = kernels.roman_enumerate(
+            graph.n, graph.closed_masks(), target, cap, forced_in, forced_out
+        )
+        listed = "optimal Roman assignments"
+    else:
+        masks, hit_cap = kernels.enumerate_size(*_scan_args(graph, kind), target, cap, forced_in, forced_out)
+        listed = "optimal sets"
+    if hit_cap and cap:
+        raise EnumerationCapError(f"more than {cap} {listed}", partial_count=len(masks))
+    return masks
+
+
 def _solve_tree(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int]]:
     if kind is ParameterKind.INDEPENDENT_DOMINATION:
         return tree_dp.tree_independent_domination(graph)
@@ -277,30 +321,21 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
     max_scan_n = scan_budget()
     _check_order(graph)
     _require_connected(graph, kind)
-
     if graph.n > max_scan_n:
         if kind in _TREE_DP_KINDS and is_tree(graph):
             return SolveResult(kind, *_solve_tree(graph, kind))
-        raise BudgetExceededError(
-            f"order {graph.n} exceeds the subset-scan budget "
-            f"(n <= {max_scan_n}); set ROOTDOM_BUDGET to raise it"
-        )
+        _require_scan(graph, "solve")
 
     if kind is ParameterKind.INDEPENDENCE:
-        size, mask = kernels.scan_max_independent(graph.n, graph.open_masks())
-        return SolveResult(kind, size, _mask_to_set(mask))
-
-    if kind is ParameterKind.ROMAN:
-        weight, b2_mask = kernels.roman_min(graph.n, graph.closed_masks())
-        b1_mask = _forced_ones(graph, b2_mask)
-        witness = RomanAssignment(_mask_to_set(b1_mask), _mask_to_set(b2_mask))
-        return SolveResult(kind, weight, witness)
-
-    found = kernels.scan_min(*_scan_args(graph, kind), forced_in=_forced_in(graph, kind))
+        found = kernels.scan_max_independent(graph.n, graph.open_masks())
+    elif kind is ParameterKind.ROMAN:
+        found = kernels.roman_min(graph.n, graph.closed_masks())
+    else:
+        found = kernels.scan_min(*_scan_args(graph, kind), forced_in=_forced_in(graph, kind))
     if found is None:
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
     size, mask = found
-    return SolveResult(kind, size, _mask_to_set(mask))
+    return SolveResult(kind, size, _witness(graph, kind, mask))
 
 
 def _optimum(graph: Graph, kind: ParameterKind) -> tuple[int, frozenset[int] | RomanAssignment]:
@@ -324,14 +359,6 @@ def value(graph: Graph, kind: ParameterKind) -> int:
 # -- enumeration and root classification --------------------------------------
 
 
-def _require_scan(graph: Graph, task: str) -> None:
-    max_scan_n = scan_budget()
-    if graph.n > max_scan_n:
-        raise BudgetExceededError(
-            f"{task} needs the scan engine; order {graph.n} exceeds n <= {max_scan_n}"
-        )
-
-
 def enumerate_optimal(
     graph: Graph, kind: ParameterKind
 ) -> list[frozenset[int]] | list[RomanAssignment]:
@@ -342,33 +369,12 @@ def enumerate_optimal(
     """
     target = value(graph, kind)
     _require_scan(graph, "enumeration")
-
+    masks = _listing(graph, kind, target, ENUMERATION_CAP)
     if kind is ParameterKind.ROMAN:
-        b2_masks, hit_cap = kernels.roman_enumerate(
-            graph.n, graph.closed_masks(), target, ENUMERATION_CAP
-        )
-        if hit_cap:
-            raise EnumerationCapError(
-                f"more than {ENUMERATION_CAP} optimal Roman assignments",
-                partial_count=len(b2_masks),
-            )
         # The scan lists 2-sets of one size in reverse lexicographic order.
-        b2_masks.reverse()
-        b2_masks.sort(key=int.bit_count)
-        return [
-            RomanAssignment(_mask_to_set(_forced_ones(graph, mask)), _mask_to_set(mask))
-            for mask in b2_masks
-        ]
-
-    masks, hit_cap = kernels.enumerate_size(
-        *_scan_args(graph, kind), target, ENUMERATION_CAP, forced_in=_forced_in(graph, kind)
-    )
-    if hit_cap:
-        raise EnumerationCapError(
-            f"more than {ENUMERATION_CAP} optimal sets",
-            partial_count=len(masks),
-        )
-    return [_mask_to_set(mask) for mask in masks]
+        masks.reverse()
+        masks.sort(key=int.bit_count)
+    return [_witness(graph, kind, mask) for mask in masks]
 
 
 def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassification:
@@ -394,16 +400,21 @@ def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassificatio
     _require_scan(graph, "root classification")
     if kind is ParameterKind.ROMAN:
         values = _roman_labels(graph, root, target, witness.label(root))
-        return RootClassification(kind, _membership(v > 0 for v in values), roman_values=values)
+        if 0 not in values:
+            membership = Membership.IN_ALL
+        elif len(values) == 1:
+            membership = Membership.IN_NONE
+        else:
+            membership = Membership.IN_SOME
+        return RootClassification(kind, membership, roman_values=values)
     bit = 1 << root
-    forced_in = _forced_in(graph, kind)
-    if forced_in & bit:
+    if _forced_in(graph, kind) & bit:
         return RootClassification(kind, Membership.IN_ALL)
     if root in witness:  # in every optimum, unless one leaves it out
-        masks, unless_found = (forced_in, bit), Membership.IN_ALL
+        masks, unless_found = (0, bit), Membership.IN_ALL
     else:  # in none, unless one holds it
-        masks, unless_found = (forced_in | bit, 0), Membership.IN_NONE
-    found, _ = kernels.enumerate_size(*_scan_args(graph, kind), target, 0, *masks)
+        masks, unless_found = (bit, 0), Membership.IN_NONE
+    found = _listing(graph, kind, target, 0, *masks)
     return RootClassification(kind, Membership.IN_SOME if found else unless_found)
 
 
@@ -414,17 +425,15 @@ def _roman_labels(graph: Graph, root: int, weight: int, first: int) -> frozenset
     masks: label 2 holds the root in B2; label 1 keeps N[root] out of B2;
     label 0 keeps the root out and some neighbour u in, one scan per u, each
     with the neighbours already tried kept out too."""
-    closed = graph.closed_masks()
 
     def exists(forced_in: int, forced_out: int) -> bool:
-        found, _ = kernels.roman_enumerate(graph.n, closed, weight, 0, forced_in, forced_out)
-        return bool(found)
+        return bool(_listing(graph, ParameterKind.ROMAN, weight, 0, forced_in, forced_out))
 
     labels = {first}
     bit = 1 << root
     if first != 2 and exists(bit, 0):
         labels.add(2)
-    if first != 1 and exists(0, closed[root]):
+    if first != 1 and exists(0, graph.closed_masks()[root]):
         labels.add(1)
     if first != 0:
         tried = bit
@@ -434,12 +443,3 @@ def _roman_labels(graph: Graph, root: int, weight: int, first: int) -> frozenset
                 break
             tried |= 1 << u
     return frozenset(labels)
-
-
-def _membership(flags: Iterable[bool]) -> Membership:
-    flags = list(flags)
-    if all(flags):
-        return Membership.IN_ALL
-    if not any(flags):
-        return Membership.IN_NONE
-    return Membership.IN_SOME

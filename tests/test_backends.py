@@ -276,11 +276,31 @@ def test_forced_out_outside_the_vertices_is_rejected(fast):
                 backend.roman_enumerate(3, g.closed_masks(), 2, 10, 0, forced)
 
 
-def test_a_converted_mask_array_is_reused_only_for_the_same_tuple(fast):
+def test_a_mask_sequence_shorter_than_the_order_is_rejected(fast):
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    full, short = g.closed_masks(), g.closed_masks()[:3]
+    dom, convex = slow.KIND_DOMINATING, slow.KIND_CONVEX_DOMINATING
+    for call, args in (
+        (fast.scan_min, (dom, 4, short, full)),
+        (fast.scan_min, (dom, 4, full, short)),
+        (fast.scan_min, (convex, 4, full, full, g.interval_masks()[:15])),
+        (fast.scan_min, (convex, 4, full, full, None)),
+        (fast.scan_max_independent, (4, short)),
+        (fast.enumerate_size, (dom, 4, short, full, None, 2, 10)),
+        (fast.enumerate_size, (convex, 4, full, full, g.interval_masks()[:15], 2, 10)),
+        (fast.roman_min, (4, short)),
+        (fast.roman_enumerate, (4, short, 3, 10)),
+    ):
+        # Only the Python-side size check words its error this way.
+        with pytest.raises(ValueError, match=r"expected \d+ masks, got \d+"):
+            call(*args)
+
+
+def test_a_list_changed_in_place_gives_the_new_answer(fast):
     path, star = Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (0, 2), (0, 3)])
     masks = list(path.closed_masks())
     assert fast.roman_min(4, masks) == (3, 0b10)
-    masks[:] = star.closed_masks()  # a list changed in place is converted again
+    masks[:] = star.closed_masks()
     assert fast.roman_min(4, masks) == (2, 0b1)
     for g in (path, star, path, path):
         assert fast.roman_min(4, g.closed_masks()) == slow.roman_min(4, g.closed_masks())

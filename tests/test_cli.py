@@ -145,6 +145,11 @@ class TestVerify:
         assert "D2" in capsys.readouterr().out
         assert data == run_campaign(CampaignConfig(theorems=[TheoremId.D2], trials=12, seed=42))
 
+    def test_defaults_are_the_campaign_config_defaults(self, tmp_path):
+        out = tmp_path / "d2.json"
+        assert main(["--quiet", "verify", "--theorem", "D2", "--out", str(out)]) == 0
+        assert _strip_meta(out) == run_campaign(CampaignConfig(theorems=[TheoremId.D2]))
+
     def test_failing_paper_claim_still_exits_zero(self, tmp_path):
         out = tmp_path / "s1.json"
         code = main(["--quiet", "verify", "--theorem", "S1", "--trials", "40", "--seed", "42", "--out", str(out)])
@@ -175,6 +180,18 @@ class TestVerify:
         path = tmp_path / "w.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["--quiet", "verify", "--witness", str(path)]) == 1
+
+    def test_single_graph_witness_with_h_exits_two(self, tmp_path, capsys):
+        payload = {
+            "theorem": "R2",
+            "g": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+            "h": {"n": 3, "edges": [[0, 1], [1, 2]]},
+            "root": 0,
+        }
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", "--witness", str(path)]) == 2
+        assert "takes one graph" in capsys.readouterr().err
 
     def test_verify_needs_theorem_or_witness(self, capsys):
         assert main(["verify"]) == 2

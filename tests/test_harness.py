@@ -382,3 +382,16 @@ class TestTheoremTable:
         assert verdict.outcome in (Outcome.PASS, Outcome.NOT_APPLICABLE)
         with pytest.raises(ValueError, match="needs a graph"):
             check(theorem)
+
+    @pytest.mark.parametrize("theorem", sorted(SINGLE_GRAPH))
+    def test_single_graph_theorem_rejects_an_h(self, theorem):
+        with pytest.raises(ValueError, match="takes one graph, not a rooted graph"):
+            check(theorem, cycle_graph(4), RootedGraph(path_graph(3), 0))
+        payload = {
+            "theorem": theorem.value,
+            "g": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+            "h": {"n": 3, "edges": [[0, 1], [1, 2]]},
+            "root": 0,
+        }
+        with pytest.raises(ValueError, match="takes one graph, not a rooted graph"):
+            check_witness(payload)

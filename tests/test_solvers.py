@@ -147,6 +147,11 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError) as info:
             enumerate_optimal(complete_graph(5), PK.DOMINATION)
         assert info.value.partial_count == 3
+        assert str(info.value) == "more than 2 optimal sets"
+        with pytest.raises(EnumerationCapError) as info:
+            enumerate_optimal(complete_graph(5), PK.ROMAN)
+        assert info.value.partial_count == 3
+        assert str(info.value) == "more than 2 optimal Roman assignments"
 
     def test_roman_listing_and_witness_by_brute_force(self):
         # Every B2 whose forced completion is optimal, by size then
@@ -225,6 +230,25 @@ class TestBudgets:
         assert solve(t, PK.INDEPENDENT_DOMINATION).value == scanned_i
         with pytest.raises(BudgetExceededError):
             solve(t, PK.DOMINATION)
+
+    def test_every_scan_past_the_budget_raises_one_message(self, monkeypatch):
+        from rootdom.harness import TheoremId, check
+
+        monkeypatch.setenv("ROOTDOM_BUDGET", "5")
+        tree = path_graph(7)  # value() takes the tree routine, so the guard is reached
+        for task, call in (
+            ("solve", lambda: solve(cycle_graph(7), PK.CONNECTED)),
+            ("enumeration", lambda: enumerate_optimal(tree, PK.CONNECTED)),
+            ("root classification", lambda: classify_root(RootedGraph(tree, 0), PK.CONNECTED)),
+            ("C2", lambda: check(TheoremId.C2, tree)),
+        ):
+            message = (
+                f"{task} needs the subset scan, and order 7 exceeds the subset-scan "
+                "budget (n <= 5); set ROOTDOM_BUDGET to raise it"
+            )
+            with pytest.raises(BudgetExceededError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_non_tree_past_budget(self, monkeypatch):
         monkeypatch.setenv("ROOTDOM_BUDGET", "5")
