@@ -1,13 +1,15 @@
 """Immutable simple graphs and the structural queries the solvers build on.
 
-Vertices are dense integers ``0..n-1``.  Graphs are immutable after
-construction; derived data (connectivity flag, distance table, geodesic
-interval masks, cut vertices) is computed once on demand and cached with
-single-assignment semantics, so instances are safe to share across
-concurrent workers.  Connectivity, of the graph and of a vertex subset, is
-the kernels' one bitmask BFS restricted to a vertex mask
-(``_pykernels.connected_mask``), and the cut vertices one depth-first pass;
-only the interval masks and convexity tests build the all-pairs table.
+Vertices are dense integers ``0..n-1``.  The constructor reads the edges
+once, building each vertex's neighbour set and open-neighbourhood bitmask
+in the same pass.  Graphs are immutable after construction; derived data
+(connectivity flag, distance table, geodesic interval masks, cut vertices)
+is computed once on demand and cached with single-assignment semantics, so
+instances are safe to share across concurrent workers.  Connectivity, of
+the graph and of a vertex subset, is the kernels' one bitmask BFS
+restricted to a vertex mask (``_pykernels.connected_mask``), and the cut
+vertices one depth-first pass; only the interval masks and convexity tests
+build the all-pairs table.
 Vertex-deleted and weakly induced subgraphs share one relabelling path.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package; the
@@ -38,6 +40,7 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
@@ -45,12 +48,12 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             adj[u].add(v)
             adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
         self.m = sum(len(a) for a in adj) // 2
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
-        self._open_masks: tuple[int, ...] = tuple(
-            sum(1 << u for u in a) for a in self._adj
-        )
+        self._open_masks: tuple[int, ...] = tuple(masks)
         self._closed_masks: tuple[int, ...] = tuple(
             mask | (1 << v) for v, mask in enumerate(self._open_masks)
         )

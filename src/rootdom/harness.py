@@ -100,10 +100,14 @@ class Outcome(str, Enum):
 class TheoremVerdict:
     theorem: TheoremId
     instance: dict
-    applicable: bool
     outcome: Outcome
     values: dict
     witness: dict | None = None
+
+    @property
+    def applicable(self) -> bool:
+        """The instance met the theorem's hypotheses and was checked."""
+        return self.outcome in (Outcome.PASS, Outcome.FAIL)
 
     def to_json(self) -> dict:
         out = {
@@ -777,16 +781,13 @@ def check(
     try:
         ok, values = checker(G, H)
     except InfeasibleParameterError as exc:
-        return TheoremVerdict(
-            theorem, descriptor, applicable=False, outcome=Outcome.INFEASIBLE,
-            values={"reason": str(exc)},
-        )
+        return TheoremVerdict(theorem, descriptor, Outcome.INFEASIBLE, {"reason": str(exc)})
     if ok is None:
-        return TheoremVerdict(theorem, descriptor, False, Outcome.NOT_APPLICABLE, values)
+        return TheoremVerdict(theorem, descriptor, Outcome.NOT_APPLICABLE, values)
     if ok:
-        return TheoremVerdict(theorem, descriptor, True, Outcome.PASS, values)
+        return TheoremVerdict(theorem, descriptor, Outcome.PASS, values)
     witness = _witness_payload(theorem, G, H, values)
-    return TheoremVerdict(theorem, descriptor, True, Outcome.FAIL, values, witness)
+    return TheoremVerdict(theorem, descriptor, Outcome.FAIL, values, witness)
 
 
 def closed_form_check(family: str, n: int, m: int) -> TheoremVerdict:
@@ -817,8 +818,7 @@ def closed_form_check(family: str, n: int, m: int) -> TheoremVerdict:
     if not ok:
         witness = {"theorem": TheoremId.I6.value, "closed_form": descriptor, "values": values}
     return TheoremVerdict(
-        TheoremId.I6, descriptor, True,
-        Outcome.PASS if ok else Outcome.FAIL, values, witness,
+        TheoremId.I6, descriptor, Outcome.PASS if ok else Outcome.FAIL, values, witness
     )
 
 

@@ -367,8 +367,8 @@ def enumerate_optimal(
     For the Roman kind this is the complete family of forced-completion
     assignments, ordered by 2-set size then lexicographically.
     """
-    target = value(graph, kind)
     _require_scan(graph, "enumeration")
+    target = value(graph, kind)
     masks = _listing(graph, kind, target, ENUMERATION_CAP)
     if kind is ParameterKind.ROMAN:
         # The scan lists 2-sets of one size in reverse lexicographic order.
@@ -392,12 +392,13 @@ def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassificatio
     minimum-weight assignments; see ``_roman_labels``.
 
     Nothing is listed, so the result does not depend on ``ENUMERATION_CAP``.
-    Raises ``InfeasibleParameterError`` where ``solve()`` does and
-    ``BudgetExceededError`` past the scan budget, on trees too.
+    Raises ``BudgetExceededError`` past the scan budget, on trees and
+    disconnected hosts too, and below it ``InfeasibleParameterError`` where
+    ``solve()`` does.
     """
     graph, root = rooted.graph, rooted.root
-    target, witness = _optimum(graph, kind)
     _require_scan(graph, "root classification")
+    target, witness = _optimum(graph, kind)
     if kind is ParameterKind.ROMAN:
         values = _roman_labels(graph, root, target, witness.label(root))
         if 0 not in values:

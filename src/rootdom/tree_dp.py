@@ -1,19 +1,21 @@
 """Exact minimum independent and connected dominating sets of trees, at
 any order.
 
-Independent domination is a dynamic program.  Connected domination needs
-none: the non-leaves are the optimum.  On trees geodesics are unique, so a
-set is convex exactly when it induces a connected subgraph, and the
-connected routine doubles as the convex-domination solver on trees.
+Independent domination is a dynamic program over one breadth-first parent
+array from vertex 0, with neighbours visited in increasing order: one sweep
+up adds three root-state costs per vertex into its parent's, and one sweep
+down reads each vertex's state off its parent's.  Connected domination
+needs none: the non-leaves are the optimum.  On trees geodesics are
+unique, so a set is convex exactly when it induces a connected subgraph,
+and the connected routine doubles as the convex-domination solver on trees.
 
 ``solvers.value()`` (and through it the theorem harness) uses these
 routines on every tree, at every order; ``solvers.solve()`` uses them only
 past the subset-scan budget.  There the connected witness is the
 lexicographically smallest optimum, as the scan's is: from order 3 on it is
 the only one, and below that it is ``{0}``.  The independent witness is
-rebuilt by deterministic backtracking (fixed traversal and tie
-preferences): repeated runs agree bit for bit, but it carries no
-lexicographic promise.
+a function of the graph alone (fixed traversal and tie preferences):
+repeated runs agree bit for bit, but it carries no lexicographic promise.
 """
 
 from __future__ import annotations
@@ -23,73 +25,55 @@ from .graph import Graph, is_tree
 _INF = 1 << 40
 
 
-def _rooted_orientation(graph: Graph, root: int):
-    parent = [-1] * graph.n
-    order = [root]
-    seen = {root}
-    for u in order:
-        for w in sorted(graph.neighbors(u)):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                order.append(w)
-    children: list[list[int]] = [[] for _ in range(graph.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return order, children
-
-
 def tree_independent_domination(graph: Graph) -> tuple[int, frozenset[int]]:
     """Minimum independent dominating set of a tree: ``(size, witness)``.
 
-    Per-vertex states: selected; unselected with a selected child;
-    unselected and waiting for the parent to dominate it.
+    Three costs per subtree, by the state of its top vertex: selected;
+    unselected and dominated by a child; unselected and left to the parent.
+    One sweep up, in reverse breadth-first order, adds each vertex's costs
+    into its parent's, and the least extra cost of selecting a child.  One
+    sweep down reads each vertex's state off its parent's.
     """
     if not is_tree(graph):
         raise ValueError("tree DP called on a non-tree")
     n = graph.n
-    if n == 1:
-        return 1, frozenset({0})
-    root = 0
-    order, children = _rooted_orientation(graph, root)
+    parent = [-1] * n
+    order = [0]
+    for u in order:
+        for w in sorted(graph.neighbors(u)):
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
 
-    dp = [[0, 0, 0] for _ in range(n)]
+    sel = [1] * n  # selected: its children are not
+    dom = [0] * n  # unselected, dominated by a child; sum of min(sel, dom) until v's turn
+    wait = [0] * n  # unselected, left to the parent: its children are not selected
+    gap = [_INF] * n  # least sel - dom over the children
     for v in reversed(order):
-        ch = children[v]
-        if not ch:
-            dp[v][0] = 1
-            dp[v][1] = _INF
-            dp[v][2] = 0
-            continue
-        dp[v][0] = 1 + sum(min(dp[c][1], dp[c][2]) for c in ch)
-        base = sum(min(dp[c][0], dp[c][1]) for c in ch)
-        if any(dp[c][0] <= dp[c][1] for c in ch):
-            dp[v][1] = base
-        else:
-            dp[v][1] = base + min(dp[c][0] - dp[c][1] for c in ch)
-        dp[v][2] = sum(dp[c][1] for c in ch)
+        dom[v] += max(gap[v], 0)  # some child must be selected: the cheapest extra cost
+        p = parent[v]
+        if p < 0:
+            break
+        sel[p] += min(dom[v], wait[v])
+        dom[p] += min(sel[v], dom[v])
+        wait[p] += dom[v]
+        gap[p] = min(gap[p], sel[v] - dom[v])
 
-    value = min(dp[root][0], dp[root][1])
-    selected: set[int] = set()
-    stack = [(root, 0 if dp[root][0] <= dp[root][1] else 1)]
-    while stack:
-        v, state = stack.pop()
-        ch = children[v]
-        if state == 0:
-            selected.add(v)
-            for c in ch:
-                stack.append((c, 1 if dp[c][1] <= dp[c][2] else 2))
-        elif state == 1:
-            states = {c: (0 if dp[c][0] <= dp[c][1] else 1) for c in ch}
-            if 0 not in states.values():
-                forced = min(ch, key=lambda c: (dp[c][0] - dp[c][1], c))
-                states[forced] = 0
-            for c in ch:
-                stack.append((c, states[c]))
+    # Each vertex's state is named by its cost table: sel, dom or wait.  A
+    # vertex in state dom has a child with sel <= dom, which takes sel: one
+    # whose children all have sel > dom has sel <= dom and dom > wait itself,
+    # and a wait vertex's children all have sel > dom, so no branch below
+    # gives it dom.
+    state = [sel if sel[0] <= dom[0] else dom] * n
+    for v in order[1:]:
+        up = state[parent[v]]
+        if up is sel:
+            state[v] = dom if dom[v] <= wait[v] else wait
+        elif up is dom:
+            state[v] = sel if sel[v] <= dom[v] else dom
         else:
-            for c in ch:
-                stack.append((c, 1))
-    return value, frozenset(selected)
+            state[v] = dom
+    return min(sel[0], dom[0]), frozenset(v for v in order if state[v] is sel)
 
 
 def tree_connected_domination(graph: Graph) -> tuple[int, frozenset[int]]:

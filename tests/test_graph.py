@@ -43,6 +43,11 @@ class TestConstruction:
     def test_duplicate_edges_merge(self):
         g = Graph(2, [(0, 1), (1, 0)])
         assert g.m == 1
+        g = Graph(5, [(0, 1), (1, 0), (2, 1), (1, 2), (0, 1), (4, 3), (3, 4), (4, 1)])
+        assert g.m == 4
+        for v in g.vertices:
+            assert g.open_masks()[v] == sum(1 << u for u in g.neighbors(v))
+            assert g.closed_masks()[v] == sum(1 << u for u in g.closed_neighborhood(v))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

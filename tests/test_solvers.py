@@ -239,7 +239,12 @@ class TestBudgets:
         for task, call in (
             ("solve", lambda: solve(cycle_graph(7), PK.CONNECTED)),
             ("enumeration", lambda: enumerate_optimal(tree, PK.CONNECTED)),
+            ("enumeration", lambda: enumerate_optimal(cycle_graph(7), PK.CONNECTED)),
             ("root classification", lambda: classify_root(RootedGraph(tree, 0), PK.CONNECTED)),
+            (
+                "root classification",
+                lambda: classify_root(RootedGraph(cycle_graph(7), 0), PK.CONNECTED),
+            ),
             ("C2", lambda: check(TheoremId.C2, tree)),
         ):
             message = (
@@ -256,7 +261,51 @@ class TestBudgets:
             solve(cycle_graph(9), PK.CONNECTED)
 
 
+def _tree_i(tree: Graph) -> int:
+    """The tree DP's value, after checking its witness."""
+    from rootdom.tree_dp import tree_independent_domination
+
+    size, witness = tree_independent_domination(tree)
+    assert len(witness) == size
+    assert is_independent(tree, witness) and is_dominating(tree, witness)
+    return size
+
+
 class TestTreeDP:
+    def test_every_labelled_tree_up_to_order_7(self):
+        trees = [Graph(1, [])] + [
+            prufer_tree(seq) for n in range(2, 8) for seq in itertools.product(range(n), repeat=n - 2)
+        ]
+        for t in trees:
+            assert _tree_i(t) == solve(t, PK.INDEPENDENT_DOMINATION).value, t.edges()
+
+    def test_paths_and_stars(self):
+        for n in [*range(2, 40), 1000, 2999, 3000]:
+            assert _tree_i(path_graph(n)) == -(-n // 3), n
+        for m in range(2, 40):  # centred at vertex 0, and at vertex m
+            assert _tree_i(star_graph(m).graph) == 1, m
+            assert _tree_i(Graph(m + 1, [(v, m) for v in range(m)])) == 1, m
+
+    def test_value_is_invariant_under_relabelling(self):
+        rng = random.Random(14)
+        for trial in range(12):
+            t = random_tree(rng.randint(50, 400), seed=1400 + trial)
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            relabelled = Graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
+            assert _tree_i(relabelled) == _tree_i(t), trial
+
+    def test_witness_does_not_depend_on_edge_order(self):
+        from rootdom.tree_dp import tree_independent_domination
+
+        for trial in range(20):
+            edges = random_tree(2 + 7 * trial, seed=1500 + trial).edges()
+            n = len(edges) + 1
+            forward = tree_independent_domination(Graph(n, edges))
+            assert tree_independent_domination(Graph(n, reversed(edges))) == forward, trial
+            flipped = [(v, u) for u, v in reversed(edges)]
+            assert tree_independent_domination(Graph(n, flipped)) == forward, trial
+
     def test_matches_scan_on_random_trees(self):
         from rootdom.tree_dp import tree_connected_domination, tree_independent_domination
 
