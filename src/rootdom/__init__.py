@@ -32,6 +32,7 @@ from .solvers import (
     is_dominating,
     is_independent,
     is_super_dominating,
+    product_value,
     solve,
     value,
 )

@@ -34,11 +34,11 @@ def load(path: str):
 
     lib = ctypes.CDLL(path)
     for name, restype, argtypes in (
-        ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, u64)),
+        ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, u64, u64)),
         ("scan_max_independent", u64, (ctypes.c_int, ptr)),
         ("enumerate_size", ctypes.c_int,
          (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int, i64, u64, u64, ptr)),
-        ("roman_min", i64, (ctypes.c_int, ptr, ptr)),
+        ("roman_min", i64, (ctypes.c_int, ptr, u64, u64, ptr)),
         ("roman_enumerate", ctypes.c_int, (ctypes.c_int, ptr, i64, i64, u64, u64, ptr)),
         ("free_masks", None, (ptr,)),
     ):
@@ -67,7 +67,7 @@ def load(path: str):
         check_mask(n, forced_in, "forced_in")
         check_mask(n, forced_out, "forced_out")
 
-    def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int, forced_out: int = 0):
+    def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int, forced_out: int):
         if not KIND_DOMINATING <= kind <= KIND_INDEPENDENT:
             raise ValueError(f"unknown kind code {kind}")
         check_forced(n, forced_in, forced_out)
@@ -85,9 +85,11 @@ def load(path: str):
         return found, bool(out.hit_cap)
 
     # In each wrapper every buffer stays bound to a local name until the C call returns.
-    def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0):
-        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in)
-        found = c_scan_min(kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], forced_in)
+    def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0, forced_out: int = 0):
+        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in, forced_out)
+        found = c_scan_min(
+            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], forced_in, forced_out
+        )
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
@@ -106,10 +108,11 @@ def load(path: str):
         )
         return take(status, out)
 
-    def roman_min(n: int, closed_m):
+    def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
         cm, b2 = masks(closed_m, n, n), u64()
-        weight = c_roman_min(n, cm.buffer_info()[0], ctypes.byref(b2))
-        return weight, b2.value
+        check_forced(n, forced_in, forced_out)
+        weight = c_roman_min(n, cm.buffer_info()[0], forced_in, forced_out, ctypes.byref(b2))
+        return None if weight < 0 else (weight, b2.value)
 
     def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
         cm, out = masks(closed_m, n, n), MaskList()

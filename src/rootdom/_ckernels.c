@@ -38,23 +38,25 @@
  * visited in the same lexicographic order, and witnesses and listings are
  * unchanged.
  *
- * enumerate_size also takes a forced_out mask and visits only the feasible
- * sets that miss it; root classification asks it for one such set (cap 0).
- * A forced-out vertex is never picked: the coverage test reads must[v], what
- * must be covered once v is picked, and a forced-out v has the bit n there,
- * which no cover holds, so a scan without forced-out vertices runs no extra
- * test per candidate.  The closed neighbourhoods of forced-out vertices also
- * leave the suffix cover, which makes the coverage cut stronger.  The cut
- * stays sound: a completion of the picked set adds only vertices above the
- * last pick that are not forced out, so it dominates no vertex outside the
- * picked set's closed neighbourhoods and that suffix cover, and a pick that
- * leaves such a vertex is skipped.  Overlapping forced_in and forced_out
- * masks list nothing.
+ * scan_min and enumerate_size also take a forced_out mask and visit only the
+ * feasible sets that miss it; root classification asks enumerate_size for
+ * one such set (cap 0), and the root-state tables of the product values ask
+ * scan_min for the least one.  A forced-out vertex is never picked: the
+ * coverage test reads must[v], what must be covered once v is picked, and a
+ * forced-out v has the bit n there, which no cover holds, so a scan without
+ * forced-out vertices runs no extra test per candidate.  The closed
+ * neighbourhoods of forced-out vertices also leave the suffix cover, which
+ * makes the coverage cut stronger.  The cut stays sound: a completion of the
+ * picked set adds only vertices above the last pick that are not forced
+ * out, so it dominates no vertex outside the picked set's closed
+ * neighbourhoods and that suffix cover, and a pick that leaves such a
+ * vertex is skipped.  Overlapping forced_in and forced_out masks list
+ * nothing, and scan_min then returns NOT_FOUND.
  *
- * roman_enumerate takes 2-set masks the same way.  Forced-in vertices start
- * in B2 and forced-out vertices stay out; rec_roman runs over the list of
- * the other vertices, so roman_min, which forces nothing, pays no new test
- * per node.  Its suffix cover holds those vertices only, and the weight
+ * roman_min and roman_enumerate take 2-set masks the same way.  Forced-in
+ * vertices start in B2 and forced-out vertices stay out; rec_roman runs over
+ * the list of the other vertices, so a scan that forces nothing pays no new
+ * test per node.  Its suffix cover holds those vertices only, and the weight
  * bound stays a lower bound: a vertex outside the cover so far and outside
  * every closed neighbourhood still open to B2 takes the label 1.
  */
@@ -324,12 +326,15 @@ static int start(int kind, int n, const u64 *open_m, u64 forced_in)
     return n + 1 > smallest ? n + 1 : smallest;
 }
 
-/* Minimum feasible subset holding forced_in, or NOT_FOUND; its size is its popcount. */
+/* Minimum feasible subset holding forced_in and missing forced_out, or
+ * NOT_FOUND; its size is its popcount. */
 u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 *intervals,
-             u64 forced_in)
+             u64 forced_in, u64 forced_out)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, intervals, 0, NULL, 0);
+    init_scan(&s, kind, n, open_m, closed_m, intervals, forced_out, NULL, 0);
+    if (forced_in & forced_out)
+        return NOT_FOUND;
     for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in); s.k++)
         ;
     return s.found;
@@ -395,25 +400,38 @@ static int rec_roman(scan *s, int i, int64_t twos, u64 cover, u64 mask)
         && rec_roman(s, i + 1, twos + 1, cover | s->closed_m[v], mask | BIT(v));
 }
 
+/* Runs rec_roman over the 2-sets that hold forced_in and miss forced_out:
+ * the forced vertices are decided before the scan starts. */
+static int roman_scan(scan *s, const u64 *closed_m, u64 forced_in)
+{
+    u64 cover = 0;
+    for (u64 rest = forced_in; rest; rest &= rest - 1)
+        cover |= closed_m[VERTEX(rest)];
+    return rec_roman(s, 0, POPCOUNT(forced_in), cover, forced_in);
+}
+
 /*
- * Minimum Roman weight over all 2-label sets B2, with the 1-labels forced
- * onto the vertices outside N[B2].  Writes the B2 mask to *b2 and returns
- * the weight.
+ * Minimum Roman weight over the 2-label sets B2 that hold forced_in and
+ * miss forced_out, with the 1-labels forced onto the vertices outside
+ * N[B2].  Writes the B2 mask to *b2 and returns the weight, or -1 when the
+ * masks overlap.
  */
-int64_t roman_min(int n, const u64 *closed_m, u64 *b2)
+int64_t roman_min(int n, const u64 *closed_m, u64 forced_in, u64 forced_out, u64 *b2)
 {
     scan s;
-    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, 0, NULL, 0);
+    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, forced_in | forced_out, NULL, 0);
+    if (forced_in & forced_out)
+        return -1;
     s.bound = 3 * (int64_t)n + 1;
     s.found = 0;
-    rec_roman(&s, 0, 0, 0, 0);
+    roman_scan(&s, closed_m, forced_in);
     *b2 = s.found;
     return s.bound;
 }
 
 /* All B2 masks that hold forced_in, miss forced_out and whose forced
  * completion has the target weight, in scan order; rootdom.solvers sorts
- * them.  The forced vertices are decided before the scan starts. */
+ * them. */
 int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, u64 forced_in,
                     u64 forced_out, mask_list *out)
 {
@@ -422,10 +440,7 @@ int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, u64
     s.bound = target;
     if (forced_in & forced_out)
         return finish(&s, 1);
-    u64 cover = 0;
-    for (u64 rest = forced_in; rest; rest &= rest - 1)
-        cover |= closed_m[VERTEX(rest)];
-    return finish(&s, rec_roman(&s, 0, POPCOUNT(forced_in), cover, forced_in));
+    return finish(&s, roman_scan(&s, closed_m, forced_in));
 }
 
 void free_masks(u64 *masks)

@@ -39,26 +39,29 @@ Every cut drops only subsets that fail the leaf test, so the feasible
 subsets are visited in the same order as without them, and values,
 witnesses and enumerations are unchanged.
 
-``enumerate_size`` also takes a ``forced_out`` mask and visits only the
-feasible sets that miss it; root classification asks it for one such set
-(``cap == 0``).  A forced-out vertex is never picked: the coverage test
-reads a per-vertex table ``must`` (what must be covered once the vertex is
-picked), and a forced-out vertex's entry is the bit n, which no cover
-holds.  So a scan without forced-out vertices runs no extra test per
-candidate.  The closed neighbourhoods of forced-out vertices also leave the
-suffix cover, which makes the coverage cut stronger.  The cut stays sound:
-a completion of the picked set adds only vertices above the last pick that
-are not forced out, so it dominates no vertex outside the picked set's
-closed neighbourhoods and that suffix cover, and a pick that leaves such a
-vertex is skipped.  Overlapping ``forced_in`` and ``forced_out`` masks list
-nothing.
+``scan_min`` and ``enumerate_size`` also take a ``forced_out`` mask and
+visit only the feasible sets that miss it; root classification asks
+``enumerate_size`` for one such set (``cap == 0``), and the root-state
+tables of ``solvers.product_value`` ask ``scan_min`` for the least one.  A
+forced-out vertex is never picked: the coverage test reads a per-vertex
+table ``must`` (what must be covered once the vertex is picked), and a
+forced-out vertex's entry is the bit n, which no cover holds.  So a scan
+without forced-out vertices runs no extra test per candidate.  The closed
+neighbourhoods of forced-out vertices also leave the suffix cover, which
+makes the coverage cut stronger.  The cut stays sound: a completion of the
+picked set adds only vertices above the last pick that are not forced out,
+so it dominates no vertex outside the picked set's closed neighbourhoods
+and that suffix cover, and a pick that leaves such a vertex is skipped.
+Overlapping ``forced_in`` and ``forced_out`` masks list nothing, and
+``scan_min`` then returns None.
 
-``roman_enumerate`` takes 2-set masks the same way.  Forced-in vertices
-start in B2 and forced-out vertices stay out; the recursion runs over the
-list of the other vertices, so ``roman_min``, which forces nothing, pays no
-new test per node.  Its suffix cover holds those vertices only, and the
-weight bound stays a lower bound: a vertex outside the cover so far and
-outside every closed neighbourhood still open to B2 takes the label 1.
+``roman_min`` and ``roman_enumerate`` take 2-set masks the same way.
+Forced-in vertices start in B2 and forced-out vertices stay out; the
+recursion runs over the list of the other vertices, so a scan that forces
+nothing pays no new test per node.  Its suffix cover holds those vertices
+only, and the weight bound stays a lower bound: a vertex outside the cover
+so far and outside every closed neighbourhood still open to B2 takes the
+label 1.
 
 The C kernels in ``_ckernels.c`` have identical semantics, and
 ``tests/test_backends.py`` holds them to it with this module as the referee.
@@ -260,16 +263,19 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
     return rec(0, 0, 0, 0, forced_in)
 
 
-def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0):
+def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0, forced_out=0):
     """``(k, mask)`` of the lex-first feasible subset containing ``forced_in``
-    of the first size in ``sizes`` that has one, or None."""
+    and missing ``forced_out`` of the first size in ``sizes`` that has one,
+    or None."""
     found: list[int] = []
 
     def stop(sub: int) -> bool:
         found.append(sub)
         return False
 
-    frame = _scan_frame(kind, n, closed_m, 0)
+    if forced_in & forced_out:
+        return None
+    frame = _scan_frame(kind, n, closed_m, forced_out)
     for k in sizes:
         if not _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, stop):
             return k, found[0]
@@ -298,12 +304,13 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
     return smallest
 
 
-def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0):
-    """Minimum feasible subset containing ``forced_in``: ``(size, mask)``, or
-    None when there is none."""
+def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0, forced_out: int = 0):
+    """Minimum feasible subset containing ``forced_in`` and missing
+    ``forced_out``: ``(size, mask)``, or None when there is none."""
     check_mask(n, forced_in, "forced_in")
+    check_mask(n, forced_out, "forced_out")
     sizes = range(start(kind, n, open_m, forced_in), n + 1)
-    return _first(kind, n, sizes, open_m, closed_m, intervals, forced_in)
+    return _first(kind, n, sizes, open_m, closed_m, intervals, forced_in, forced_out)
 
 
 def scan_max_independent(n: int, open_m):
@@ -370,8 +377,10 @@ def _roman_scan(n: int, closed_m, bound: list[int], leaf, forced_in: int = 0, fo
     return rec(0, forced_in.bit_count(), cover, forced_in)
 
 
-def roman_min(n: int, closed_m):
-    """Minimum Roman weight over all 2-label sets B2, with B1 forced.
+def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
+    """Minimum Roman weight over the 2-label sets B2 that contain
+    ``forced_in`` and miss ``forced_out``, with B1 forced; None when the
+    masks overlap.
 
     For a fixed B2 the cheapest completion labels exactly the vertices
     outside N[B2] with 1, giving weight ``2|B2| + n - |N[B2]|``; every
@@ -380,6 +389,10 @@ def roman_min(n: int, closed_m):
     broken by fewest 2-labels, then lexicographically smallest B2: a tie
     goes to the last candidate, which the scan order makes the smallest.
     """
+    check_mask(n, forced_in, "forced_in")
+    check_mask(n, forced_out, "forced_out")
+    if forced_in & forced_out:
+        return None
     bound = [3 * n + 1]
     best = [(3 * n + 1, 0), 0]
 
@@ -389,7 +402,7 @@ def roman_min(n: int, closed_m):
             bound[0] = weight
         return True
 
-    _roman_scan(n, closed_m, bound, keep)
+    _roman_scan(n, closed_m, bound, keep, forced_in, forced_out)
     return bound[0], best[1]
 
 

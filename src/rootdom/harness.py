@@ -4,7 +4,8 @@ Every theorem id has one row in ``_THEOREMS``: ``(checker, sampler,
 must_hold)``.  The checker evaluates the claim's hypothesis on a concrete
 instance, computes both sides exactly with the solvers, and returns the
 values; it reads the value of the product G o H only through
-``_product_value``.  The sampler is the theorem's endless seeded stream of
+``solvers.product_value``, which builds no product for gamma, alpha, i and
+Roman.  The sampler is the theorem's endless seeded stream of
 ``(G, H or None, descriptor)`` instances; a single-graph sampler (``_gnps``,
 ``_trees``) yields no H.  ``must_hold`` marks the theorems with airtight
 proofs, whose failure makes a campaign exit nonzero; the remaining claims
@@ -144,18 +145,13 @@ def _witness_payload(theorem: TheoremId, G: Graph, H: RootedGraph | None, values
 # hold, so the theorem does not apply to the instance.
 
 
-def _product_value(G: Graph, H: RootedGraph, kind: PK) -> int:
-    """The value of ``kind`` on G o H: every checker reads the product side here."""
-    return solvers.value(rooted_product(G, H).product, kind)
-
-
 def _check_D1(G, H):
     cls = classify_root(H, PK.DOMINATION)
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
         return None, values
     gamma_h = solvers.value(H.graph, PK.DOMINATION)
-    gamma_gh = _product_value(G, H, PK.DOMINATION)
+    gamma_gh = solvers.product_value(G, H, PK.DOMINATION)
     values.update(
         {"gamma_h": gamma_h, "gamma_product": gamma_gh, "expected": G.n * gamma_h}
     )
@@ -165,7 +161,7 @@ def _check_D1(G, H):
 def _check_D2(G, H):
     gamma_g = solvers.value(G, PK.DOMINATION)
     gamma_h = solvers.value(H.graph, PK.DOMINATION)
-    gamma_gh = _product_value(G, H, PK.DOMINATION)
+    gamma_gh = solvers.product_value(G, H, PK.DOMINATION)
     allowed = {G.n * gamma_h, G.n * (gamma_h - 1) + gamma_g}
     values = {
         "gamma_g": gamma_g,
@@ -186,7 +182,7 @@ def _roman_chain(value_of) -> tuple[bool, dict]:
 def _check_R1(G, H):
     ok_g, vals_g = _roman_chain(partial(solvers.value, G))
     ok_h, vals_h = _roman_chain(partial(solvers.value, H.graph))
-    ok_p, vals_p = _roman_chain(partial(_product_value, G, H))
+    ok_p, vals_p = _roman_chain(partial(solvers.product_value, G, H))
     return ok_g and ok_h and ok_p, {"g": vals_g, "h": vals_h, "product": vals_p}
 
 
@@ -247,7 +243,7 @@ def _check_R3(G, H):
 def _check_R4(G, H):
     gamma_g = solvers.value(G, PK.DOMINATION)
     roman_h = solvers.value(H.graph, PK.ROMAN)
-    roman_gh = _product_value(G, H, PK.ROMAN)
+    roman_gh = solvers.product_value(G, H, PK.ROMAN)
     lower = G.n * (roman_h - 1) + gamma_g
     upper = G.n * roman_h
     values = {
@@ -269,7 +265,7 @@ def _check_R5(G, H):
     if not branch_zero and not branch_one_two:
         return None, values
     roman_h = solvers.value(H.graph, PK.ROMAN)
-    roman_gh = _product_value(G, H, PK.ROMAN)
+    roman_gh = solvers.product_value(G, H, PK.ROMAN)
     if branch_zero:
         expected = G.n * roman_h
         values["branch"] = "always-zero"
@@ -290,7 +286,7 @@ def _check_R6(G, H):
         return None, values
     roman_h = solvers.value(H.graph, PK.ROMAN)
     roman_g = solvers.value(G, PK.ROMAN)
-    roman_gh = _product_value(G, H, PK.ROMAN)
+    roman_gh = solvers.product_value(G, H, PK.ROMAN)
     expected = G.n * (roman_h - 1) + roman_g
     values.update(
         {"roman_h": roman_h, "roman_g": roman_g, "roman_product": roman_gh, "expected": expected}
@@ -313,7 +309,7 @@ def _check_I1(G, H):
 def _check_I2(G, H):
     cls = classify_root(H, PK.INDEPENDENCE)
     alpha_h = solvers.value(H.graph, PK.INDEPENDENCE)
-    alpha_gh = _product_value(G, H, PK.INDEPENDENCE)
+    alpha_gh = solvers.product_value(G, H, PK.INDEPENDENCE)
     values = {"root_membership": cls.membership.value, "alpha_h": alpha_h, "alpha_product": alpha_gh}
     if cls.membership is Membership.IN_ALL:
         alpha_g = solvers.value(G, PK.INDEPENDENCE)
@@ -360,7 +356,7 @@ def _check_I5(G, H):
     alpha_g = solvers.value(G, PK.INDEPENDENCE)
     h_minus_root = delete_vertices(H.graph, {H.root}).graph
     i_h_del = solvers.value(h_minus_root, PK.INDEPENDENT_DOMINATION)
-    i_gh = _product_value(G, H, PK.INDEPENDENT_DOMINATION)
+    i_gh = solvers.product_value(G, H, PK.INDEPENDENT_DOMINATION)
     lower = G.n * (i_h - 1) + i_g
     upper = i_h * alpha_g + i_h_del * (G.n - alpha_g)
     values = {
@@ -381,7 +377,7 @@ def _check_I7(G, H):
     if cls.membership is Membership.IN_SOME:
         return None, values
     i_h = solvers.value(H.graph, PK.INDEPENDENT_DOMINATION)
-    i_gh = _product_value(G, H, PK.INDEPENDENT_DOMINATION)
+    i_gh = solvers.product_value(G, H, PK.INDEPENDENT_DOMINATION)
     values.update({"i_h": i_h, "i_product": i_gh})
     if cls.membership is Membership.IN_NONE:
         expected = G.n * i_h
@@ -420,7 +416,7 @@ def _two_value_check(kind: PK, plus_g: bool, G, H):
     """C1, X1 and W1: the product value is n*h or n*(h+1), or with ``plus_g``
     n*h or n*h + g."""
     param_h = solvers.value(H.graph, kind)
-    param_gh = _product_value(G, H, kind)
+    param_gh = solvers.product_value(G, H, kind)
     if plus_g:
         param_g = solvers.value(G, kind)
         allowed = {G.n * param_h, G.n * param_h + param_g}
@@ -477,7 +473,7 @@ def _iff_tree_check(kind: PK, G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     param_h = solvers.value(H.graph, kind)
-    param_gh = _product_value(G, H, kind)
+    param_gh = solvers.product_value(G, H, kind)
     root_is_leaf = H.root in leaves(H.graph)
     eq_plain = param_gh == G.n * param_h
     eq_plus = param_gh == G.n * (param_h + 1)
@@ -508,7 +504,7 @@ def _check_W3(G, H):
     if H.root in leaves(H.graph):
         return None, {"reason": "root must not be an end vertex"}
     w_h = solvers.value(H.graph, PK.WEAKLY_CONNECTED)
-    w_gh = _product_value(G, H, PK.WEAKLY_CONNECTED)
+    w_gh = solvers.product_value(G, H, PK.WEAKLY_CONNECTED)
     n1_g = len(leaves(G))
     # First claimed bound pair (leaf-count coefficients), second (order
     # coefficients); both are evaluated exactly as stated.
@@ -531,7 +527,7 @@ def _check_W3(G, H):
 
 def _check_S1(G, H):
     sp_h = solvers.value(H.graph, PK.SUPER)
-    sp_gh = _product_value(G, H, PK.SUPER)
+    sp_gh = solvers.product_value(G, H, PK.SUPER)
     expected = G.n * sp_h
     values = {"super_h": sp_h, "super_product": sp_gh, "expected": expected}
     return sp_gh == expected, values
@@ -551,7 +547,7 @@ def _check_S3(G, H):
     if not _tree_pair_applicable(G, H):
         return None, {"reason": "needs two trees of order >= 3"}
     s_h = len(support_vertices(H.graph))
-    sp_gh = _product_value(G, H, PK.SUPER)
+    sp_gh = solvers.product_value(G, H, PK.SUPER)
     lower = G.n * s_h
     upper = G.n * (H.graph.n - s_h)
     values = {
@@ -809,9 +805,8 @@ def closed_form_check(family: str, n: int, m: int) -> TheoremVerdict:
         expected = n + _ceil_div(n, 3)
     else:
         raise ValueError(f"unknown closed form family {family!r}")
-    product = rooted_product(base, rooted).product
-    i_value = solvers.value(product, PK.INDEPENDENT_DOMINATION)
-    values = {"i_product": i_value, "expected": expected, "product_order": product.n}
+    i_value = solvers.product_value(base, rooted, PK.INDEPENDENT_DOMINATION)
+    values = {"i_product": i_value, "expected": expected, "product_order": base.n * rooted.n}
     descriptor = {"family": family, "n": n, "m": m}
     ok = i_value == expected
     witness = None

@@ -1,6 +1,6 @@
 """Exact solvers for the eight domination-type parameters.
 
-Two entry points:
+Three entry points:
 
 * ``solve()`` returns a value and a witness.  Values come from
   cardinality-ordered subset scans over bitmasks (compiled kernel when
@@ -24,6 +24,14 @@ Two entry points:
   tree DP for ``i``, connected and convex on every tree, at every order,
   and ``solve()`` otherwise.  The theorem harness and ``enumerate_optimal``
   use it.
+* ``product_value()`` returns the value on a rooted product G o H, and the
+  theorem harness reads every product side through it.  For gamma, alpha,
+  i and Roman it builds no product: each copy of H adds one of three costs,
+  by the state of its root (in the set, dominated from G, left to its
+  copy), from scans of H with the root forced in or out and a scan of H
+  minus the root; one weighted scan over the subsets of V(G) sums them.
+  The scan budget then applies to each factor, not to the product.  Other
+  kinds get ``value()`` of the built product.
 
 ``classify_root()`` says whether a root lies in every optimum, in none or in
 some.  It takes one optimum -- the tree DP's where ``value()`` would use it,
@@ -35,16 +43,20 @@ scan per missing label, with 2-set masks.  It lists no optimum, so unlike
 ``enumerate_optimal`` it never raises ``EnumerationCapError``.
 
 One seam leads to the kernels.  ``solve()`` calls the three minimum
-kernels; ``_listing()`` is the one caller of the two listing kernels
-(``enumerate_size``, ``roman_enumerate``), for enumeration and for every
-existence scan, and adds the forced cut vertices; ``_witness()`` is the one
-decoder of a kernel mask into a set or a Roman assignment.
+kernels, and ``_least()`` the two that take forced masks, for the root
+states of ``product_value()``; ``_listing()`` is the one caller of the two
+listing kernels (``enumerate_size``, ``roman_enumerate``), for enumeration
+and for every existence scan, and adds the forced cut vertices;
+``_witness()`` is the one decoder of a kernel mask into a set or a Roman
+assignment.
 
 The scan budget is the one resource knob: ``scan_budget()`` reads it from
 ``ROOTDOM_BUDGET`` (default 22), and ``_require_scan()`` is the one guard
 that raises ``BudgetExceededError`` past it, for ``solve()``, enumeration,
-root classification and the harness's C2 check.  The witness-list cap of
-``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
+root classification and the harness's C2 check.  ``product_value()``
+compares each factor with ``scan_budget()`` and sends a product with a
+factor past it to ``value()``, where that guard answers.  The witness-list
+cap of ``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -54,8 +66,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels, tree_dp
-from .graph import Graph, is_connected, is_tree
-from .product import RootedGraph
+from .graph import Graph, delete_vertices, is_connected, is_tree
+from .product import RootedGraph, rooted_product
 
 
 class SolverError(Exception):
@@ -139,6 +151,17 @@ _TREE_DP_KINDS = {
     ParameterKind.CONNECTED,
     ParameterKind.CONVEX,
 }
+
+#: Kinds whose value on G o H ``product_value`` reads off root-state tables.
+_ROOT_STATE_KINDS = {
+    ParameterKind.DOMINATION,
+    ParameterKind.INDEPENDENCE,
+    ParameterKind.INDEPENDENT_DOMINATION,
+    ParameterKind.ROMAN,
+}
+
+#: The cost of a root state no set attains; larger than any value.
+_INFEASIBLE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -354,6 +377,87 @@ def value(graph: Graph, kind: ParameterKind) -> int:
     everything else is ``solve(...).value``, with its errors.
     """
     return _optimum(graph, kind)[0]
+
+
+# -- rooted products -----------------------------------------------------------
+
+
+def _least(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: int = 0) -> int:
+    """The least value of ``kind`` over the sets (for Roman, the 2-sets) that
+    hold ``forced_in`` and miss ``forced_out``; ``_INFEASIBLE`` if none does."""
+    if kind is ParameterKind.ROMAN:
+        found = kernels.roman_min(graph.n, graph.closed_masks(), forced_in, forced_out)
+    else:
+        found = kernels.scan_min(*_scan_args(graph, kind), forced_in, forced_out)
+    return _INFEASIBLE if found is None else found[0]
+
+
+def _copy_costs(rooted: RootedGraph, kind: ParameterKind) -> tuple[int, int, int]:
+    """What one copy of H adds to an optimum of ``kind`` on G o H, by the
+    state of its root r: r in the set (for Roman, in B2); r out and
+    dominated from G, or for Roman next to a 2 in G ("near"); r out and left
+    to its own copy ("far").
+
+    Near, the copy is H - r on its own, and for alpha so is far; the other
+    states are H's scans with r forced in or out.  For alpha, r in the set
+    takes H - N[r] with it, which is empty when r dominates H."""
+    graph, root = rooted.graph, rooted.root
+    near = value(delete_vertices(graph, {root}).graph, kind)
+    if kind is ParameterKind.INDEPENDENCE:
+        closed = graph.closed_neighborhood(root)
+        rest = value(delete_vertices(graph, closed).graph, kind) if len(closed) < graph.n else 0
+        return 1 + rest, near, near
+    return _least(graph, kind, forced_in=1 << root), near, _least(graph, kind, forced_out=1 << root)
+
+
+def _unions(masks) -> list[int]:
+    """``table[m]``: the union of ``masks[v]`` over the bits v of m."""
+    table = [0]
+    for mask in masks:
+        table += [t | mask for t in table]
+    return table
+
+
+def _weighted_scan(G: Graph, in_cost: int, near_cost: int, far_cost: int, independent: bool, best) -> int:
+    """``best`` (min or max) over the subsets S of V(G), the independent ones
+    only if ``independent``, of |S|·in_cost + |N(S) - S|·near_cost +
+    |V(G) - N[S]|·far_cost.  One pass over the 2^n masks; each half of the
+    vertices has its own table of neighbourhood unions, so a mask costs two
+    lookups."""
+    n, half = G.n, G.n // 2
+    closed, open_m = G.closed_masks(), G.open_masks()
+    low = list(zip(_unions(closed[:half]), _unions(open_m[:half])))
+    high = zip(_unions(closed[half:]), _unions(open_m[half:]))
+    pairs = set()  # (|S|, |N[S]|)
+    for top, (top_closed, top_open) in enumerate(high):
+        top <<= half
+        for bottom, (bottom_closed, bottom_open) in enumerate(low):
+            s = top | bottom
+            if not (independent and (top_open | bottom_open) & s):
+                pairs.add((s.bit_count(), (top_closed | bottom_closed).bit_count()))
+    return best(k * in_cost + (c - k) * near_cost + (n - c) * far_cost for k, c in pairs)
+
+
+def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
+    """Exact value of ``kind`` on G o H, without building the product where
+    a root-state table gives it.
+
+    G o H meets each copy of H only at its root, so for gamma, alpha, i and
+    Roman the value is ``_weighted_scan`` over the sets S of G's vertices
+    (for Roman, the 2-labelled ones) with ``_copy_costs`` as the weights:
+    gamma and Roman take the least over every S, i over independent S, and
+    alpha the most over independent S.  Those scans take G and H one at a
+    time, so the scan budget bounds each factor, not the product.  Every
+    other kind, a base of order 1 and a factor past the budget get
+    ``value()`` of the built product: the constructor refuses such a base,
+    and past the budget ``value()`` answers trees with the tree DP and
+    raises ``BudgetExceededError`` otherwise.
+    """
+    if kind not in _ROOT_STATE_KINDS or G.n < 2 or max(G.n, rooted.n) > scan_budget():
+        return value(rooted_product(G, rooted).product, kind)
+    independent = kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION)
+    best = max if kind is ParameterKind.INDEPENDENCE else min
+    return _weighted_scan(G, *_copy_costs(rooted, kind), independent, best)
 
 
 # -- enumeration and root classification --------------------------------------

@@ -215,6 +215,46 @@ def test_roman_with_forced_2_sets_on_products_identical(fast):
     assert found  # some forced scans found an optimum
 
 
+def test_scan_min_with_forced_masks_identical(fast):
+    # Zero masks give the unforced scan; otherwise the least feasible set
+    # that holds forced_in and misses forced_out, the first of its size that
+    # enumerate_size lists.
+    rng = random.Random(13)
+    forced = 0
+    for g, kind, intervals in list(_cases(range(6))) + [(g, 0, None) for g in _products()]:
+        args = (kind, g.n, g.open_masks(), g.closed_masks(), intervals)
+        assert fast.scan_min(*args, 0, 0) == slow.scan_min(*args, 0, 0) == slow.scan_min(*args)
+        out = 1 << rng.randrange(g.n)
+        forced_in = rng.choice((0, 1 << rng.randrange(g.n))) & ~out
+        first = next(
+            ((k, listed[0]) for k in range(1, g.n + 1)
+             for listed in [slow.enumerate_size(*args, k, 0, forced_in, out)[0]] if listed),
+            None,
+        )
+        assert fast.scan_min(*args, forced_in, out) == slow.scan_min(*args, forced_in, out) == first
+        forced += first is not None
+    assert forced  # some forced scans found a set
+
+
+def test_roman_min_with_forced_2_sets_identical(fast):
+    # Zero masks give the unforced scan; otherwise the least weight over the
+    # 2-sets that hold forced_in and miss forced_out, with the tie-break of
+    # roman_min: fewest 2-labels, then the lexicographically smallest.
+    rng = random.Random(14)
+    for g in list(_graphs()) + list(_products()):
+        cm = g.closed_masks()
+        assert fast.roman_min(g.n, cm, 0, 0) == slow.roman_min(g.n, cm, 0, 0) == slow.roman_min(g.n, cm)
+        for _ in range(3):
+            forced_in = rng.choice((0, 1 << rng.randrange(g.n)))
+            out = rng.choice((1 << rng.randrange(g.n), cm[rng.randrange(g.n)])) & ~forced_in
+            weight = next(w for w in range(3 * g.n) if slow.roman_enumerate(g.n, cm, w, 0, forced_in, out)[0])
+            listed = slow.roman_enumerate(g.n, cm, weight, 10**6, forced_in, out)[0]
+            listed.reverse()  # scan order lists 2-sets of one size in reverse lex order
+            listed.sort(key=int.bit_count)
+            expected = (weight, listed[0])
+            assert fast.roman_min(g.n, cm, forced_in, out) == slow.roman_min(g.n, cm, forced_in, out) == expected
+
+
 def test_overlapping_forced_masks_list_nothing(fast):
     g = cycle_graph(6)
     om, cm = g.open_masks(), g.closed_masks()
@@ -224,6 +264,10 @@ def test_overlapping_forced_masks_list_nothing(fast):
             for k in (0, 2, 6):
                 assert backend.enumerate_size(kind, 6, om, cm, intervals, k, 10, 0b11, 0b10) == ([], False)
         assert backend.roman_enumerate(6, cm, 4, 10, 0b100, 0b110) == ([], False)
+        for kind in range(6):
+            intervals = g.interval_masks() if kind == slow.KIND_CONVEX_DOMINATING else None
+            assert backend.scan_min(kind, 6, om, cm, intervals, 0b11, 0b10) is None
+        assert backend.roman_min(6, cm, 0b100, 0b110) is None
 
 
 def test_roman_identical(fast):
@@ -263,6 +307,8 @@ def test_forced_in_outside_the_vertices_is_rejected(fast):
                 backend.enumerate_size(*args, 1, 10, forced)
             with pytest.raises(ValueError, match="forced_in"):
                 backend.roman_enumerate(3, g.closed_masks(), 2, 10, forced)
+            with pytest.raises(ValueError, match="forced_in"):
+                backend.roman_min(3, g.closed_masks(), forced)
 
 
 def test_forced_out_outside_the_vertices_is_rejected(fast):
@@ -274,6 +320,10 @@ def test_forced_out_outside_the_vertices_is_rejected(fast):
                 backend.enumerate_size(*args, 1, 10, 0, forced)
             with pytest.raises(ValueError, match="forced_out"):
                 backend.roman_enumerate(3, g.closed_masks(), 2, 10, 0, forced)
+            with pytest.raises(ValueError, match="forced_out"):
+                backend.scan_min(*args, 0, forced)
+            with pytest.raises(ValueError, match="forced_out"):
+                backend.roman_min(3, g.closed_masks(), 0, forced)
 
 
 def test_a_mask_sequence_shorter_than_the_order_is_rejected(fast):

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from rootdom import tree_dp
+from rootdom import harness, solvers, tree_dp
 from rootdom.families import (
     cycle_graph,
     empty_graph,
@@ -16,6 +16,7 @@ from rootdom.families import (
 from rootdom.graph import Graph
 from rootdom.harness import (
     _THEOREMS,
+    _verdicts,
     MUST_HOLD,
     CampaignConfig,
     Outcome,
@@ -253,9 +254,12 @@ class TestWeaklyAndSuperChecks:
 
 class TestCheckPlumbing:
     def test_product_cap(self):
-        # check() caps no product order itself; the scan budget refuses P6 o P6.
+        # check() caps no product order itself.  The scan budget refuses
+        # P6 o P6 for a kind read off the whole product; D2 reads the product
+        # off root-state tables, which scan the factors one at a time.
         with pytest.raises(BudgetExceededError, match="order 36 exceeds the subset-scan budget"):
-            check(T.D2, path_graph(6), RootedGraph(path_graph(6), 0))
+            check(T.S1, path_graph(6), RootedGraph(path_graph(6), 0))
+        assert check(T.D2, path_graph(6), RootedGraph(path_graph(6), 0)).outcome is Outcome.PASS
 
     def test_missing_arguments(self):
         with pytest.raises(ValueError):
@@ -347,6 +351,36 @@ class TestCampaign:
 
 #: Theorems checked on one graph; every other sampled theorem needs G and H.
 SINGLE_GRAPH = {T.R2, T.R3, T.I1, T.I3, T.I4, T.C2, T.W2, T.S2}
+
+
+class TestRootStateRouting:
+    #: The checks whose product side is gamma, alpha, i or Roman.
+    ROUTED = (T.D1, T.D2, T.R1, T.R4, T.R5, T.R6, T.I2, T.I5, T.I6, T.I7)
+
+    def test_the_budget_bounds_each_factor_not_the_product(self, monkeypatch):
+        cfg = CampaignConfig(trials=12, seed=4)
+        for theorem in (T.D2, T.R4):
+            expected = [v.to_json() for v in _verdicts(theorem, cfg)]
+            monkeypatch.setenv("ROOTDOM_BUDGET", "6")
+            verdicts = list(_verdicts(theorem, cfg))
+            monkeypatch.delenv("ROOTDOM_BUDGET")
+            assert None not in verdicts  # no budget skip
+            assert [v.to_json() for v in verdicts] == expected
+            assert max(v.instance["g_order"] * v.instance["h_order"] for v in verdicts) > 6
+
+    def test_routed_checks_build_no_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a routed check built the product graph")
+
+        monkeypatch.setattr(harness, "rooted_product", refuse)
+        monkeypatch.setattr(solvers, "rooted_product", refuse)
+        cfg = CampaignConfig(trials=6, seed=2)
+        for theorem in self.ROUTED:
+            result = run_theorem(theorem, cfg)
+            assert result["errors"] == 0 and result["trials"] == (30 if theorem is T.I6 else 6)
+        # The guard is live: a check of a kind without a table trips it.
+        with pytest.raises(AssertionError, match="built the product graph"):
+            run_theorem(T.S1, cfg)
 
 
 class TestTheoremTable:
