@@ -44,7 +44,6 @@ from .harness import (
     TheoremVerdict,
     check,
     check_witness,
-    closed_form_check,
     run_campaign,
 )
 

@@ -5,13 +5,14 @@ must_hold)``.  The checker evaluates the claim's hypothesis on a concrete
 instance, computes both sides exactly with the solvers, and returns the
 values; it reads the value of the product G o H only through
 ``solvers.product_value``, which builds no product for gamma, alpha, i and
-Roman.  The sampler is the theorem's endless seeded stream of
-``(G, H or None, descriptor)`` instances; a single-graph sampler (``_gnps``,
-``_trees``) yields no H.  ``must_hold`` marks the theorems with airtight
-proofs, whose failure makes a campaign exit nonzero; the remaining claims
-get reported rather than asserted, and a failing instance is a first-class
-finding, not a crash.  I6, the closed forms, has no checker and no sampler:
-``closed_form_check`` runs its fixed grid.
+Roman.  The sampler is the theorem's stream of ``(G, H or None,
+descriptor)`` instances and owns its length: a seeded sampler yields
+``config.trials`` instances, and a finite one (``_closed_forms``, I6's grid)
+runs to its end whatever the seed and ``trials``; a single-graph sampler
+(``_gnps``, ``_trees``) yields no H.  ``must_hold`` marks the theorems with
+airtight proofs, whose failure makes a campaign exit nonzero; the remaining
+claims get reported rather than asserted, and a failing instance is a
+first-class finding, not a crash.
 
 A FAIL verdict always carries a standalone witness payload (edge lists plus
 every computed value) from which ``check_witness`` reproduces the verdict
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
-from itertools import combinations, count, islice
+from itertools import combinations
 
 from . import solvers
 from .families import (
@@ -371,6 +372,32 @@ def _check_I5(G, H):
     return lower <= i_gh <= upper, values
 
 
+def _check_I6(G, H):
+    """The closed forms of i(P_n o H), with H recognised by its degrees: a
+    star K_{1,m} rooted at its centre gives m*n - ceil(n/2)*(m - 1), and a
+    subdivided star rooted at the end of its subdivided edge gives
+    n + ceil(n/3).  P3 rooted at an end, the m = 1 subdivided star, is
+    neither."""
+    if not (G.n >= 2 and max(map(G.degree, range(G.n))) <= 2 and is_tree(G)):
+        return None, {"reason": "needs a path of order >= 2"}
+    h, r = H.graph, H.root
+    # With |H| - 1 edges, the degrees tested below account for every edge of
+    # H, so H is a tree of exactly the shape named.
+    tree_sized = h.m == h.n - 1
+    leaf_root = tree_sized and h.degree(r) == 1
+    s = min(h.neighbors(r)) if leaf_root else r  # the root's neighbour
+    if tree_sized and h.degree(r) == h.n - 1 >= 2:
+        m = h.n - 1
+        expected = m * G.n - _ceil_div(G.n, 2) * (m - 1)
+    elif leaf_root and h.degree(s) == 2 and h.degree(min(h.neighbors(s) - {r})) == h.n - 2 >= 2:
+        expected = G.n + _ceil_div(G.n, 3)
+    else:
+        return None, {"reason": "needs a star rooted at its centre, or a subdivided "
+                      "star rooted at the end of its subdivided edge"}
+    i_gh = solvers.product_value(G, H, PK.INDEPENDENT_DOMINATION)
+    return i_gh == expected, {"i_product": i_gh, "expected": expected, "product_order": G.n * h.n}
+
+
 def _check_I7(G, H):
     cls = classify_root(H, PK.INDEPENDENT_DOMINATION)
     values = {"root_membership": cls.membership.value}
@@ -562,7 +589,8 @@ def _check_S3(G, H):
 # -- instance samplers -------------------------------------------------------
 #
 # A sampler takes the theorem's seed and the campaign config and yields
-# (G, H or None, descriptor) without end.
+# (G, H or None, descriptor) for each trial, ``config.trials`` of them unless
+# the sampler is a fixed finite set.
 
 
 _BASE_FAMILIES = ("path", "cycle", "complete", "star", "random-tree", "random-connected")
@@ -663,8 +691,9 @@ def _tree_instance(rng: random.Random, config: CampaignConfig) -> tuple[Graph, N
 
 
 def _per_trial(draw, seed: int, config: CampaignConfig):
-    """Endless instances, trial t drawn by ``draw`` from ``Random(child_seed(seed, t + 1))``."""
-    for trial in count():
+    """``config.trials`` instances, trial t drawn by ``draw`` from
+    ``Random(child_seed(seed, t + 1))``."""
+    for trial in range(config.trials):
         yield draw(random.Random(child_seed(seed, trial + 1)), config)
 
 
@@ -676,12 +705,13 @@ _trees = partial(_per_trial, _tree_instance)
 
 
 def _tree_pairs(cap_field: str, seed: int, config: CampaignConfig):
-    """Pairs (T1, rooted T2) of product order up to the config field
-    ``cap_field``, every root of T2 in turn; all pairs come from one
-    ``Random(child_seed(seed, 0))``, a pair drawn only when needed."""
+    """``config.trials`` pairs (T1, rooted T2) of product order up to the
+    config field ``cap_field``, every root of T2 in turn; all pairs come from
+    one ``Random(child_seed(seed, 0))``, a pair drawn only when needed."""
     rng = random.Random(child_seed(seed, 0))
     cap = getattr(config, cap_field)
-    while True:
+    left = config.trials
+    while left > 0:
         n1 = rng.randint(config.tree_min, config.tree_max)
         n2 = rng.randint(config.tree_min, config.tree_max)
         if n1 * n2 > cap:
@@ -690,11 +720,12 @@ def _tree_pairs(cap_field: str, seed: int, config: CampaignConfig):
         seed2 = rng.randrange(1 << 48)
         t1 = random_tree(n1, seed1)
         t2 = random_tree(n2, seed2)
-        for root in range(n2):
+        for root in range(min(n2, left)):
             yield t1, RootedGraph(t2, root), {
                 "g": {"family": "random-tree", "n": n1, "seed": seed1},
                 "h": {"family": "random-tree", "n": n2, "seed": seed2, "root": root},
             }
+        left -= n2
 
 
 #: The products are trees the exact tree DP solves at any order, so they get
@@ -702,6 +733,20 @@ def _tree_pairs(cap_field: str, seed: int, config: CampaignConfig):
 _dp_tree_pairs = partial(_tree_pairs, "tree_product_cap")
 #: The parameter needs the subset scan, so the products keep ``product_cap``.
 _scan_tree_pairs = partial(_tree_pairs, "product_cap")
+
+
+def _closed_forms(seed: int, config: CampaignConfig):
+    """I6's fixed grid of 30 instances, whatever the seed and ``trials``: P_n
+    with a star, then with a subdivided star, each for n = 2..6 and m = 2..4.
+    The grid builds each factor once and shares it between its instances."""
+    paths = [path_graph(n) for n in range(2, 7)]
+    for family, rooted in (
+        ("caterpillar", star_graph), ("subdivided-star-product", subdivided_star_graph)
+    ):
+        factors = [rooted(m) for m in range(2, 5)]
+        for G in paths:
+            for m, H in enumerate(factors, 2):
+                yield G, H, {"family": family, "n": G.n, "m": m}
 
 
 #: Every theorem's row: (checker, sampler, must_hold).
@@ -719,7 +764,7 @@ _THEOREMS = {
     TheoremId.I3: (_check_I3, _gnps, True),
     TheoremId.I4: (_check_I4, _gnps, True),
     TheoremId.I5: (_check_I5, _products, True),
-    TheoremId.I6: (None, None, False),
+    TheoremId.I6: (_check_I6, _closed_forms, False),
     TheoremId.I7: (_check_I7, _i7_products, False),
     TheoremId.C1: (partial(_two_value_check, PK.CONNECTED, False), _products, False),
     TheoremId.C2: (_check_C2, _trees, True),
@@ -759,8 +804,6 @@ def check(
     ``BudgetExceededError``.
     """
     checker = _THEOREMS[theorem][0]
-    if checker is None:
-        raise ValueError("the closed-form theorem is checked via closed_form_check(family, n, m)")
     if G is None:
         raise ValueError(f"theorem {theorem.value} needs a graph")
     on_products = _on_products(theorem)
@@ -784,37 +827,6 @@ def check(
         return TheoremVerdict(theorem, descriptor, Outcome.PASS, values)
     witness = _witness_payload(theorem, G, H, values)
     return TheoremVerdict(theorem, descriptor, Outcome.FAIL, values, witness)
-
-
-def closed_form_check(family: str, n: int, m: int) -> TheoremVerdict:
-    """Exact check of the two independent-domination closed forms.
-
-    ``caterpillar``: path (order n) composed with a star (m leaves) rooted at
-    the center -> ``m*n - ceil(n/2)*(m-1)``.
-    ``subdivided-star-product``: path composed with a subdivided star rooted
-    at the vertex at distance two from the center -> ``n + ceil(n/3)``.
-    """
-    if n < 2 or m < 2:
-        raise ValueError("closed forms need n >= 2 and m >= 2")
-    base = path_graph(n)
-    if family == "caterpillar":
-        rooted = star_graph(m)
-        expected = m * n - _ceil_div(n, 2) * (m - 1)
-    elif family == "subdivided-star-product":
-        rooted = subdivided_star_graph(m)
-        expected = n + _ceil_div(n, 3)
-    else:
-        raise ValueError(f"unknown closed form family {family!r}")
-    i_value = solvers.product_value(base, rooted, PK.INDEPENDENT_DOMINATION)
-    values = {"i_product": i_value, "expected": expected, "product_order": base.n * rooted.n}
-    descriptor = {"family": family, "n": n, "m": m}
-    ok = i_value == expected
-    witness = None
-    if not ok:
-        witness = {"theorem": TheoremId.I6.value, "closed_form": descriptor, "values": values}
-    return TheoremVerdict(
-        TheoremId.I6, descriptor, Outcome.PASS if ok else Outcome.FAIL, values, witness
-    )
 
 
 def _is_int(value) -> bool:
@@ -847,14 +859,6 @@ def check_witness(payload: dict) -> TheoremVerdict:
     if not isinstance(payload, dict) or not isinstance(payload.get("theorem"), str):
         raise ValueError('a witness must be a JSON object with a "theorem" id')
     theorem = TheoremId(payload["theorem"])
-    if theorem is TheoremId.I6:
-        cf = payload.get("closed_form")
-        if not (
-            isinstance(cf, dict) and isinstance(cf.get("family"), str)
-            and _is_int(cf.get("n")) and _is_int(cf.get("m"))
-        ):
-            raise ValueError('an I6 witness needs "closed_form": {"family": str, "n": int, "m": int}')
-        return closed_form_check(cf["family"], cf["n"], cf["m"])
     G = _witness_graph(payload, "g") if "g" in payload else None
     H = None
     if "h" in payload:
@@ -918,14 +922,8 @@ class CampaignConfig:
 def _verdicts(theorem: TheoremId, config: CampaignConfig):
     """Each trial's verdict in order, or None for a trial past the budget."""
     sampler = _THEOREMS[theorem][1]
-    if sampler is None:
-        for family in ("caterpillar", "subdivided-star-product"):
-            for n in range(2, 7):
-                for m in range(2, 5):
-                    yield closed_form_check(family, n, m)
-        return
     seed = child_seed(config.seed, list(TheoremId).index(theorem))
-    for G, H, desc in islice(sampler(seed, config), config.trials):
+    for G, H, desc in sampler(seed, config):
         try:
             verdict = check(theorem, G, H, instance=desc)
         except BudgetExceededError:

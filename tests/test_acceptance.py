@@ -20,7 +20,6 @@ from rootdom.harness import (
     TheoremId,
     check,
     check_witness,
-    closed_form_check,
     run_campaign,
     run_theorem,
 )
@@ -121,11 +120,13 @@ def test_criterion_04_roman_suite():
 
 
 def test_criterion_05_closed_forms():
+    from rootdom.families import path_graph, star_graph, subdivided_star_graph
+
     for n in range(2, 7):
         for m in range(2, 5):
-            cat = closed_form_check("caterpillar", n, m)
+            cat = check(T.I6, path_graph(n), star_graph(m))
             assert cat.outcome is Outcome.PASS, (n, m, cat.values)
-            sub = closed_form_check("subdivided-star-product", n, m)
+            sub = check(T.I6, path_graph(n), subdivided_star_graph(m))
             assert sub.outcome is Outcome.PASS, (n, m, sub.values)
     _report("5 (independent-domination closed forms, n=2..6, m=2..4)")
 

@@ -22,6 +22,17 @@ def _strip_meta(path):
     return data
 
 
+#: The standard witness payload of a passing I6 instance: P3 with a star
+#: K_{1,2} rooted at its centre.
+I6_PASSING_WITNESS = {
+    "theorem": "I6",
+    "values": {"i_product": 4, "expected": 4, "product_order": 9},
+    "g": {"n": 3, "edges": [[0, 1], [1, 2]]},
+    "h": {"n": 3, "edges": [[0, 1], [0, 2]]},
+    "root": 0,
+}
+
+
 class TestSolve:
     def test_gamma_output(self, p4_file, capsys):
         assert main(["solve", "--param", "gamma", p4_file]) == 0
@@ -176,10 +187,17 @@ class TestVerify:
 
     def test_unreproduced_witness_fails(self, tmp_path):
         # A witness claiming a passing instance fails reproduction.
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(I6_PASSING_WITNESS), encoding="utf-8")
+        assert main(["--quiet", "verify", "--witness", str(path)]) == 1
+
+    def test_old_closed_form_witness_exits_two(self, tmp_path, capsys):
         payload = {"theorem": "I6", "closed_form": {"family": "caterpillar", "n": 3, "m": 2}}
         path = tmp_path / "w.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert main(["--quiet", "verify", "--witness", str(path)]) == 1
+        assert main(["verify", "--witness", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "needs a graph" in err
 
     def test_single_graph_witness_with_h_exits_two(self, tmp_path, capsys):
         payload = {
@@ -201,7 +219,7 @@ class TestVerify:
         "argv",
         [
             ["verify", "--theorem", "C3", "--trials", "3"],  # no solver call
-            ["verify", "--theorem", "I6"],  # tree DP only: no scan
+            ["verify", "--theorem", "I6"],  # a finite sampler
             ["verify", "--witness", "{witness}"],
             ["campaign", "--config", "{config}"],
         ],
@@ -211,9 +229,7 @@ class TestVerify:
         # The budget is read before any trial, so theorems that never reach a
         # scan reject it too.
         witness = tmp_path / "w.json"
-        witness.write_text(json.dumps(
-            {"theorem": "I6", "closed_form": {"family": "caterpillar", "n": 3, "m": 2}}
-        ), encoding="utf-8")
+        witness.write_text(json.dumps(I6_PASSING_WITNESS), encoding="utf-8")
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"theorems": ["C3"], "trials": 3}), encoding="utf-8")
         monkeypatch.setenv("ROOTDOM_BUDGET", budget)

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import fields
 from itertools import islice
 
@@ -23,7 +24,6 @@ from rootdom.harness import (
     TheoremId,
     check,
     check_witness,
-    closed_form_check,
     run_campaign,
     run_theorem,
 )
@@ -152,14 +152,57 @@ class TestIndependenceChecks:
         assert in_some.outcome is Outcome.NOT_APPLICABLE
 
     def test_closed_forms(self):
-        v = closed_form_check("caterpillar", 4, 2)
+        v = check(T.I6, path_graph(4), star_graph(2))
         assert v.outcome is Outcome.PASS and v.values["i_product"] == 6
-        v = closed_form_check("caterpillar", 2, 3)
+        v = check(T.I6, path_graph(2), star_graph(3))
         assert v.outcome is Outcome.PASS and v.values["i_product"] == 4
-        v = closed_form_check("subdivided-star-product", 3, 2)
+        v = check(T.I6, path_graph(3), subdivided_star_graph(2))
         assert v.outcome is Outcome.PASS and v.values["i_product"] == 4
-        with pytest.raises(ValueError):
-            closed_form_check("nope", 3, 3)
+        assert set(v.values) == {"i_product", "expected", "product_order"}
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_forms_hold_on_both_families(self, n):
+        for m in range(2, 5):
+            for rooted in (star_graph(m), subdivided_star_graph(m)):
+                v = check(T.I6, path_graph(n), rooted)
+                assert v.outcome is Outcome.PASS, (n, m, v.values)
+                assert v.values["product_order"] == n * rooted.graph.n
+
+    def test_closed_forms_apply_only_to_a_path_and_the_two_rooted_shapes(self):
+        # sub: centre 0, plain leaves 1 and 2, subdivision vertex 3, root 4.
+        star, sub = star_graph(3), subdivided_star_graph(3)
+        p3 = path_graph(3)
+        cases = [
+            (cycle_graph(4), star),
+            (star.graph, star),
+            (Graph(1, []), star),
+            (path_graph(3), RootedGraph(cycle_graph(4), 0)),
+            (path_graph(3), RootedGraph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 0)),
+            (path_graph(3), RootedGraph(Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4)]), 0)),
+            (path_graph(3), RootedGraph(star.graph, 1)),
+            (path_graph(3), RootedGraph(sub.graph, 0)),
+            (path_graph(3), RootedGraph(sub.graph, 3)),
+            (path_graph(3), RootedGraph(sub.graph, 1)),
+            (path_graph(3), RootedGraph(p3, 0)),
+        ]
+        for G, H in cases:
+            v = check(T.I6, G, H)
+            assert v.outcome is Outcome.NOT_APPLICABLE, (G.edges(), H.graph.edges(), H.root)
+            assert set(v.values) == {"reason"}
+        assert check(T.I6, path_graph(3), RootedGraph(p3, 1)).outcome is Outcome.PASS  # K_{1,2}
+
+    def test_closed_forms_ignore_labels(self):
+        rng = random.Random(6)
+        for n, rooted in ((5, star_graph(3)), (6, subdivided_star_graph(4)), (4, RootedGraph(path_graph(3), 0))):
+            G, h = path_graph(n), rooted.graph
+            pg, ph = rng.sample(range(G.n), G.n), rng.sample(range(h.n), h.n)
+            copy = check(
+                T.I6,
+                Graph(G.n, [(pg[u], pg[v]) for u, v in G.edges()]),
+                RootedGraph(Graph(h.n, [(ph[u], ph[v]) for u, v in h.edges()]), ph[rooted.root]),
+            )
+            original = check(T.I6, G, rooted)
+            assert (copy.outcome, copy.values) == (original.outcome, original.values)
 
 
 class TestConnectedConvexChecks:
@@ -273,10 +316,14 @@ class TestCheckPlumbing:
         assert check_witness(payload).outcome is Outcome.FAIL
 
     def test_closed_form_witness_round_trip(self):
-        verdict = closed_form_check("caterpillar", 3, 2)
+        verdict = check(T.I6, path_graph(3), star_graph(2))
         assert verdict.outcome is Outcome.PASS
-        payload = {"theorem": "I6", "closed_form": {"family": "caterpillar", "n": 3, "m": 2}}
-        assert check_witness(payload).outcome is Outcome.PASS
+        payload = json.loads(json.dumps(
+            harness._witness_payload(T.I6, path_graph(3), star_graph(2), verdict.values)
+        ))
+        assert set(payload) == {"theorem", "values", "g", "h", "root"}
+        again = check_witness(payload)
+        assert (again.outcome, again.values) == (Outcome.PASS, verdict.values)
 
 
 class TestCampaign:
@@ -388,21 +435,23 @@ class TestTheoremTable:
         assert set(_THEOREMS) == set(TheoremId)
         for theorem, (checker, sampler, must_hold) in _THEOREMS.items():
             assert isinstance(must_hold, bool)
-            if theorem is T.I6:
-                assert (checker, sampler) == (None, None)
-            else:
-                assert callable(checker) and callable(sampler)
+            assert callable(checker) and callable(sampler)
 
     def test_samplers_yield_h_exactly_for_two_factor_theorems(self):
         cfg = CampaignConfig(seed=3)
         for theorem, (_, sampler, _) in _THEOREMS.items():
-            if sampler is None:
-                continue
             for G, H, desc in islice(sampler(11, cfg), 6):
                 assert isinstance(G, Graph) and isinstance(desc, dict)
                 assert (H is None) == (theorem in SINGLE_GRAPH)
 
-    @pytest.mark.parametrize("theorem", sorted(set(TheoremId) - SINGLE_GRAPH - {T.I6}))
+    def test_samplers_own_their_count(self):
+        # A seeded sampler yields config.trials instances; I6's grid runs to its end.
+        for trials in (0, 7):
+            cfg = CampaignConfig(seed=3, trials=trials)
+            for theorem, (_, sampler, _) in _THEOREMS.items():
+                assert sum(1 for _ in sampler(11, cfg)) == (30 if theorem is T.I6 else trials)
+
+    @pytest.mark.parametrize("theorem", sorted(set(TheoremId) - SINGLE_GRAPH))
     def test_two_factor_theorem_rejects_a_lone_graph(self, theorem):
         with pytest.raises(ValueError, match="needs a base graph and a rooted graph"):
             check(theorem, path_graph(3))
