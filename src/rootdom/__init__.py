@@ -17,7 +17,7 @@ from .graph import (
     weakly_induced_subgraph,
 )
 from .product import RootedGraph, RootedProduct, rooted_product
-from .families import Family, FamilySpec, child_seed, generate
+from .families import child_seed
 from .solvers import (
     BudgetExceededError,
     EnumerationCapError,

@@ -15,8 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, kernels
-from .families import Family, FamilySpec, generate
+from . import __version__, families, kernels
 from .graph import format_edge_list, read_edge_list
 from .harness import CampaignConfig, Outcome, TheoremId, check_witness, run_campaign
 from .product import RootedGraph, rooted_product
@@ -95,11 +94,26 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+#: ``gen``'s families in ``--family`` order: each one's generator in
+#: ``rootdom.families`` and the options it takes, in argument order.
+_GENERATORS = {
+    "path": (families.path_graph, ("n",)),
+    "cycle": (families.cycle_graph, ("n",)),
+    "star": (families.star_graph, ("m",)),
+    "subdivided-star": (families.subdivided_star_graph, ("m",)),
+    "complete": (families.complete_graph, ("n",)),
+    "empty": (families.empty_graph, ("n",)),
+    "random-tree": (families.random_tree, ("n", "seed")),
+    "random-connected": (families.random_connected_graph, ("n", "p", "seed")),
+}
+
+
 def _cmd_gen(args) -> int:
-    spec = FamilySpec(
-        family=Family(args.family), n=args.n, m=args.m, p=args.p, seed=args.seed
-    )
-    result = generate(spec)
+    generator, options = _GENERATORS[args.family]
+    for name in options:
+        if getattr(args, name) is None:
+            raise ValueError(f"family parameter {name!r} is required")
+    result = generator(*(getattr(args, name) for name in options))
     if isinstance(result, RootedGraph):
         text = format_edge_list(result.graph, root=result.root)
     else:
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="write machine-readable JSON here")
 
     p_gen = sub.add_parser("gen", help="generate a family instance as an edge list")
-    p_gen.add_argument("--family", required=True, choices=[f.value for f in Family])
+    p_gen.add_argument("--family", required=True, choices=list(_GENERATORS))
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--p", type=float, default=0.5)

@@ -1,6 +1,6 @@
 """Seeded, deterministic generators for the graph families under study.
 
-The same spec with the same seed always yields a bit-identical edge list.
+The same arguments with the same seed always yield a bit-identical edge list.
 Random labeled trees come from Pruefer-sequence decoding (uniform over
 labeled trees); random connected graphs from rejection-sampled G(n, p).
 """
@@ -9,35 +9,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
-from enum import Enum
 
 from .graph import Graph, is_connected
 from .product import RootedGraph
 
 _MASK64 = (1 << 64) - 1
-
-
-class Family(str, Enum):
-    PATH = "path"
-    CYCLE = "cycle"
-    STAR = "star"
-    SUBDIVIDED_STAR = "subdivided-star"
-    COMPLETE = "complete"
-    EMPTY = "empty"
-    RANDOM_TREE = "random-tree"
-    RANDOM_CONNECTED = "random-connected"
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters for one generation: order ``n`` or leaf count ``m`` per family."""
-
-    family: Family
-    n: int | None = None
-    m: int | None = None
-    p: float = 0.5
-    seed: int | None = None
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -145,33 +121,3 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     raise ValueError(
         f"no connected G({n}, {p}) sample after {_MAX_ATTEMPTS} attempts"
     )
-
-
-def generate(spec: FamilySpec) -> Graph | RootedGraph:
-    """Generate the graph for ``spec``; rooted families return a RootedGraph."""
-    fam = spec.family
-    if fam is Family.PATH:
-        return path_graph(_require(spec.n, "n"))
-    if fam is Family.CYCLE:
-        return cycle_graph(_require(spec.n, "n"))
-    if fam is Family.STAR:
-        return star_graph(_require(spec.m, "m"))
-    if fam is Family.SUBDIVIDED_STAR:
-        return subdivided_star_graph(_require(spec.m, "m"))
-    if fam is Family.COMPLETE:
-        return complete_graph(_require(spec.n, "n"))
-    if fam is Family.EMPTY:
-        return empty_graph(_require(spec.n, "n"))
-    if fam is Family.RANDOM_TREE:
-        return random_tree(_require(spec.n, "n"), _require(spec.seed, "seed"))
-    if fam is Family.RANDOM_CONNECTED:
-        return random_connected_graph(
-            _require(spec.n, "n"), spec.p, _require(spec.seed, "seed")
-        )
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def _require(value, name: str):
-    if value is None:
-        raise ValueError(f"family parameter {name!r} is required")
-    return value

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
-from itertools import combinations
+from itertools import combinations, repeat
 
 from . import solvers
 from .families import (
@@ -801,7 +801,10 @@ def check(
 
     The product order is not capped here: the campaign samplers keep it
     under the config's caps, and a solver call past the scan budget raises
-    ``BudgetExceededError``.
+    ``BudgetExceededError``.  An empty G, or a product theorem's base G of
+    order 1, is not an instance of any theorem and raises ``ValueError``; a
+    single-graph theorem whose hypothesis needs more vertices answers
+    NOT_APPLICABLE at order 1.
     """
     checker = _THEOREMS[theorem][0]
     if G is None:
@@ -811,6 +814,10 @@ def check(
         raise ValueError(f"theorem {theorem.value} needs a base graph and a rooted graph")
     if H is not None and not on_products:
         raise ValueError(f"theorem {theorem.value} takes one graph, not a rooted graph")
+    if G.n == 0:
+        raise ValueError("parameters are undefined on the empty graph")
+    if on_products and G.n == 1:
+        raise ValueError("the base factor must have at least two vertices")
     descriptor = dict(instance or {})
     descriptor.setdefault("g_order", G.n)
     if H is not None:
@@ -961,11 +968,6 @@ def run_theorem(theorem: TheoremId, config: CampaignConfig) -> dict:
     }
 
 
-def _run_theorem_job(args: tuple[dict, str]) -> dict:
-    raw_config, theorem_value = args
-    return run_theorem(TheoremId(theorem_value), CampaignConfig.from_dict(raw_config))
-
-
 def run_campaign(config: CampaignConfig, *, jobs: int = 1) -> dict:
     """Run every configured theorem; deterministic given the config seed.
 
@@ -978,9 +980,8 @@ def run_campaign(config: CampaignConfig, *, jobs: int = 1) -> dict:
     if jobs > 1 and len(ordered) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(config.to_dict(), t.value) for t in ordered]
         with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
-            results = list(pool.map(_run_theorem_job, payload))
+            results = list(pool.map(run_theorem, ordered, repeat(config)))
     else:
         results = [run_theorem(t, config) for t in ordered]
     must_hold_failures = sum(r["fail"] for r in results if r["must_hold"])

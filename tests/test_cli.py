@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,67 @@ class TestGen:
         assert main(argv) == 2
         assert "1000 attempts" in capsys.readouterr().err
 
+    # The sha256 of each family's output at fixed options; the last case
+    # takes ``--p``'s default.
+    @pytest.mark.parametrize("family, options, digest", [
+        ("path", ["--n", "7"], "cf064f6123409d88031a21cf5fb477cf8363544d74f99e476847bc69525553ac"),
+        ("cycle", ["--n", "6"], "bfb5b0e7bc7ef780bd592500a43f482fa2055a92eb84ef0c44b8ef0ff96ac49a"),
+        ("star", ["--m", "4"], "d4dc104928e5c397b98b2e4b015a5bd55d69a591e7c5b1781a1864cf71ecdb10"),
+        ("subdivided-star", ["--m", "3"],
+         "10e2ca33266978687877ba704a2da6f67e5e43c2b3cad570281209897658382e"),
+        ("complete", ["--n", "5"], "02f369096b911556d342f347851a6f997d3766501c956bed1b4e3ed810a8fc42"),
+        ("empty", ["--n", "4"], "f185975e4157c46adfe550d4b40b5132c89e77b2e34e84dd460510c341de7c6d"),
+        ("random-tree", ["--n", "9", "--seed", "123"],
+         "2a500925e52ba6c03be53123b49489268a6042316da55c576b3a55e4a96cdc1d"),
+        ("random-connected", ["--n", "8", "--p", "0.4", "--seed", "7"],
+         "41aee5e1094164493f6519683408d89636ed2e123973a2e7cb05791943cc50eb"),
+        ("random-connected", ["--n", "8", "--seed", "7"],
+         "348b5af18e875f7266ac4ee75a65fd1f626a2389909ba87f191cd1415545a4ba"),
+    ])
+    def test_pinned_output(self, capsys, family, options, digest):
+        assert main(["gen", "--family", family, *options]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_family_choice_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen", "--help"])
+        assert ("--family {path,cycle,star,subdivided-star,complete,empty,random-tree,"
+                "random-connected}") in capsys.readouterr().out
+
+    # The first missing option is named, in the generator's argument order.
+    @pytest.mark.parametrize("family, options, missing", [
+        ("path", [], "n"),
+        ("cycle", ["--m", "3"], "n"),
+        ("star", ["--n", "3"], "m"),
+        ("subdivided-star", [], "m"),
+        ("complete", [], "n"),
+        ("empty", [], "n"),
+        ("random-tree", ["--seed", "1"], "n"),
+        ("random-tree", ["--n", "5"], "seed"),
+        ("random-connected", [], "n"),
+        ("random-connected", ["--n", "5", "--p", "0.3"], "seed"),
+    ])
+    def test_missing_option_exits_two(self, capsys, family, options, missing):
+        assert main(["gen", "--family", family, *options]) == 2
+        assert capsys.readouterr().err == f"error: family parameter {missing!r} is required\n"
+
+    @pytest.mark.parametrize("family, options, message", [
+        ("path", ["--n", "1"], "paths need order >= 2, got 1"),
+        ("cycle", ["--n", "2"], "cycles need order >= 3, got 2"),
+        ("star", ["--m", "1"], "stars need at least 2 leaves, got 1"),
+        ("subdivided-star", ["--m", "1"], "subdivided stars need at least 2 leaves, got 1"),
+        ("complete", ["--n", "0"], "complete graphs need order >= 1, got 0"),
+        ("empty", ["--n", "0"], "empty graphs need order >= 1, got 0"),
+        ("random-tree", ["--n", "1", "--seed", "0"], "random trees need order >= 2, got 1"),
+        ("random-connected", ["--n", "1", "--seed", "0"],
+         "random connected graphs need order >= 2, got 1"),
+        ("random-connected", ["--n", "5", "--p", "0", "--seed", "0"],
+         "edge probability must be in (0, 1], got 0.0"),
+    ])
+    def test_range_error_exits_two(self, capsys, family, options, message):
+        assert main(["gen", "--family", family, *options]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestProduct:
     def test_product_files(self, tmp_path, p4_file):
@@ -210,6 +272,20 @@ class TestVerify:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["verify", "--witness", str(path)]) == 2
         assert "takes one graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem, g, message", [
+        ("D2", {"n": 0, "edges": []}, "parameters are undefined on the empty graph"),
+        ("R5", {"n": 1, "edges": []}, "the base factor must have at least two vertices"),
+        ("I3", {"n": 0, "edges": []}, "parameters are undefined on the empty graph"),
+    ])
+    def test_witness_off_the_instance_rule_exits_two(self, tmp_path, capsys, theorem, g, message):
+        payload = {"theorem": theorem, "g": g}
+        if theorem != "I3":
+            payload.update({"h": {"n": 3, "edges": [[0, 1], [1, 2]]}, "root": 1})
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", "--witness", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verify_needs_theorem_or_witness(self, capsys):
         assert main(["verify"]) == 2

@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from rootdom.families import (
-    Family,
-    FamilySpec,
     child_seed,
-    generate,
+    cycle_graph,
+    path_graph,
     prufer_tree,
     random_connected_graph,
     random_tree,
@@ -22,8 +21,8 @@ def test_same_seed_same_edges():
     a = random_tree(9, seed=123)
     b = random_tree(9, seed=123)
     assert a.edges() == b.edges()
-    c = generate(FamilySpec(Family.RANDOM_CONNECTED, n=8, p=0.4, seed=7))
-    d = generate(FamilySpec(Family.RANDOM_CONNECTED, n=8, p=0.4, seed=7))
+    c = random_connected_graph(8, 0.4, 7)
+    d = random_connected_graph(8, 0.4, 7)
     assert c.edges() == d.edges()
 
 
@@ -83,19 +82,17 @@ def test_random_connected_gives_up():
 
 def test_generate_validation():
     with pytest.raises(ValueError):
-        generate(FamilySpec(Family.PATH, n=1))
+        path_graph(1)
     with pytest.raises(ValueError):
-        generate(FamilySpec(Family.CYCLE, n=2))
+        cycle_graph(2)
     with pytest.raises(ValueError):
-        generate(FamilySpec(Family.STAR, m=1))
-    with pytest.raises(ValueError, match="seed"):
-        generate(FamilySpec(Family.RANDOM_TREE, n=5))
+        star_graph(1)
 
 
 def test_generate_rooted_families():
-    star = generate(FamilySpec(Family.STAR, m=3))
+    star = star_graph(3)
     assert isinstance(star, RootedGraph) and star.root == 0
-    sub = generate(FamilySpec(Family.SUBDIVIDED_STAR, m=2))
+    sub = subdivided_star_graph(2)
     assert isinstance(sub, RootedGraph) and sub.root == sub.graph.n - 1
 
 

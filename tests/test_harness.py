@@ -175,7 +175,6 @@ class TestIndependenceChecks:
         cases = [
             (cycle_graph(4), star),
             (star.graph, star),
-            (Graph(1, []), star),
             (path_graph(3), RootedGraph(cycle_graph(4), 0)),
             (path_graph(3), RootedGraph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 0)),
             (path_graph(3), RootedGraph(Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4)]), 0)),
@@ -190,6 +189,9 @@ class TestIndependenceChecks:
             assert v.outcome is Outcome.NOT_APPLICABLE, (G.edges(), H.graph.edges(), H.root)
             assert set(v.values) == {"reason"}
         assert check(T.I6, path_graph(3), RootedGraph(p3, 1)).outcome is Outcome.PASS  # K_{1,2}
+        # A one-vertex path is no base factor, for I6 as for every product theorem.
+        with pytest.raises(ValueError, match="base factor must have at least two vertices"):
+            check(T.I6, Graph(1, []), star)
 
     def test_closed_forms_ignore_labels(self):
         rng = random.Random(6)
@@ -458,6 +460,23 @@ class TestTheoremTable:
         payload = {"theorem": theorem.value, "g": {"n": 3, "edges": [[0, 1], [1, 2]]}}
         with pytest.raises(ValueError, match="needs a base graph and a rooted graph"):
             check_witness(payload)
+
+    @pytest.mark.parametrize("theorem", sorted(set(TheoremId) - SINGLE_GRAPH))
+    @pytest.mark.parametrize("H", [
+        RootedGraph(path_graph(3), 1), RootedGraph(path_graph(3), 0), RootedGraph(cycle_graph(4), 0),
+    ], ids=["P3-centre", "P3-end", "C4"])
+    def test_product_theorem_needs_a_base_of_order_two(self, theorem, H):
+        # Whatever H is: R5 and R6 classify H's root before they look at G.
+        with pytest.raises(ValueError, match="^parameters are undefined on the empty graph$"):
+            check(theorem, Graph(0, []), H)
+        with pytest.raises(ValueError, match="^the base factor must have at least two vertices$"):
+            check(theorem, Graph(1, []), H)
+
+    @pytest.mark.parametrize("theorem", sorted(SINGLE_GRAPH))
+    def test_single_graph_theorem_at_orders_zero_and_one(self, theorem):
+        with pytest.raises(ValueError, match="^parameters are undefined on the empty graph$"):
+            check(theorem, Graph(0, []))
+        assert check(theorem, Graph(1, [])).outcome is Outcome.NOT_APPLICABLE
 
     @pytest.mark.parametrize("theorem", sorted(SINGLE_GRAPH))
     def test_single_graph_theorem_takes_one_graph(self, theorem):
