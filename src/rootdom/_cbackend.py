@@ -11,13 +11,7 @@ import ctypes
 from array import array
 from types import SimpleNamespace
 
-from ._pykernels import (
-    KIND_CONVEX_DOMINATING,
-    KIND_DOMINATING,
-    KIND_INDEPENDENT,
-    MAX_ORDER,
-    check_mask,
-)
+from ._pykernels import KIND_CONVEX_DOMINATING, MAX_ORDER, check_kind, check_mask
 
 
 def load(path: str):
@@ -68,8 +62,7 @@ def load(path: str):
         check_mask(n, forced_out, "forced_out")
 
     def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int, forced_out: int):
-        if not KIND_DOMINATING <= kind <= KIND_INDEPENDENT:
-            raise ValueError(f"unknown kind code {kind}")
+        check_kind(kind)
         check_forced(n, forced_in, forced_out)
         # Only the convex kind reads interval masks, and it needs all n * n.
         size = n * n if kind == KIND_CONVEX_DOMINATING else 0

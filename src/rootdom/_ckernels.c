@@ -26,7 +26,8 @@
  *   geodesic interval of every picked pair.  A completion of size k that
  *   must hold more than k vertices fails, so such a pick is skipped.  At
  *   the last pick this test leaves no needed vertex out, one above the last
- *   pick included, so the leaf needs no test of its own.
+ *   pick included: the set holds forced_in and, for convex, the interval of
+ *   every pair it holds, so it is convex.
  * - Decided out.  Before rec_scan picks vertex v, every unpicked vertex
  *   below v is out for good.  If one of them is needed, or (super) can no
  *   longer be served, since more out-vertices serve fewer, the branch is
@@ -34,9 +35,16 @@
  * - Convex hull.  A pick whose new intervals hold a decided-out vertex is
  *   skipped.  A larger v may still fit, so this cut skips only v.
  *
- * Every cut drops only sets that fail the leaf test, so feasible sets are
- * visited in the same lexicographic order, and witnesses and listings are
- * unchanged.
+ * Each pick also passes two tests: for the independent kinds it has no picked
+ * neighbour, and (coverage) every vertex that must be covered lies in the
+ * closed neighbourhoods of the picked set or of the vertices above the pick
+ * that may still join it, the suffix cover.  No vertex joins after the last
+ * pick, so there the suffix is empty.  So every local condition (coverage,
+ * independence, the forced vertices, convexity) is decided by a cut, exactly
+ * at the last pick, and leaf_ok tests only what no cut decides: connectivity,
+ * weak connectivity and super service.  Every cut drops only sets that are
+ * not feasible, so feasible sets are visited in the same lexicographic order,
+ * and witnesses and listings are unchanged.
  *
  * scan_min and enumerate_size also take a forced_out mask and visit only the
  * feasible sets that miss it; root classification asks enumerate_size for
@@ -46,19 +54,19 @@
  * forced-out v has the bit n there, which no cover holds, so a scan without
  * forced-out vertices runs no extra test per candidate.  The closed
  * neighbourhoods of forced-out vertices also leave the suffix cover, which
- * makes the coverage cut stronger.  The cut stays sound: a completion of the
- * picked set adds only vertices above the last pick that are not forced
- * out, so it dominates no vertex outside the picked set's closed
- * neighbourhoods and that suffix cover, and a pick that leaves such a
- * vertex is skipped.  Overlapping forced_in and forced_out masks list
- * nothing, and scan_min then returns NOT_FOUND.
+ * makes the coverage cut stronger, and it stays sound: a completion adds only
+ * vertices above the last pick that are not forced out.  Overlapping
+ * forced_in and forced_out masks list nothing, and scan_min then returns
+ * NOT_FOUND.
  *
  * roman_min and roman_enumerate take 2-set masks the same way.  Forced-in
  * vertices start in B2 and forced-out vertices stay out; rec_roman runs over
  * the list of the other vertices, so a scan that forces nothing pays no new
  * test per node.  Its suffix cover holds those vertices only, and the weight
  * bound stays a lower bound: a vertex outside the cover so far and outside
- * every closed neighbourhood still open to B2 takes the label 1.
+ * every closed neighbourhood still open to B2 takes the label 1.  Once every
+ * vertex is decided no neighbourhood is still open, so the bound is the
+ * weight itself, and the leaf takes it.
  */
 
 #include <stdint.h>
@@ -81,6 +89,8 @@ enum {
 #define BIT(v) ((u64)1 << (v))
 #define VERTEX(bit) __builtin_ctzll(bit)
 #define POPCOUNT(x) __builtin_popcountll(x)
+
+static const u64 zeros[64]; /* a mask table that holds no vertex */
 
 /* Masks handed to the caller, who releases them with free_masks. */
 typedef struct {
@@ -216,18 +226,6 @@ static int weakly_connected(u64 sub, u64 full, const u64 *open_m)
     return reach == full;
 }
 
-static int convex(u64 sub, int n, const u64 *intervals)
-{
-    for (u64 rest = sub; rest; ) {
-        int u = VERTEX(rest);
-        rest &= rest - 1;
-        for (u64 others = rest; others; others &= others - 1)
-            if (intervals[u * n + VERTEX(others)] & ~sub)
-                return 0;
-    }
-    return 1;
-}
-
 /* Whether every w in `out` has a neighbour u outside `out` with N(u) & out a
  * subset of {w}: with out = full & ~sub, "sub is super dominating"; on a
  * partial set, the prune. */
@@ -244,17 +242,13 @@ static int served(u64 out, const u64 *open_m)
     return 1;
 }
 
-static int leaf_ok(const scan *s, u64 sub, u64 cover)
+/* What no cut decides: whether the complete set `sub` is connected, weakly
+ * connected or super dominating, as its kind asks. */
+static int leaf_ok(const scan *s, u64 sub)
 {
-    if (s->kind == KIND_INDEPENDENT)
-        return 1;
-    if (cover != s->full)
-        return 0;
     switch (s->kind) {
     case KIND_CONNECTED_DOMINATING:
         return connected_mask(sub, s->open_m);
-    case KIND_CONVEX_DOMINATING:
-        return convex(sub, s->n, s->intervals);
     case KIND_WEAKLY_CONNECTED_DOMINATING:
         return weakly_connected(sub, s->full, s->open_m);
     case KIND_SUPER_DOMINATING:
@@ -269,7 +263,9 @@ static int leaf_ok(const scan *s, u64 sub, u64 cover)
 static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need)
 {
     if (picked == s->k)
-        return !leaf_ok(s, sub, cover) || visit(s, sub);
+        return !leaf_ok(s, sub) || visit(s, sub);
+    /* No vertex joins after the last pick, so its coverage test reads no suffix. */
+    const u64 *tail = picked + 1 < s->k ? s->suffix : zeros;
     for (int v = first; v <= s->n - (s->k - picked); v++) {
         /* Below v every unpicked vertex is out for good: a needed one, or one
          * that can no longer be served, rules out every larger v too. */
@@ -279,7 +275,7 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
         if (s->independent && (s->open_m[v] & sub))
             continue;
         u64 new_cover = cover | s->closed_m[v];
-        if (s->must[v] & ~(new_cover | s->suffix[v + 1]))
+        if (s->must[v] & ~(new_cover | tail[v + 1]))
             continue;
         u64 new_need = need;
         if (s->convex) {
@@ -343,9 +339,8 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 
 /* Maximum independent set; the empty set for n == 0. */
 u64 scan_max_independent(int n, const u64 *open_m)
 {
-    static const u64 no_cover[64];
     scan s;
-    init_scan(&s, KIND_INDEPENDENT, n, open_m, no_cover, NULL, 0, NULL, 0);
+    init_scan(&s, KIND_INDEPENDENT, n, open_m, zeros, NULL, 0, NULL, 0);
     for (s.k = n; s.k > 0 && rec_scan(&s, 0, 0, 0, 0, 0); s.k--)
         ;
     return s.k ? s.found : 0;
@@ -362,7 +357,7 @@ int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
     if (forced_in & forced_out)
         return finish(&s, 1);
     if (k <= 0) { /* the empty set is listed whatever the cap */
-        if (k == 0 && !forced_in && leaf_ok(&s, 0, 0))
+        if (k == 0 && !forced_in && (kind == KIND_INDEPENDENT || n == 0))
             visit(&s, 0);
         return finish(&s, 1);
     }
@@ -392,10 +387,12 @@ static int roman_leaf(scan *s, int64_t weight, int64_t twos, u64 mask)
 static int rec_roman(scan *s, int i, int64_t twos, u64 cover, u64 mask)
 {
     int v = s->decide[i];
-    if (2 * twos + POPCOUNT(s->full & ~(cover | s->suffix[v])) > s->bound)
+    /* A lower bound on the weight, exact once every vertex is decided (v = n). */
+    int64_t weight = 2 * twos + POPCOUNT(s->full & ~(cover | s->suffix[v]));
+    if (weight > s->bound)
         return 1;
     if (i == s->ndecide)
-        return roman_leaf(s, 2 * twos + POPCOUNT(s->full & ~cover), twos, mask);
+        return roman_leaf(s, weight, twos, mask);
     return rec_roman(s, i + 1, twos, cover, mask)
         && rec_roman(s, i + 1, twos + 1, cover | s->closed_m[v], mask | BIT(v));
 }

@@ -1,8 +1,8 @@
 """Pure-Python bitmask kernels: the fallback when ``_ckernels.c`` is not built.
 
 This module also holds what both backends share: the kind codes,
-``MAX_ORDER`` and ``check_mask``.  ``graph`` imports ``connected_mask``
-from it, so it is loaded on either backend.
+``MAX_ORDER``, ``check_kind`` and ``check_mask``.  ``graph`` imports
+``connected_mask`` from it, so it is loaded on either backend.
 
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
@@ -27,7 +27,8 @@ undominated; convex sets are connected.  Four cuts follow.
   the geodesic interval of every picked pair.  A completion of size k that
   must hold more than k vertices fails, so such a pick is skipped.  At the
   last pick this test leaves no needed vertex out, one above the last pick
-  included, so the leaf needs no test of its own.
+  included: the set holds ``forced_in`` and, for convex, the interval of
+  every pair it holds, so it is convex.
 * Decided out.  Before the scan picks vertex v, every unpicked vertex
   below v is out for good.  If one of them is needed, or (super) can no
   longer be served, since more out-vertices serve fewer, the branch is cut
@@ -35,9 +36,20 @@ undominated; convex sets are connected.  Four cuts follow.
 * Convex hull.  A pick whose new intervals hold a decided-out vertex is
   skipped.  A larger v may still fit, so this cut skips only v.
 
-Every cut drops only subsets that fail the leaf test, so the feasible
-subsets are visited in the same order as without them, and values,
-witnesses and enumerations are unchanged.
+Each pick also passes two tests of its own.  Independence: for the
+independent kinds, a pick next to a picked vertex is skipped.  Coverage: a
+pick is skipped when a vertex that must be covered lies outside the closed
+neighbourhoods of the picked set and of the vertices above the pick that
+may still join it (the suffix cover, see ``_scan_frame``).  At the last
+pick no vertex joins after it, so the suffix is empty, and the test says
+exactly that the set does not dominate or that the pick is forced out.
+
+So every local condition (coverage, independence, the forced vertices,
+convexity) is decided by a cut, exactly at the last pick, and the leaf,
+``_leaf_ok``, tests only what no cut decides: connectivity, weak
+connectivity and super service.  Every cut drops only subsets that are not
+feasible, so the feasible subsets are visited in the same order as without
+them, and values, witnesses and enumerations are unchanged.
 
 ``scan_min`` and ``enumerate_size`` also take a ``forced_out`` mask and
 visit only the feasible sets that miss it; root classification asks
@@ -61,7 +73,8 @@ recursion runs over the list of the other vertices, so a scan that forces
 nothing pays no new test per node.  Its suffix cover holds those vertices
 only, and the weight bound stays a lower bound: a vertex outside the cover
 so far and outside every closed neighbourhood still open to B2 takes the
-label 1.
+label 1.  Once every vertex is decided no neighbourhood is still open, so
+the bound is the weight itself, and the leaf takes it.
 
 The C kernels in ``_ckernels.c`` have identical semantics, and
 ``tests/test_backends.py`` holds them to it with this module as the referee.
@@ -86,6 +99,12 @@ KIND_INDEPENDENT = 6
 #: Largest order the kernels are called with: the C kernels keep vertex sets
 #: in 64-bit masks.  It is also the ceiling of the scan budget.
 MAX_ORDER = 62
+
+
+def check_kind(kind: int) -> None:
+    """``kind`` must be one of the kind codes above."""
+    if not KIND_DOMINATING <= kind <= KIND_INDEPENDENT:
+        raise ValueError(f"unknown kind code {kind}")
 
 
 def check_mask(n: int, mask: int, name: str) -> None:
@@ -143,22 +162,6 @@ def _weakly_connected(sub: int, full: int, open_m) -> bool:
     return reach == full
 
 
-def _convex(sub: int, n: int, intervals) -> bool:
-    rest = sub
-    while rest:
-        ub = rest & (-rest)
-        rest ^= ub
-        u = ub.bit_length() - 1
-        others = rest
-        while others:
-            wb = others & (-others)
-            others ^= wb
-            w = wb.bit_length() - 1
-            if intervals[u * n + w] & ~sub:
-                return False
-    return True
-
-
 def _served(out: int, open_m) -> bool:
     """Whether every vertex w in ``out`` has a neighbour u outside ``out``
     with N(u) & out a subset of {w}.  With ``out = full & ~sub`` this is
@@ -179,31 +182,27 @@ def _served(out: int, open_m) -> bool:
     return True
 
 
-def _leaf_ok(kind: int, sub: int, cover: int, full: int, n: int, open_m, intervals) -> bool:
-    if kind == KIND_INDEPENDENT:
-        return True
-    if cover != full:
-        return False
-    if kind in (KIND_DOMINATING, KIND_INDEPENDENT_DOMINATING):
-        return True
+def _leaf_ok(kind: int, sub: int, full: int, open_m) -> bool:
+    """What no cut decides: whether the complete set ``sub`` is connected,
+    weakly connected or super dominating, as its kind asks."""
     if kind == KIND_CONNECTED_DOMINATING:
         return connected_mask(sub, open_m)
-    if kind == KIND_CONVEX_DOMINATING:
-        return _convex(sub, n, intervals)
     if kind == KIND_WEAKLY_CONNECTED_DOMINATING:
         return _weakly_connected(sub, full, open_m)
     if kind == KIND_SUPER_DOMINATING:
         return _served(full & ~sub, open_m)
-    raise ValueError(f"unknown kind code {kind}")
+    return True
 
 
 def _scan_frame(kind: int, n: int, closed_m, forced_out: int):
     """The per-vertex tables of a subset scan that never picks ``forced_out``.
     ``suffix[v]`` is the union of the closed neighbourhoods of the vertices
-    at or above v that are not forced out.  ``must[v]`` is what must be
-    covered once v is picked: every vertex for a dominating kind, nothing
-    for ``KIND_INDEPENDENT``, and for a forced-out v the bit n, which no
-    cover holds, so the coverage test turns v away at no extra cost."""
+    at or above v that are not forced out, and ``none`` the all-zero table
+    the last pick reads instead, since no vertex joins after it.
+    ``must[v]`` is what must be covered once v is picked: every vertex for a
+    dominating kind, nothing for ``KIND_INDEPENDENT``, and for a forced-out
+    v the bit n, which no cover holds, so the coverage test turns v away at
+    no extra cost."""
     full = (1 << n) - 1 if kind != KIND_INDEPENDENT else 0
     must = [full] * n
     if forced_out:
@@ -212,10 +211,11 @@ def _scan_frame(kind: int, n: int, closed_m, forced_out: int):
             if forced_out >> v & 1:
                 must[v] = 1 << n
                 closed_m[v] = 0
-    suffix = [0] * (n + 2)
+    none = [0] * (n + 2)
+    suffix = none[:]
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] | closed_m[v]
-    return suffix, must
+    return suffix, none, must
 
 
 def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) -> bool:
@@ -227,11 +227,12 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
     convex = kind == KIND_CONVEX_DOMINATING
     super_dominating = kind == KIND_SUPER_DOMINATING
     full = (1 << n) - 1
-    suffix, must = frame
+    suffix, none, must = frame
 
     def rec(first: int, picked: int, sub: int, cover: int, need: int) -> bool:
         if picked == k:
-            return not _leaf_ok(kind, sub, cover, full, n, open_m, intervals) or visit(sub)
+            return not _leaf_ok(kind, sub, full, open_m) or visit(sub)
+        tail = suffix if picked + 1 < k else none
         for v in range(first, n - (k - picked) + 1):
             # Below v every unpicked vertex is out for good: a needed one, or
             # one that can no longer be served, rules out every larger v too.
@@ -242,7 +243,7 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
             if independent and (open_m[v] & sub):
                 continue
             new_cover = cover | closed_m[v]
-            if must[v] & ~(new_cover | suffix[v + 1]):
+            if must[v] & ~(new_cover | tail[v + 1]):
                 continue
             bit = 1 << v
             new_need = need
@@ -307,6 +308,7 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
 def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0, forced_out: int = 0):
     """Minimum feasible subset containing ``forced_in`` and missing
     ``forced_out``: ``(size, mask)``, or None when there is none."""
+    check_kind(kind)
     check_mask(n, forced_in, "forced_in")
     check_mask(n, forced_out, "forced_out")
     sizes = range(start(kind, n, open_m, forced_in), n + 1)
@@ -323,7 +325,10 @@ def enumerate_size(
 ):
     """All feasible subsets of size k that contain ``forced_in`` and miss
     ``forced_out``, in lex order: ``(masks, hit_cap)``.  With ``cap == 0``
-    this is an existence test: it stops at the first such subset."""
+    this is an existence test: it stops at the first such subset.  Size 0
+    lists the empty set when nothing is forced in and it is feasible: for
+    ``KIND_INDEPENDENT``, and for every kind on the empty graph."""
+    check_kind(kind)
     check_mask(n, forced_in, "forced_in")
     check_mask(n, forced_out, "forced_out")
     out: list[int] = []
@@ -334,8 +339,8 @@ def enumerate_size(
 
     if forced_in & forced_out:
         return out, False
-    if k == 0:
-        if not forced_in and _leaf_ok(kind, 0, 0, (1 << n) - 1, n, open_m, intervals):
+    if k <= 0:
+        if k == 0 and not forced_in and (kind == KIND_INDEPENDENT or not n):
             out.append(0)
         return out, False
     frame = _scan_frame(kind, n, closed_m, forced_out)
@@ -364,10 +369,12 @@ def _roman_scan(n: int, closed_m, bound: list[int], leaf, forced_in: int = 0, fo
         suffix[i] = suffix[i + 1] | closed[i]
 
     def rec(i: int, twos: int, cover: int, mask: int) -> bool:
-        if 2 * twos + (full & ~(cover | suffix[i])).bit_count() > bound[0]:
+        # A lower bound on the weight, exact once every vertex is decided.
+        weight = 2 * twos + (full & ~(cover | suffix[i])).bit_count()
+        if weight > bound[0]:
             return True
         if i == last:
-            return leaf(2 * twos + (full & ~cover).bit_count(), twos, mask)
+            return leaf(weight, twos, mask)
         return rec(i + 1, twos, cover, mask) and rec(i + 1, twos + 1, cover | closed[i], mask | bits[i])
 
     cover = 0

@@ -327,8 +327,9 @@ def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | N
 
     Line 1 is ``n m``, followed by ``m`` lines ``u v`` (0-based ids).
     ``#`` starts a comment, blank lines are ignored.  A comment of the form
-    ``# root k``, whose first word is exactly ``root``, marks a root vertex;
-    it is returned alongside the graph.
+    ``# root k``, whose first word is exactly ``root`` and whose k is an
+    optional ``-`` and ASCII digits, marks a root vertex; it is returned
+    alongside the graph.  Any other comment is ignored.
     """
     root: int | None = None
     header: tuple[int, int] | None = None
@@ -338,7 +339,8 @@ def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | N
         comment = line[1].strip() if len(line) > 1 else ""
         body = line[0].strip()
         parts = comment.split()
-        if len(parts) == 2 and parts[0] == "root" and parts[1].lstrip("-").isdigit():
+        digits = parts[1].removeprefix("-") if len(parts) == 2 and parts[0] == "root" else ""
+        if digits.isascii() and digits.isdigit():
             root = int(parts[1])
         if not body:
             continue

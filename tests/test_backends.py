@@ -270,6 +270,35 @@ def test_overlapping_forced_masks_list_nothing(fast):
         assert backend.roman_min(6, cm, 0b100, 0b110) is None
 
 
+def test_sizes_zero_and_below(fast):
+    # Below size 0 nothing is listed; at size 0 the empty set, when nothing is
+    # forced in and it is feasible: for KIND_INDEPENDENT, and on the empty graph.
+    path, empty = Graph(3, [(0, 1), (1, 2)]), Graph(0, [])
+    for backend in (fast, slow):
+        for kind in KINDS:
+            for g, intervals in ((path, path.interval_masks()), (empty, None)):
+                args = (kind, g.n, g.open_masks(), g.closed_masks(), intervals)
+                assert backend.enumerate_size(*args, -1, 10) == ([], False)
+                listed = [0] if kind == slow.KIND_INDEPENDENT or g is empty else []
+                assert backend.enumerate_size(*args, 0, 10) == (listed, False)
+                if g.n:  # a forced-in vertex rules the empty set out
+                    assert backend.enumerate_size(*args, 0, 10, 1) == ([], False)
+
+
+def test_an_unknown_kind_is_rejected_at_entry(fast):
+    g = Graph(3, [(0, 1), (1, 2)])
+    om, cm = g.open_masks(), g.closed_masks()
+    for backend in (fast, slow):
+        for kind in (-1, 7, 9):
+            # Overlapping forced masks list nothing, but only after the kind is checked.
+            for forced_in, forced_out in ((0, 0), (1, 1)):
+                with pytest.raises(ValueError, match=f"^unknown kind code {kind}$"):
+                    backend.scan_min(kind, 3, om, cm, None, forced_in, forced_out)
+                for k in (-1, 0, 1):
+                    with pytest.raises(ValueError, match=f"^unknown kind code {kind}$"):
+                        backend.enumerate_size(kind, 3, om, cm, None, k, 10, forced_in, forced_out)
+
+
 def test_roman_identical(fast):
     hit_cap = 0
     for g in _graphs():

@@ -15,7 +15,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootdom import harness
@@ -75,10 +75,13 @@ _TOKEN = st.one_of(
     st.sampled_from(["x", "1.5", "+3", "-0", "0x1", "\u0663", "\u00b2", "1_2", "#", "root"]),
 )
 _WORDS = st.lists(_TOKEN, max_size=3).map(" ".join)
+#: Words after ``# root``: the tokens above, and signs and digits in an
+#: order ``int`` refuses.
+_ROOT_WORD = st.one_of(_TOKEN, st.sampled_from(["--1", "-", "1-", "-\u00b2"]))
 _LINE = st.one_of(
     _WORDS,
     st.tuples(_WORDS, _WORDS).map(lambda parts: f"{parts[0]} # {parts[1]}"),
-    st.integers(-2, 9).map(lambda k: f"# root {k}"),
+    _ROOT_WORD.map(lambda word: f"# root {word}"),
 )
 
 
@@ -87,7 +90,7 @@ def _edge_list_texts(draw) -> str:
     """A graph of order 1..8 in the edge-list format, spoiled by at most one
     flaw, or free lines of tokens."""
     flaw = draw(st.sampled_from(
-        [*_FLAWS, "lines", "order", "count", "vertex", "loop", "root", "token"]
+        [*_FLAWS, "lines", "order", "count", "vertex", "loop", "root", "token", "word"]
     ))
     if flaw == "lines":
         return "\n".join(draw(st.lists(_LINE, max_size=14)))
@@ -103,7 +106,9 @@ def _edge_list_texts(draw) -> str:
     lines = [f"{n} {m}", *(f"{u} {v}" for u, v in edges)]
     if flaw == "token":
         lines[draw(st.integers(0, len(lines) - 1))] += " " + draw(_TOKEN)
-    if flaw == "root" or draw(st.booleans()):
+    if flaw == "word":
+        lines.append(f"# root {draw(_ROOT_WORD)}")
+    elif flaw == "root" or draw(st.booleans()):
         root = draw(st.sampled_from([-1, n]) if flaw == "root" else st.integers(0, max(n - 1, 0)))
         lines.append(f"# root {root}")
     return "\n".join(lines) + "\n"
@@ -111,11 +116,14 @@ def _edge_list_texts(draw) -> str:
 
 @FUZZ
 @given(_edge_list_texts(), st.sampled_from([k.value for k in ParameterKind]))
+@example(text="2 1\n0 1\n# root --1\n", param="gamma")
 def test_edge_list_text(workdir, text, param):
+    # Every parse error names its source.
     try:
-        parse_edge_list(text)
+        parse_edge_list(text, "g.el")
         parsed = True
-    except ValueError:
+    except ValueError as exc:
+        assert str(exc).startswith("g.el"), exc
         parsed = False
     path = workdir / "g.el"
     path.write_text(text, encoding="utf-8")

@@ -351,6 +351,16 @@ class TestEdgeListFormat:
         assert parse_edge_list("2 1\n0 1\n# rooted 1\n")[1] is None
         assert parse_edge_list("2 1\n0 1  # root 1\n")[1] == 1
 
+    def test_root_word_is_a_sign_and_ascii_digits(self):
+        # Any other word leaves an ordinary comment, as "abc" does.
+        path4 = "4 3\n0 1\n1 2\n2 3\n"
+        for word in ("--1", "\u00b2", "\u0663", "abc", "-"):
+            assert parse_edge_list(f"{path4}# root {word}\n", "g.el")[1] is None
+        assert parse_edge_list(f"{path4}# root 3\n", "g.el")[1] == 3
+        for word in ("7", "-1"):
+            with pytest.raises(ValueError, match=rf"^g\.el: root {word} out of range for order 4$"):
+                parse_edge_list(f"{path4}# root {word}\n", "g.el")
+
     def test_comments_and_blanks(self):
         text = "3 2\n# a comment\n\n0 1\n1 2  # trailing\n"
         parsed, _ = parse_edge_list(text)
