@@ -4,8 +4,9 @@ Every theorem id has one row in ``_THEOREMS``: ``(checker, sampler,
 must_hold)``.  The checker evaluates the claim's hypothesis on a concrete
 instance, computes both sides exactly with the solvers, and returns the
 values; it reads the value of the product G o H only through
-``solvers.product_value``, which builds no product for gamma, alpha, i and
-Roman.  The sampler is the theorem's stream of ``(G, H or None,
+``solvers.product_value``, which builds no product while both factors fit
+the scan budget (C3 alone builds G o H, since it checks the product's
+shape).  The sampler is the theorem's stream of ``(G, H or None,
 descriptor)`` instances and owns its length: a seeded sampler yields
 ``config.trials`` instances, and a finite one (``_closed_forms``, I6's grid)
 runs to its end whatever the seed and ``trials``; a single-graph sampler

@@ -25,13 +25,14 @@ Three entry points:
   and ``solve()`` otherwise.  The theorem harness and ``enumerate_optimal``
   use it.
 * ``product_value()`` returns the value on a rooted product G o H, and the
-  theorem harness reads every product side through it.  For gamma, alpha,
-  i and Roman it builds no product: each copy of H adds one of three costs,
-  by the state of its root (in the set, dominated from G, left to its
-  copy), from scans of H with the root forced in or out and a scan of H
-  minus the root; one weighted scan over the subsets of V(G) sums them.
-  The scan budget then applies to each factor, not to the product.  Other
-  kinds get ``value()`` of the built product.
+  theorem harness reads every product side through it.  It builds no
+  product: each copy of H adds a cost by the state of its root, from scans
+  of H with forced masks (for super, of H plus a small gadget), and a
+  profile of count tuples over the subsets of V(G) says how many copies
+  take each state; for connected, convex and weakly a closed form takes
+  the place of the profile.  The scan budget then applies to each factor,
+  not to the product; a factor past it gets ``value()`` of the built
+  product.
 
 ``classify_root()`` says whether a root lies in every optimum, in none or in
 some.  It takes one optimum -- the tree DP's where ``value()`` would use it,
@@ -64,6 +65,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 from . import kernels, tree_dp
 from .graph import Graph, delete_vertices, is_connected, is_tree
@@ -150,14 +152,6 @@ _TREE_DP_KINDS = {
     ParameterKind.INDEPENDENT_DOMINATION,
     ParameterKind.CONNECTED,
     ParameterKind.CONVEX,
-}
-
-#: Kinds whose value on G o H ``product_value`` reads off root-state tables.
-_ROOT_STATE_KINDS = {
-    ParameterKind.DOMINATION,
-    ParameterKind.INDEPENDENCE,
-    ParameterKind.INDEPENDENT_DOMINATION,
-    ParameterKind.ROMAN,
 }
 
 #: The cost of a root state no set attains; larger than any value.
@@ -418,12 +412,11 @@ def _unions(masks) -> list[int]:
     return table
 
 
-def _weighted_scan(G: Graph, in_cost: int, near_cost: int, far_cost: int, independent: bool, best) -> int:
-    """``best`` (min or max) over the subsets S of V(G), the independent ones
-    only if ``independent``, of |S|·in_cost + |N(S) - S|·near_cost +
-    |V(G) - N[S]|·far_cost.  One pass over the 2^n masks; each half of the
-    vertices has its own table of neighbourhood unions, so a mask costs two
-    lookups."""
+def _closed_profile(G: Graph, independent: bool) -> set[tuple[int, int, int]]:
+    """The count tuples (|S|, |N(S) - S|, |V(G) - N[S]|) over the subsets S
+    of V(G), the independent ones only if ``independent``.  One pass over
+    the 2^n masks; each half of the vertices has its own table of
+    neighbourhood unions, so a mask costs two lookups."""
     n, half = G.n, G.n // 2
     closed, open_m = G.closed_masks(), G.open_masks()
     low = list(zip(_unions(closed[:half]), _unions(open_m[:half])))
@@ -435,29 +428,118 @@ def _weighted_scan(G: Graph, in_cost: int, near_cost: int, far_cost: int, indepe
             s = top | bottom
             if not (independent and (top_open | bottom_open) & s):
                 pairs.add((s.bit_count(), (top_closed | bottom_closed).bit_count()))
-    return best(k * in_cost + (c - k) * near_cost + (n - c) * far_cost for k, c in pairs)
+    return {(k, c - k, n - c) for k, c in pairs}
+
+
+def _super_costs(rooted: RootedGraph) -> tuple[int, int, int, int]:
+    """The super costs of one copy of H by the state of its root r, in the
+    order of ``_super_profile``'s counts: (hserve, busy, the cheaper of
+    self and og + free - busy, self), ``own`` standing for self.  ``busy``
+    and ``og`` scan H plus a gadget, less its one member: a path r-p-q with
+    p out and q in, so q serves p and r serves nobody; a pendant q in at r
+    out, so q serves r."""
+    graph, root = rooted.graph, rooted.root
+    n, bit, edges = graph.n, 1 << root, graph.edges()
+    hserve = _least(graph, ParameterKind.SUPER, forced_in=bit)
+    own = _least(graph, ParameterKind.SUPER, forced_out=bit)
+    free = _least(graph, ParameterKind.SUPER, forced_in=graph.closed_masks()[root])
+    path = Graph(n + 2, edges + [(root, n), (n, n + 1)])
+    busy = _least(path, ParameterKind.SUPER, forced_in=bit | 1 << (n + 1), forced_out=1 << n) - 1
+    pendant = Graph(n + 1, edges + [(root, n)])
+    og = _least(pendant, ParameterKind.SUPER, forced_in=1 << n, forced_out=bit) - 1
+    return hserve, busy, min(own, og + free - busy), own
+
+
+def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
+    """The count tuples (a, b, c1, c2) over the subsets S of V(G): a counts
+    the members of S with no G-neighbour outside S and b the other members;
+    c1 counts the vertices outside S that are the only outside G-neighbour
+    of some member, and c2 the other outside vertices.
+
+    Let D be a super dominating set of G o H and S its roots; a vertex x
+    outside D needs a member u of D with N(u) inside D + x.  A vertex of a
+    copy sees only its copy, and its root sees G as well, so, copy by copy:
+
+    * a member v of S with no G-neighbour outside S: its copy is a super
+      dominating set of H holding r ("hserve");
+    * a member v of S with a G-neighbour outside S: r serves nothing in its
+      copy, so the copy's other members serve it ("busy"), unless v serves
+      w, its only outside G-neighbour, which takes all of N_H[r] into D
+      ("free"; busy <= free, since such an r serves nobody in H either);
+    * a vertex w outside S: its copy serves r ("self"), or a member of S
+      serves it and the copy serves the rest with r out ("og").
+
+    A server's one outside neighbour is the only vertex it can serve, so
+    servers never compete: each w of c1 takes the cheaper of self and
+    og + free - busy, and each of c2 takes self.  The value is the least
+    dot product of a profile tuple with ``_super_costs``.  The pass visits
+    all 2^n masks at O(|S|) steps each, in Python on either backend: about
+    3 s at order 20, and four times that per two vertices more."""
+    n, open_m = G.n, G.open_masks()
+    full = (1 << n) - 1
+    neighbours = {1 << v: mask for v, mask in enumerate(open_m)}
+    profile = set()
+    for s in range(1 << n):
+        out, rest_s, a, single = full ^ s, s, 0, 0
+        while rest_s:
+            low = rest_s & -rest_s
+            rest_s ^= low
+            outside = neighbours[low] & out
+            if not outside:
+                a += 1
+            elif not outside & (outside - 1):
+                single |= outside
+        k, c1 = s.bit_count(), single.bit_count()
+        profile.add((a, k - a, c1, n - k - c1))
+    return profile
 
 
 def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
-    """Exact value of ``kind`` on G o H, without building the product where
-    a root-state table gives it.
+    """Exact value of ``kind`` on G o H, read off root-state tables of H;
+    no product is built.  G o H meets each copy of H only at its root r:
 
-    G o H meets each copy of H only at its root, so for gamma, alpha, i and
-    Roman the value is ``_weighted_scan`` over the sets S of G's vertices
-    (for Roman, the 2-labelled ones) with ``_copy_costs`` as the weights:
-    gamma and Roman take the least over every S, i over independent S, and
-    alpha the most over independent S.  Those scans take G and H one at a
-    time, so the scan budget bounds each factor, not the product.  Every
-    other kind, a base of order 1 and a factor past the budget get
-    ``value()`` of the built product: the constructor refuses such a base,
-    and past the budget ``value()`` answers trees with the tree DP and
-    raises ``BudgetExceededError`` otherwise.
+    * gamma, alpha, i, Roman and super: the least (for alpha the most) dot
+      product of the copy costs by the state of r with a count tuple of G's
+      profile (``_closed_profile`` and ``_copy_costs``, ``_super_profile``
+      and ``_super_costs``).
+    * connected and convex: every root is a cut vertex of the product, so
+      every optimum holds V(G), and each copy then needs a connected
+      (convex) dominating set of H holding r.
+    * weakly: with ``in`` and ``out`` the least weakly connected dominating
+      sets of H with r in and out, the roots of an optimum form a weakly
+      connected dominating set of G, since a copy with r out reaches the
+      rest only through an edge from r to a root in the set; so the value
+      is n * in if in < out, and n * out + gamma_w(G) * (in - out) otherwise.
+
+    Connected, convex and weakly raise the product's
+    ``InfeasibleParameterError`` for a disconnected factor.  The scan budget
+    bounds each factor, H with the super gadgets' two vertices, not the
+    product.  A base of order 1 and a factor past the budget get ``value()``
+    of the built product: the constructor refuses such a base, and past the
+    budget ``value()`` answers trees with the tree DP and raises
+    ``BudgetExceededError`` otherwise.
     """
-    if kind not in _ROOT_STATE_KINDS or G.n < 2 or max(G.n, rooted.n) > scan_budget():
+    graph, root = rooted.graph, rooted.root
+    h_scan = graph.n + 2 if kind is ParameterKind.SUPER else graph.n
+    if G.n < 2 or max(G.n, h_scan) > scan_budget():
         return value(rooted_product(G, rooted).product, kind)
-    independent = kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION)
+    _require_connected(G, kind)
+    _require_connected(graph, kind)
+    if kind in _CUT_VERTICES_FORCED:
+        return G.n * _least(graph, kind, forced_in=(1 << root) | graph.cut_vertices())
+    if kind is ParameterKind.WEAKLY_CONNECTED:
+        cost_in = _least(graph, kind, forced_in=1 << root)
+        cost_out = _least(graph, kind, forced_out=1 << root)
+        if cost_in < cost_out:
+            return G.n * cost_in
+        return G.n * cost_out + value(G, kind) * (cost_in - cost_out)
+    if kind is ParameterKind.SUPER:
+        profile, costs = _super_profile(G), _super_costs(rooted)
+    else:
+        independent = kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION)
+        profile, costs = _closed_profile(G, independent), _copy_costs(rooted, kind)
     best = max if kind is ParameterKind.INDEPENDENCE else min
-    return _weighted_scan(G, *_copy_costs(rooted, kind), independent, best)
+    return best(sum(map(mul, counts, costs)) for counts in profile)
 
 
 # -- enumeration and root classification --------------------------------------

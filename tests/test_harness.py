@@ -298,13 +298,17 @@ class TestWeaklyAndSuperChecks:
 
 
 class TestCheckPlumbing:
-    def test_product_cap(self):
-        # check() caps no product order itself.  The scan budget refuses
-        # P6 o P6 for a kind read off the whole product; D2 reads the product
-        # off root-state tables, which scan the factors one at a time.
+    def test_product_cap(self, monkeypatch):
+        # check() caps no product order itself.  product_value() reads P6 o P6
+        # off root-state tables, which scan the factors one at a time.  At
+        # budget 7 the super tables' H plus two gadget vertices is past it, so
+        # S1 builds and scans the product, which the budget refuses.
+        G, H = path_graph(6), RootedGraph(path_graph(6), 0)
+        assert check(T.S1, G, H).outcome is Outcome.PASS
+        assert check(T.D2, G, H).outcome is Outcome.PASS
+        monkeypatch.setenv("ROOTDOM_BUDGET", "7")
         with pytest.raises(BudgetExceededError, match="order 36 exceeds the subset-scan budget"):
-            check(T.S1, path_graph(6), RootedGraph(path_graph(6), 0))
-        assert check(T.D2, path_graph(6), RootedGraph(path_graph(6), 0)).outcome is Outcome.PASS
+            check(T.S1, G, H)
 
     def test_missing_arguments(self):
         with pytest.raises(ValueError):
@@ -403,12 +407,15 @@ SINGLE_GRAPH = {T.R2, T.R3, T.I1, T.I3, T.I4, T.C2, T.W2, T.S2}
 
 
 class TestRootStateRouting:
-    #: The checks whose product side is gamma, alpha, i or Roman.
-    ROUTED = (T.D1, T.D2, T.R1, T.R4, T.R5, T.R6, T.I2, T.I5, T.I6, T.I7)
+    #: The checks that read a product side.
+    ROUTED = (
+        T.D1, T.D2, T.R1, T.R4, T.R5, T.R6, T.I2, T.I5, T.I6, T.I7,
+        T.C1, T.C4, T.X1, T.X2, T.W1, T.W3, T.S1, T.S3,
+    )
 
     def test_the_budget_bounds_each_factor_not_the_product(self, monkeypatch):
         cfg = CampaignConfig(trials=12, seed=4)
-        for theorem in (T.D2, T.R4):
+        for theorem in (T.D2, T.R4, T.W1, T.S1):
             expected = [v.to_json() for v in _verdicts(theorem, cfg)]
             monkeypatch.setenv("ROOTDOM_BUDGET", "6")
             verdicts = list(_verdicts(theorem, cfg))
@@ -427,9 +434,9 @@ class TestRootStateRouting:
         for theorem in self.ROUTED:
             result = run_theorem(theorem, cfg)
             assert result["errors"] == 0 and result["trials"] == (30 if theorem is T.I6 else 6)
-        # The guard is live: a check of a kind without a table trips it.
+        # The guard is live: C3 builds the product by its statement.
         with pytest.raises(AssertionError, match="built the product graph"):
-            run_theorem(T.S1, cfg)
+            run_theorem(T.C3, cfg)
 
 
 class TestTheoremTable:
