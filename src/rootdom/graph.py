@@ -3,13 +3,13 @@
 Vertices are dense integers ``0..n-1``.  The constructor reads the edges
 once, building each vertex's neighbour set and open-neighbourhood bitmask
 in the same pass.  Graphs are immutable after construction; derived data
-(connectivity flag, distance table, geodesic interval masks, cut vertices)
-is computed once on demand and cached with single-assignment semantics, so
-instances are safe to share across concurrent workers.  Connectivity, of
-the graph and of a vertex subset, is the kernels' one bitmask BFS
-restricted to a vertex mask (``_pykernels.connected_mask``), and the cut
-vertices one depth-first pass; only the interval masks and convexity tests
-build the all-pairs table.
+(closed-neighbourhood masks, connectivity flag, distance table, geodesic
+interval masks, cut vertices) is computed once on demand and cached with
+single-assignment semantics, so instances are safe to share across
+concurrent workers.  Connectivity, of the graph and of a vertex subset, is
+the kernels' one bitmask BFS restricted to a vertex mask
+(``_pykernels.connected_mask``), and the cut vertices one depth-first pass;
+only the interval masks and convexity tests build the all-pairs table.
 Vertex-deleted and weakly induced subgraphs share one relabelling path.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package; the
@@ -54,9 +54,7 @@ class Graph:
         self.m = sum(len(a) for a in adj) // 2
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
         self._open_masks: tuple[int, ...] = tuple(masks)
-        self._closed_masks: tuple[int, ...] = tuple(
-            mask | (1 << v) for v, mask in enumerate(self._open_masks)
-        )
+        self._closed_masks: tuple[int, ...] | None = None
         self._connected: bool | None = None
         self._cut_vertices: int | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
@@ -86,6 +84,10 @@ class Graph:
         return self._open_masks
 
     def closed_masks(self) -> tuple[int, ...]:
+        """Per-vertex closed-neighborhood bitmasks, built on first use: they
+        hold about n^2/2 bits, which the tree path never reads."""
+        if self._closed_masks is None:
+            self._closed_masks = tuple(mask | (1 << v) for v, mask in enumerate(self._open_masks))
         return self._closed_masks
 
     def cut_vertices(self) -> int:

@@ -34,6 +34,10 @@ Three entry points:
   not to the product; a factor past it gets ``value()`` of the built
   product.
 
+``induced_independent_domination()`` tabulates i(G[U]) for every vertex
+mask U of G in one pass over the independent sets of G, for the harness's
+deletion theorem I3.
+
 ``classify_root()`` says whether a root lies in every optimum, in none or in
 some.  It takes one optimum -- the tree DP's where ``value()`` would use it,
 ``solve()``'s otherwise -- and runs one existence scan at the optimal size
@@ -54,9 +58,10 @@ assignment.
 The scan budget is the one resource knob: ``scan_budget()`` reads it from
 ``ROOTDOM_BUDGET`` (default 22), and ``_require_scan()`` is the one guard
 that raises ``BudgetExceededError`` past it, for ``solve()``, enumeration,
-root classification and the harness's C2 check.  ``product_value()``
-compares each factor with ``scan_budget()`` and sends a product with a
-factor past it to ``value()``, where that guard answers.  The witness-list
+root classification, ``induced_independent_domination()`` and the
+harness's C2 check.  ``product_value()`` compares each factor with
+``scan_budget()`` and sends a product with a factor past it to ``value()``,
+where that guard answers.  The witness-list
 cap of ``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
 """
 
@@ -371,6 +376,37 @@ def value(graph: Graph, kind: ParameterKind) -> int:
     everything else is ``solve(...).value``, with its errors.
     """
     return _optimum(graph, kind)[0]
+
+
+def induced_independent_domination(graph: Graph) -> list[int]:
+    """``table[U]`` = i(G[U]) for every vertex mask U of G; ``table[0]`` is 0.
+
+    An independent set I of G is an independent dominating set of G[U]
+    exactly when I <= U <= N[I].  So one pass lists the independent sets I,
+    low bit first, each with its closed neighbourhood N[I], and offers |I|
+    to every U = I | s for s a submask of N[I] - I.  Each (I, U) pair gives
+    every vertex one of three roles (in I, in U - I, outside U), so the pass
+    takes at most 3^n steps.  Raises ``BudgetExceededError`` past the scan
+    budget, on trees too.
+    """
+    _require_scan(graph, "the induced independent domination table")
+    n, closed = graph.n, graph.closed_masks()
+    table = [n] * (1 << n)  # i(G[U]) <= |U| <= n
+    stack = [(0, 0, 0)]  # (I, N[I], the least vertex I may still take)
+    while stack:
+        chosen, cover, start = stack.pop()
+        size, free = chosen.bit_count(), cover ^ chosen
+        sub = free
+        while True:
+            if size < table[chosen | sub]:
+                table[chosen | sub] = size
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        for v in range(start, n):
+            if not cover >> v & 1:
+                stack.append((chosen | 1 << v, cover | closed[v], v + 1))
+    return table
 
 
 # -- rooted products -----------------------------------------------------------

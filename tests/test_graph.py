@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,17 @@ class TestConstruction:
         for v in g.vertices:
             assert g.open_masks()[v] == sum(1 << u for u in g.neighbors(v))
             assert g.closed_masks()[v] == sum(1 << u for u in g.closed_neighborhood(v))
+
+    def test_a_large_declared_order_builds_no_closed_masks(self):
+        # Closed masks hold about n^2/2 bits, about 700 MB at this order; they
+        # are built on first use, and nothing here uses them.
+        tracemalloc.start()
+        try:
+            graph, _ = parse_edge_list("100000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n == 100_000 and peak < 150 * 2**20
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
