@@ -11,7 +11,7 @@
  * scan_min and enumerate_size visit only feasible sets that hold the mask
  * forced_in.  The solvers pass the cut vertices for the connected and convex
  * kinds: a connected set without cut vertex v lies inside one component of
- * G - v and leaves the others undominated; convex sets are connected.  Four
+ * G - v and leaves the others undominated; convex sets are connected.  Five
  * cuts follow.
  *
  * - Start size.  start() returns the largest of these lower bounds, with
@@ -31,7 +31,15 @@
  * - Decided out.  Before rec_scan picks vertex v, every unpicked vertex
  *   below v is out for good.  If one of them is needed, or (super) can no
  *   longer be served, since more out-vertices serve fewer, the branch is
- *   cut with every larger v.  Both tests run on one decided-out set.
+ *   cut with every larger v.  These tests and the bridge test run on one
+ *   decided-out set.
+ * - Bridges.  An edge with both ends out of a set S is no edge of its weak
+ *   subgraph, and a weak subgraph without a bridge of G is disconnected.
+ *   So for the weakly kind init_scan builds bridge_table (each vertex's
+ *   neighbours across a bridge, one bitmask BFS per edge), and rec_scan
+ *   cuts the branch, with every larger v, once v - 1 is out together with a
+ *   bridge neighbour below it.  Every pair of decided-out bridge ends meets
+ *   this test when its higher end goes out.
  * - Convex hull.  A pick whose new intervals hold a decided-out vertex is
  *   skipped.  A larger v may still fit, so this cut skips only v.
  *
@@ -61,12 +69,19 @@
  *
  * roman_min and roman_enumerate take 2-set masks the same way.  Forced-in
  * vertices start in B2 and forced-out vertices stay out; rec_roman runs over
- * the list of the other vertices, so a scan that forces nothing pays no new
- * test per node.  Its suffix cover holds those vertices only, and the weight
- * bound stays a lower bound: a vertex outside the cover so far and outside
- * every closed neighbourhood still open to B2 takes the label 1.  Once every
- * vertex is decided no neighbourhood is still open, so the bound is the
- * weight itself, and the leaf takes it.
+ * the list of the other, free vertices, so a scan that forces nothing pays
+ * no new test per node.  Its suffix cover holds the closed neighbourhoods of
+ * the free vertices still to decide, and a branch is cut once a lower bound
+ * on its weight exceeds the best weight so far (or the target weight): 2 per
+ * vertex in B2 so far; 1 per uncovered vertex outside the suffix cover,
+ * since it takes the label 1; and ceil(2|U|/D) for the set U of the other
+ * uncovered vertices, with D = widest[v] the size of the largest closed
+ * neighbourhood in the suffix cover, and at least 2.  Each vertex of U takes
+ * the label 1 or joins a new 2-label's closed neighbourhood, and a new
+ * 2-label costs 2 and covers at most D vertices of U, so each costs at least
+ * min(1, 2/D).  Once every vertex is decided U is empty and the bound is the
+ * weight itself, so the leaf takes it and skips that term.  Only strictly
+ * heavier branches are cut, so ties and listings are unchanged.
  */
 
 #include <stdint.h>
@@ -112,8 +127,11 @@ typedef struct {
      * union of the closed neighbourhoods of the other vertices in v..n-1.
      * must[v]: what must be covered once v is picked -- every vertex for a
      * dominating kind, none for KIND_INDEPENDENT, and for a fixed v the bit
-     * n, which no cover holds, so the coverage test turns v away. */
-    u64 suffix[64], must[64];
+     * n, which no cover holds, so the coverage test turns v away.
+     * widest[v]: the size of the largest of those closed neighbourhoods, and
+     * at least 2.  bridges: bridge_table for the weakly kind, else zeros. */
+    u64 suffix[64], must[64], bridges[64];
+    int widest[64];
     /* Roman scans: the vertices rec_roman decides, in increasing order, then n. */
     int decide[64], ndecide;
     mask_list *out;
@@ -124,6 +142,29 @@ typedef struct {
      * 2-set so far (its mask is `found`). */
     int64_t bound, twos;
 } scan;
+
+/* Adds to bridges[v], which must start at zero, the neighbours x of v for
+ * which vx is a bridge, an edge whose loss leaves x and v in different
+ * components.  One bitmask BFS per edge, from its lower end in the graph
+ * without it. */
+static void bridge_table(int n, const u64 *open_m, u64 *bridges)
+{
+    for (int u = 0; u < n; u++)
+        for (u64 rest = open_m[u] & ~(BIT(u + 1) - 1); rest; rest &= rest - 1) {
+            u64 wb = LOWBIT(rest), frontier = open_m[u] & ~wb, reach = frontier | BIT(u);
+            while (frontier && !(reach & wb)) {
+                u64 grow = 0;
+                for (u64 f = frontier; f; f &= f - 1)
+                    grow |= open_m[VERTEX(f)];
+                frontier = grow & ~reach;
+                reach |= frontier;
+            }
+            if (!(reach & wb)) {
+                bridges[u] |= wb;
+                bridges[VERTEX(wb)] |= BIT(u);
+            }
+        }
+}
 
 static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *closed_m,
                       const u64 *intervals, u64 fixed, mask_list *out, int64_t cap)
@@ -139,11 +180,16 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->closed_m = closed_m;
     s->intervals = intervals;
     s->suffix[n] = 0;
+    s->widest[n] = 2;
     for (int v = n - 1; v >= 0; v--) {
-        int is_fixed = (fixed >> v) & 1;
+        int is_fixed = (fixed >> v) & 1, size = is_fixed ? 0 : POPCOUNT(closed_m[v]);
         s->suffix[v] = s->suffix[v + 1] | (is_fixed ? 0 : closed_m[v]);
+        s->widest[v] = size > s->widest[v + 1] ? size : s->widest[v + 1];
         s->must[v] = is_fixed ? BIT(n) : kind == KIND_INDEPENDENT ? 0 : s->full;
+        s->bridges[v] = 0;
     }
+    if (kind == KIND_WEAKLY_CONNECTED_DOMINATING)
+        bridge_table(n, open_m, s->bridges);
     s->ndecide = 0;
     for (int v = 0; v < n; v++)
         if (!((fixed >> v) & 1))
@@ -267,10 +313,12 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
     /* No vertex joins after the last pick, so its coverage test reads no suffix. */
     const u64 *tail = picked + 1 < s->k ? s->suffix : zeros;
     for (int v = first; v <= s->n - (s->k - picked); v++) {
-        /* Below v every unpicked vertex is out for good: a needed one, or one
-         * that can no longer be served, rules out every larger v too. */
+        /* Below v every unpicked vertex is out for good: a needed one, one
+         * that can no longer be served, or a bridge between two of them (v - 1
+         * and a lower one) rules out every larger v too. */
         u64 out = (BIT(v) - 1) & ~sub;
-        if (v > first && ((need & out) || (s->super_dominating && !served(out, s->open_m))))
+        if (v > first && ((need & out) || (s->bridges[v - 1] & out)
+                          || (s->super_dominating && !served(out, s->open_m))))
             break;
         if (s->independent && (s->open_m[v] & sub))
             continue;
@@ -387,12 +435,20 @@ static int roman_leaf(scan *s, int64_t weight, int64_t twos, u64 mask)
 static int rec_roman(scan *s, int i, int64_t twos, u64 cover, u64 mask)
 {
     int v = s->decide[i];
-    /* A lower bound on the weight, exact once every vertex is decided (v = n). */
-    int64_t weight = 2 * twos + POPCOUNT(s->full & ~(cover | s->suffix[v]));
-    if (weight > s->bound)
-        return 1;
+    /* The weight with every uncovered vertex labelled 1: exact once every
+     * vertex is decided (v = n). */
+    u64 uncovered = s->full & ~cover;
+    int64_t weight = 2 * twos + POPCOUNT(uncovered);
     if (i == s->ndecide)
-        return roman_leaf(s, weight, twos, mask);
+        return weight > s->bound || roman_leaf(s, weight, twos, mask);
+    /* Before that, the uncovered vertices a free vertex may still cover cost
+     * at least 2 / widest[v] each as part of new 2-labels, and the lower
+     * bound this gives can exceed the bound only where weight does. */
+    if (weight > s->bound) {
+        int64_t inside = POPCOUNT(uncovered & s->suffix[v]);
+        if (weight - inside + (2 * inside + s->widest[v] - 1) / s->widest[v] > s->bound)
+            return 1;
+    }
     return rec_roman(s, i + 1, twos, cover, mask)
         && rec_roman(s, i + 1, twos + 1, cover | s->closed_m[v], mask | BIT(v));
 }

@@ -13,7 +13,7 @@ lexicographically smallest optimum.
 feasible sets that contain it.  The solvers pass the cut vertices for the
 connected and convex kinds: if a cut vertex v is left out, a connected set
 lies inside one component of G - v and the other components go
-undominated; convex sets are connected.  Four cuts follow.
+undominated; convex sets are connected.  Five cuts follow.
 
 * Start size.  ``start`` returns the largest of these lower bounds, with
   S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
@@ -32,7 +32,15 @@ undominated; convex sets are connected.  Four cuts follow.
 * Decided out.  Before the scan picks vertex v, every unpicked vertex
   below v is out for good.  If one of them is needed, or (super) can no
   longer be served, since more out-vertices serve fewer, the branch is cut
-  with every larger v.  Both tests run on one decided-out set, in one hook.
+  with every larger v.  These tests and the bridge test run on one
+  decided-out set, in one hook.
+* Bridges.  An edge with both ends out of a set S is no edge of its weak
+  subgraph, and a weak subgraph without a bridge of G is disconnected.
+  So for the weakly kind ``_scan_frame`` builds ``bridge_table`` (each
+  vertex's neighbours across a bridge, one bitmask BFS per edge), and the
+  decided-out hook cuts the branch, with every larger v, once v - 1 is out
+  together with a bridge neighbour below it.  Every pair of decided-out
+  bridge ends meets this test when its higher end goes out.
 * Convex hull.  A pick whose new intervals hold a decided-out vertex is
   skipped.  A larger v may still fit, so this cut skips only v.
 
@@ -69,12 +77,19 @@ Overlapping ``forced_in`` and ``forced_out`` masks list nothing, and
 
 ``roman_min`` and ``roman_enumerate`` take 2-set masks the same way.
 Forced-in vertices start in B2 and forced-out vertices stay out; the
-recursion runs over the list of the other vertices, so a scan that forces
-nothing pays no new test per node.  Its suffix cover holds those vertices
-only, and the weight bound stays a lower bound: a vertex outside the cover
-so far and outside every closed neighbourhood still open to B2 takes the
-label 1.  Once every vertex is decided no neighbourhood is still open, so
-the bound is the weight itself, and the leaf takes it.
+recursion runs over the list of the other, free vertices, so a scan that
+forces nothing pays no new test per node.  Its suffix cover holds the
+closed neighbourhoods of the free vertices still to decide, and a branch is
+cut once a lower bound on its weight exceeds the best weight so far (or the
+target weight): 2 per vertex in B2 so far; 1 per uncovered vertex outside
+the suffix cover, since it takes the label 1; and ceil(2|U|/D) for the set
+U of the other uncovered vertices, with D the size of the largest closed
+neighbourhood in the suffix cover, and at least 2.  Each vertex of U takes
+the label 1 or joins a new 2-label's closed neighbourhood, and a new
+2-label costs 2 and covers at most D vertices of U, so each costs at least
+min(1, 2/D).  Once every vertex is decided U is empty and the bound is the
+weight itself, so the leaf takes it and skips that term.  Only strictly
+heavier branches are cut, so ties and listings are unchanged.
 
 The C kernels in ``_ckernels.c`` have identical semantics, and
 ``tests/test_backends.py`` holds them to it with this module as the referee.
@@ -194,7 +209,33 @@ def _leaf_ok(kind: int, sub: int, full: int, open_m) -> bool:
     return True
 
 
-def _scan_frame(kind: int, n: int, closed_m, forced_out: int):
+def bridge_table(n: int, open_m) -> list[int]:
+    """``table[v]``: the neighbours x of v for which vx is a bridge, an edge
+    whose loss leaves x and v in different components.  One bitmask BFS
+    per edge, from its lower end in the graph without it."""
+    table = [0] * n
+    for u in range(n):
+        rest = open_m[u] >> (u + 1) << (u + 1)
+        while rest:
+            wb = rest & (-rest)
+            rest ^= wb
+            frontier = open_m[u] & ~wb
+            reach = frontier | (1 << u)
+            while frontier and not reach & wb:
+                grow = 0
+                while frontier:
+                    b = frontier & (-frontier)
+                    frontier ^= b
+                    grow |= open_m[b.bit_length() - 1]
+                frontier = grow & ~reach
+                reach |= frontier
+            if not reach & wb:
+                table[u] |= wb
+                table[wb.bit_length() - 1] |= 1 << u
+    return table
+
+
+def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
     """The per-vertex tables of a subset scan that never picks ``forced_out``.
     ``suffix[v]`` is the union of the closed neighbourhoods of the vertices
     at or above v that are not forced out, and ``none`` the all-zero table
@@ -202,7 +243,8 @@ def _scan_frame(kind: int, n: int, closed_m, forced_out: int):
     ``must[v]`` is what must be covered once v is picked: every vertex for a
     dominating kind, nothing for ``KIND_INDEPENDENT``, and for a forced-out
     v the bit n, which no cover holds, so the coverage test turns v away at
-    no extra cost."""
+    no extra cost.  ``bridges`` is ``bridge_table`` for the weakly kind and
+    ``none`` for every other."""
     full = (1 << n) - 1 if kind != KIND_INDEPENDENT else 0
     must = [full] * n
     if forced_out:
@@ -215,7 +257,8 @@ def _scan_frame(kind: int, n: int, closed_m, forced_out: int):
     suffix = none[:]
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] | closed_m[v]
-    return suffix, none, must
+    bridges = bridge_table(n, open_m) if kind == KIND_WEAKLY_CONNECTED_DOMINATING else none
+    return suffix, none, must, bridges
 
 
 def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) -> bool:
@@ -226,19 +269,26 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
     independent = kind in _INDEPENDENT_KINDS
     convex = kind == KIND_CONVEX_DOMINATING
     super_dominating = kind == KIND_SUPER_DOMINATING
+    weakly = kind == KIND_WEAKLY_CONNECTED_DOMINATING
+    hooked = super_dominating or weakly
     full = (1 << n) - 1
-    suffix, none, must = frame
+    suffix, none, must, bridges = frame
 
     def rec(first: int, picked: int, sub: int, cover: int, need: int) -> bool:
         if picked == k:
             return not _leaf_ok(kind, sub, full, open_m) or visit(sub)
         tail = suffix if picked + 1 < k else none
         for v in range(first, n - (k - picked) + 1):
-            # Below v every unpicked vertex is out for good: a needed one, or
-            # one that can no longer be served, rules out every larger v too.
-            if v > first and (need or super_dominating):
+            # Below v every unpicked vertex is out for good: a needed one, one
+            # that can no longer be served, or a bridge between two of them
+            # (v - 1 and a lower one) rules out every larger v too.
+            if v > first and (need or hooked):
                 out = ((1 << v) - 1) & ~sub
-                if need & out or (super_dominating and not _served(out, open_m)):
+                if (
+                    need & out
+                    or (super_dominating and not _served(out, open_m))
+                    or (weakly and bridges[v - 1] & out)
+                ):
                     break
             if independent and (open_m[v] & sub):
                 continue
@@ -276,7 +326,7 @@ def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0, forced_out=
 
     if forced_in & forced_out:
         return None
-    frame = _scan_frame(kind, n, closed_m, forced_out)
+    frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
     for k in sizes:
         if not _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, stop):
             return k, found[0]
@@ -343,7 +393,7 @@ def enumerate_size(
         if k == 0 and not forced_in and (kind == KIND_INDEPENDENT or not n):
             out.append(0)
         return out, False
-    frame = _scan_frame(kind, n, closed_m, forced_out)
+    frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
     completed = _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, collect)
     return out, not completed
 
@@ -363,25 +413,34 @@ def _roman_scan(n: int, closed_m, bound: list[int], leaf, forced_in: int = 0, fo
     closed = [closed_m[v] for v in free]
     bits = [1 << v for v in free]
     last = len(free)
-    # suffix[i]: the union of the closed neighbourhoods of free[i:]
+    # suffix[i]: the union of the closed neighbourhoods of free[i:];
+    # widest[i]: the size of the largest of them, and at least 2.
     suffix = [0] * (last + 1)
+    widest = [2] * (last + 1)
     for i in range(last - 1, -1, -1):
         suffix[i] = suffix[i + 1] | closed[i]
+        widest[i] = max(widest[i + 1], closed[i].bit_count())
 
-    def rec(i: int, twos: int, cover: int, mask: int) -> bool:
-        # A lower bound on the weight, exact once every vertex is decided.
-        weight = 2 * twos + (full & ~(cover | suffix[i])).bit_count()
-        if weight > bound[0]:
-            return True
+    def rec(i: int, twos: int, uncovered: int, mask: int) -> bool:
+        # The weight with every uncovered vertex labelled 1: exact once every
+        # vertex is decided.  Before that, the ``inside`` ones, which a free
+        # vertex may still cover, cost at least 2 / widest[i] each as part of
+        # new 2-labels, ceil(2 * inside / widest[i]) together, and the lower
+        # bound this gives can exceed ``bound[0]`` only where weight does.
+        weight = 2 * twos + uncovered.bit_count()
         if i == last:
-            return leaf(weight, twos, mask)
-        return rec(i + 1, twos, cover, mask) and rec(i + 1, twos + 1, cover | closed[i], mask | bits[i])
+            return weight > bound[0] or leaf(weight, twos, mask)
+        if weight > bound[0]:
+            inside = (uncovered & suffix[i]).bit_count()
+            if weight - inside - (-2 * inside // widest[i]) > bound[0]:
+                return True
+        return rec(i + 1, twos, uncovered, mask) and rec(i + 1, twos + 1, uncovered & ~closed[i], mask | bits[i])
 
     cover = 0
     for v in range(n):
         if forced_in >> v & 1:
             cover |= closed_m[v]
-    return rec(0, forced_in.bit_count(), cover, forced_in)
+    return rec(0, forced_in.bit_count(), full & ~cover, forced_in)
 
 
 def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):

@@ -26,6 +26,7 @@ from .solvers import (
     RomanAssignment,
     classify_root,
     enumerate_optimal,
+    require_solvable,
     solve,
 )
 
@@ -61,8 +62,9 @@ def _witness_json(witness):
 
 
 def _cmd_solve(args) -> int:
-    graph, _ = read_edge_list(args.file)
     kind = ParameterKind(args.param)
+    # An order no method can solve exits before the graph is allocated.
+    graph, _ = read_edge_list(args.file, check=lambda n, edges: require_solvable(n, edges, kind))
     # Every check and computation runs before the first line is printed, so
     # a request that fails prints its error alone.
     rooted = None if args.classify_root is None else RootedGraph(graph, args.classify_root)

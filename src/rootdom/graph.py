@@ -20,7 +20,7 @@ are integer bitmasks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from ._pykernels import connected_mask
 
@@ -324,14 +324,22 @@ def private_neighbor_set(
 # -- shared edge-list file format -----------------------------------------
 
 
-def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | None]:
+#: A test of the declared order and the edge list, run before the graph is built.
+EdgeListCheck = Callable[[int, list[tuple[int, int]]], None]
+
+
+def parse_edge_list(
+    text: str, source: str = "<string>", check: EdgeListCheck | None = None
+) -> tuple[Graph, int | None]:
     """Parse the shared edge-list format.
 
     Line 1 is ``n m``, followed by ``m`` lines ``u v`` (0-based ids).
     ``#`` starts a comment, blank lines are ignored.  A comment of the form
     ``# root k``, whose first word is exactly ``root`` and whose k is an
     optional ``-`` and ASCII digits, marks a root vertex; it is returned
-    alongside the graph.  Any other comment is ignored.
+    alongside the graph.  Any other comment is ignored.  ``check``, when
+    given, is called with the order and the edges before the graph is built,
+    so it can refuse an order too large to allocate.
     """
     root: int | None = None
     header: tuple[int, int] | None = None
@@ -362,6 +370,8 @@ def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | N
     n, m = header
     if len(edges) != m:
         raise ValueError(f"{source}: header declares {m} edges but {len(edges)} were given")
+    if check is not None:
+        check(n, edges)
     try:
         graph = Graph(n, edges)
     except ValueError as exc:
@@ -371,9 +381,9 @@ def parse_edge_list(text: str, source: str = "<string>") -> tuple[Graph, int | N
     return graph, root
 
 
-def read_edge_list(path: str) -> tuple[Graph, int | None]:
+def read_edge_list(path: str, check: EdgeListCheck | None = None) -> tuple[Graph, int | None]:
     with open(path, encoding="utf-8") as handle:
-        return parse_edge_list(handle.read(), source=path)
+        return parse_edge_list(handle.read(), source=path, check=check)
 
 
 def format_edge_list(graph: Graph, root: int | None = None) -> str:

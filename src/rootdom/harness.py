@@ -473,7 +473,7 @@ def _check_C2(G, H):
         return None, {"reason": "needs a tree of order >= 3"}
     # The subset scan, not value(): on a tree value() is the formula checked
     # here, and so is solve() past the scan budget, so such a trial is skipped.
-    solvers._require_scan(G, "C2")
+    solvers._require_scan(G.n, "C2")
     n1 = len(leaves(G))
     value = solve(G, PK.CONNECTED).value
     values = {"connected": value, "n": G.n, "leaf_count": n1, "expected": G.n - n1}

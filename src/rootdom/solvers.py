@@ -59,7 +59,8 @@ The scan budget is the one resource knob: ``scan_budget()`` reads it from
 ``ROOTDOM_BUDGET`` (default 22), and ``_require_scan()`` is the one guard
 that raises ``BudgetExceededError`` past it, for ``solve()``, enumeration,
 root classification, ``induced_independent_domination()`` and the
-harness's C2 check.  ``product_value()`` compares each factor with
+harness's C2 check; ``require_solvable()`` asks it for ``solve()`` before a
+graph is built.  ``product_value()`` compares each factor with
 ``scan_budget()`` and sends a product with a factor past it to ``value()``,
 where that guard answers.  The witness-list
 cap of ``enumerate_optimal`` is the fixed ``ENUMERATION_CAP``.
@@ -298,15 +299,25 @@ def _scan_args(graph: Graph, kind: ParameterKind) -> tuple:
     return _KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), intervals
 
 
-def _require_scan(graph: Graph, task: str) -> None:
+def _require_scan(n: int, task: str) -> None:
     """The one budget guard: ``BudgetExceededError`` when ``task`` would scan
-    a graph past ``scan_budget()``."""
+    a graph of order ``n`` past ``scan_budget()``."""
     max_scan_n = scan_budget()
-    if graph.n > max_scan_n:
+    if n > max_scan_n:
         raise BudgetExceededError(
-            f"{task} needs the subset scan, and order {graph.n} exceeds the subset-scan "
+            f"{task} needs the subset scan, and order {n} exceeds the subset-scan "
             f"budget (n <= {max_scan_n}); set ROOTDOM_BUDGET to raise it"
         )
+
+
+def require_solvable(n: int, edges: list[tuple[int, int]], kind: ParameterKind) -> None:
+    """Raises ``solve()``'s ``BudgetExceededError`` when no method can solve
+    ``kind`` on a graph of order ``n`` with these edges.  Past the scan budget
+    only a tree reaches the tree DP, and a tree has exactly n - 1 distinct
+    edges.  No ``Graph`` is built, so a caller can refuse a huge declared
+    order before allocating one."""
+    if kind not in _TREE_DP_KINDS or len({(min(e), max(e)) for e in edges}) != n - 1:
+        _require_scan(n, "solve")
 
 
 def _listing(
@@ -346,7 +357,7 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
     if graph.n > max_scan_n:
         if kind in _TREE_DP_KINDS and is_tree(graph):
             return SolveResult(kind, *_solve_tree(graph, kind))
-        _require_scan(graph, "solve")
+        _require_scan(graph.n, "solve")
 
     if kind is ParameterKind.INDEPENDENCE:
         found = kernels.scan_max_independent(graph.n, graph.open_masks())
@@ -389,7 +400,7 @@ def induced_independent_domination(graph: Graph) -> list[int]:
     takes at most 3^n steps.  Raises ``BudgetExceededError`` past the scan
     budget, on trees too.
     """
-    _require_scan(graph, "the induced independent domination table")
+    _require_scan(graph.n, "the induced independent domination table")
     n, closed = graph.n, graph.closed_masks()
     table = [n] * (1 << n)  # i(G[U]) <= |U| <= n
     stack = [(0, 0, 0)]  # (I, N[I], the least vertex I may still take)
@@ -589,7 +600,7 @@ def enumerate_optimal(
     For the Roman kind this is the complete family of forced-completion
     assignments, ordered by 2-set size then lexicographically.
     """
-    _require_scan(graph, "enumeration")
+    _require_scan(graph.n, "enumeration")
     target = value(graph, kind)
     masks = _listing(graph, kind, target, ENUMERATION_CAP)
     if kind is ParameterKind.ROMAN:
@@ -619,7 +630,7 @@ def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassificatio
     ``solve()`` does.
     """
     graph, root = rooted.graph, rooted.root
-    _require_scan(graph, "root classification")
+    _require_scan(graph.n, "root classification")
     target, witness = _optimum(graph, kind)
     if kind is ParameterKind.ROMAN:
         values = _roman_labels(graph, root, target, witness.label(root))

@@ -1,14 +1,12 @@
 """The C kernels and the pure-Python fallback must agree bit for bit.
 
-Without a built library the C source is compiled for this session with the
-system C compiler; the tests skip only when there is none.
+The ``fast`` fixture (``conftest.py``) loads the C library, compiling it for
+the session when it is not built; the tests skip only when there is no C
+compiler.
 """
 
 import ctypes.util
 import random
-import shutil
-import subprocess
-from pathlib import Path
 
 import pytest
 
@@ -21,19 +19,6 @@ from rootdom.graph import Graph, is_connected
 from rootdom.product import RootedGraph, rooted_product
 
 KINDS = range(slow.KIND_DOMINATING, slow.KIND_INDEPENDENT + 1)
-
-
-@pytest.fixture(scope="session")
-def fast(tmp_path_factory):
-    path = kernels.find_library()
-    if path is None:
-        cc = shutil.which("cc")
-        if cc is None:
-            pytest.skip("no built kernel library and no C compiler on PATH")
-        path = str(tmp_path_factory.mktemp("ckernels") / "_ckernels.so")
-        source = Path(kernels.__file__).with_name("_ckernels.c")
-        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", path, str(source)], check=True)
-    return load(path)
 
 
 def _graphs():

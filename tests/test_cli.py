@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rootdom
 from rootdom.cli import main
 from rootdom.graph import format_edge_list, read_edge_list
 from rootdom.families import path_graph, cycle_graph
@@ -88,6 +93,36 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("param", ["gamma", "i"])
+    def test_an_order_no_method_solves_exits_before_allocating(self, tmp_path, param):
+        # 10^8 vertices and no edges: not a tree, so past the scan budget no
+        # method answers.  Building the graph would take gigabytes; under a
+        # 512 MB address-space cap that raises MemoryError instead of exiting 2.
+        path = tmp_path / "huge.el"
+        path.write_text("100000000 0\n", encoding="utf-8")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from rootdom.cli import main\n"
+            f"sys.exit(main(['solve', '--param', {param!r}, {str(path)!r}]))\n"
+        )
+        src = str(Path(rootdom.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: solve needs the subset scan, and order 100000000 exceeds")
+        assert done.stderr.count("\n") == 1
+
+    def test_a_tree_past_the_budget_with_a_repeated_edge_still_solves(self, tmp_path, capsys):
+        # The header counts 30 edge lines, but the 29 distinct ones form a tree.
+        path = tmp_path / "p30.el"
+        path.write_text(format_edge_list(path_graph(30)).replace("30 29\n", "30 30\n0 1\n", 1), encoding="utf-8")
+        assert main(["solve", "--param", "i", str(path)]) == 0
+        assert "i = 10" in capsys.readouterr().out
 
     @pytest.mark.parametrize("budget", ["3", "0", "-5", "63"])
     def test_budget_env(self, p4_file, monkeypatch, capsys, budget):
