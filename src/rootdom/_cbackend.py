@@ -11,7 +11,9 @@ import ctypes
 from array import array
 from types import SimpleNamespace
 
-from ._pykernels import KIND_CONVEX_DOMINATING, MAX_ORDER, check_kind, check_mask
+from ._pykernels import (
+    KIND_CONVEX_DOMINATING, KIND_WEAKLY_CONNECTED_DOMINATING, MAX_ORDER, check_kind, check_mask,
+)
 
 
 def load(path: str):
@@ -61,12 +63,13 @@ def load(path: str):
         check_mask(n, forced_in, "forced_in")
         check_mask(n, forced_out, "forced_out")
 
-    def kind_masks(kind: int, n: int, open_m, closed_m, intervals, forced_in: int, forced_out: int):
+    def kind_masks(kind: int, n: int, open_m, closed_m, table, forced_in: int, forced_out: int):
         check_kind(kind)
         check_forced(n, forced_in, forced_out)
-        # Only the convex kind reads interval masks, and it needs all n * n.
-        size = n * n if kind == KIND_CONVEX_DOMINATING else 0
-        return masks(open_m, n, n), masks(closed_m, n, n), masks((intervals or ()) if size else (), n, size)
+        # Convex reads n * n interval masks from the table, weakly n bridge
+        # masks, and no other kind reads it.
+        size = {KIND_CONVEX_DOMINATING: n * n, KIND_WEAKLY_CONNECTED_DOMINATING: n}.get(kind, 0)
+        return masks(open_m, n, n), masks(closed_m, n, n), masks((table or ()) if size else (), n, size)
 
     def take(status: int, out) -> tuple[list[int], bool]:
         if status:
@@ -78,10 +81,10 @@ def load(path: str):
         return found, bool(out.hit_cap)
 
     # In each wrapper every buffer stays bound to a local name until the C call returns.
-    def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0, forced_out: int = 0):
-        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in, forced_out)
+    def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0, forced_out: int = 0):
+        om, cm, tb = kind_masks(kind, n, open_m, closed_m, table, forced_in, forced_out)
         found = c_scan_min(
-            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], forced_in, forced_out
+            kind, n, om.buffer_info()[0], cm.buffer_info()[0], tb.buffer_info()[0], forced_in, forced_out
         )
         return None if found == not_found else (found.bit_count(), found)
 
@@ -91,12 +94,12 @@ def load(path: str):
         return found.bit_count(), found
 
     def enumerate_size(
-        kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
+        kind: int, n: int, open_m, closed_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
     ):
-        om, cm, iv = kind_masks(kind, n, open_m, closed_m, intervals, forced_in, forced_out)
+        om, cm, tb = kind_masks(kind, n, open_m, closed_m, table, forced_in, forced_out)
         out = MaskList()
         status = c_enumerate(
-            kind, n, om.buffer_info()[0], cm.buffer_info()[0], iv.buffer_info()[0], k, cap, forced_in, forced_out,
+            kind, n, om.buffer_info()[0], cm.buffer_info()[0], tb.buffer_info()[0], k, cap, forced_in, forced_out,
             ctypes.byref(out),
         )
         return take(status, out)

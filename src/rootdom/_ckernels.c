@@ -8,11 +8,13 @@
  * uint64_t mask; the caller keeps the order n at most 62, so no shift
  * overflows and the all-ones word is never a vertex set.
  *
- * scan_min and enumerate_size visit only feasible sets that hold the mask
- * forced_in.  The solvers pass the cut vertices for the connected and convex
- * kinds: a connected set without cut vertex v lies inside one component of
- * G - v and leaves the others undominated; convex sets are connected.  Five
- * cuts follow.
+ * scan_min and enumerate_size take a table of the graph's structure: the
+ * n * n geodesic interval masks (entry u * n + w) for the convex kind, the n
+ * bridge masks for the weakly kind, and nothing the other kinds read.  They
+ * visit only feasible sets that hold the mask forced_in.  The solvers pass
+ * the cut vertices for the connected and convex kinds: a connected set
+ * without cut vertex v lies inside one component of G - v and leaves the
+ * others undominated; convex sets are connected.  Five cuts follow.
  *
  * - Start size.  start() returns the largest of these lower bounds, with
  *   S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
@@ -35,11 +37,12 @@
  *   decided-out set.
  * - Bridges.  An edge with both ends out of a set S is no edge of its weak
  *   subgraph, and a weak subgraph without a bridge of G is disconnected.
- *   So for the weakly kind init_scan builds bridge_table (each vertex's
- *   neighbours across a bridge, one bitmask BFS per edge), and rec_scan
- *   cuts the branch, with every larger v, once v - 1 is out together with a
- *   bridge neighbour below it.  Every pair of decided-out bridge ends meets
- *   this test when its higher end goes out.
+ *   So for the weakly kind the caller passes each vertex's neighbours across
+ *   a bridge as the table (Graph.bridges(), from the same depth-first pass
+ *   as the cut vertices), and rec_scan cuts the branch, with every larger v,
+ *   once v - 1 is out together with a bridge neighbour below it.  Every
+ *   pair of decided-out bridge ends meets this test when its higher end
+ *   goes out.
  * - Convex hull.  A pick whose new intervals hold a decided-out vertex is
  *   skipped.  A larger v may still fit, so this cut skips only v.
  *
@@ -122,15 +125,17 @@ typedef struct {
     int kind, n, k;
     int independent, convex, super_dominating;
     u64 full;
-    const u64 *open_m, *closed_m, *intervals;
+    /* table: the caller's interval masks (convex) or bridge masks (weakly);
+     * bridges: the table for the weakly kind, else zeros. */
+    const u64 *open_m, *closed_m, *table, *bridges;
     /* The vertices of `fixed` (init_scan) are never picked.  suffix[v]: the
      * union of the closed neighbourhoods of the other vertices in v..n-1.
      * must[v]: what must be covered once v is picked -- every vertex for a
      * dominating kind, none for KIND_INDEPENDENT, and for a fixed v the bit
      * n, which no cover holds, so the coverage test turns v away.
      * widest[v]: the size of the largest of those closed neighbourhoods, and
-     * at least 2.  bridges: bridge_table for the weakly kind, else zeros. */
-    u64 suffix[64], must[64], bridges[64];
+     * at least 2. */
+    u64 suffix[64], must[64];
     int widest[64];
     /* Roman scans: the vertices rec_roman decides, in increasing order, then n. */
     int decide[64], ndecide;
@@ -143,31 +148,8 @@ typedef struct {
     int64_t bound, twos;
 } scan;
 
-/* Adds to bridges[v], which must start at zero, the neighbours x of v for
- * which vx is a bridge, an edge whose loss leaves x and v in different
- * components.  One bitmask BFS per edge, from its lower end in the graph
- * without it. */
-static void bridge_table(int n, const u64 *open_m, u64 *bridges)
-{
-    for (int u = 0; u < n; u++)
-        for (u64 rest = open_m[u] & ~(BIT(u + 1) - 1); rest; rest &= rest - 1) {
-            u64 wb = LOWBIT(rest), frontier = open_m[u] & ~wb, reach = frontier | BIT(u);
-            while (frontier && !(reach & wb)) {
-                u64 grow = 0;
-                for (u64 f = frontier; f; f &= f - 1)
-                    grow |= open_m[VERTEX(f)];
-                frontier = grow & ~reach;
-                reach |= frontier;
-            }
-            if (!(reach & wb)) {
-                bridges[u] |= wb;
-                bridges[VERTEX(wb)] |= BIT(u);
-            }
-        }
-}
-
 static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *closed_m,
-                      const u64 *intervals, u64 fixed, mask_list *out, int64_t cap)
+                      const u64 *table, u64 fixed, mask_list *out, int64_t cap)
 {
     s->kind = kind;
     s->n = n;
@@ -178,7 +160,8 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->full = BIT(n) - 1;
     s->open_m = open_m;
     s->closed_m = closed_m;
-    s->intervals = intervals;
+    s->table = table;
+    s->bridges = kind == KIND_WEAKLY_CONNECTED_DOMINATING ? table : zeros;
     s->suffix[n] = 0;
     s->widest[n] = 2;
     for (int v = n - 1; v >= 0; v--) {
@@ -186,10 +169,7 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
         s->suffix[v] = s->suffix[v + 1] | (is_fixed ? 0 : closed_m[v]);
         s->widest[v] = size > s->widest[v + 1] ? size : s->widest[v + 1];
         s->must[v] = is_fixed ? BIT(n) : kind == KIND_INDEPENDENT ? 0 : s->full;
-        s->bridges[v] = 0;
     }
-    if (kind == KIND_WEAKLY_CONNECTED_DOMINATING)
-        bridge_table(n, open_m, s->bridges);
     s->ndecide = 0;
     for (int v = 0; v < n; v++)
         if (!((fixed >> v) & 1))
@@ -327,7 +307,7 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
             continue;
         u64 new_need = need;
         if (s->convex) {
-            const u64 *row = s->intervals + (int64_t)v * s->n;
+            const u64 *row = s->table + (int64_t)v * s->n;
             for (u64 rest = sub; rest; rest &= rest - 1)
                 new_need |= row[VERTEX(rest)];
             if (new_need & out)
@@ -372,11 +352,11 @@ static int start(int kind, int n, const u64 *open_m, u64 forced_in)
 
 /* Minimum feasible subset holding forced_in and missing forced_out, or
  * NOT_FOUND; its size is its popcount. */
-u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 *intervals,
+u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 *table,
              u64 forced_in, u64 forced_out)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, intervals, forced_out, NULL, 0);
+    init_scan(&s, kind, n, open_m, closed_m, table, forced_out, NULL, 0);
     if (forced_in & forced_out)
         return NOT_FOUND;
     for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in); s.k++)
@@ -397,11 +377,11 @@ u64 scan_max_independent(int n, const u64 *open_m)
 /* All feasible subsets of size k that hold forced_in and miss forced_out, in
  * lex order; with cap 0 it stops at the first. */
 int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
-                   const u64 *intervals, int k, int64_t cap, u64 forced_in, u64 forced_out,
+                   const u64 *table, int k, int64_t cap, u64 forced_in, u64 forced_out,
                    mask_list *out)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, intervals, forced_out, out, cap);
+    init_scan(&s, kind, n, open_m, closed_m, table, forced_out, out, cap);
     if (forced_in & forced_out)
         return finish(&s, 1);
     if (k <= 0) { /* the empty set is listed whatever the cap */

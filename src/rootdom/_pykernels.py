@@ -9,8 +9,11 @@ in cardinality order, enumerating each cardinality in lexicographic order of
 the sorted vertex tuples, so the first feasible subset found is the
 lexicographically smallest optimum.
 
-``scan_min`` and ``enumerate_size`` take a ``forced_in`` mask and visit only
-feasible sets that contain it.  The solvers pass the cut vertices for the
+``scan_min`` and ``enumerate_size`` take a ``table`` of the graph's
+structure: the n * n geodesic interval masks (entry ``u * n + w``) for the
+convex kind, the n bridge masks for the weakly kind, and nothing the other
+kinds read.  They also take a ``forced_in`` mask and visit only feasible
+sets that contain it.  The solvers pass the cut vertices for the
 connected and convex kinds: if a cut vertex v is left out, a connected set
 lies inside one component of G - v and the other components go
 undominated; convex sets are connected.  Five cuts follow.
@@ -36,11 +39,12 @@ undominated; convex sets are connected.  Five cuts follow.
   decided-out set, in one hook.
 * Bridges.  An edge with both ends out of a set S is no edge of its weak
   subgraph, and a weak subgraph without a bridge of G is disconnected.
-  So for the weakly kind ``_scan_frame`` builds ``bridge_table`` (each
-  vertex's neighbours across a bridge, one bitmask BFS per edge), and the
-  decided-out hook cuts the branch, with every larger v, once v - 1 is out
-  together with a bridge neighbour below it.  Every pair of decided-out
-  bridge ends meets this test when its higher end goes out.
+  So for the weakly kind the caller passes each vertex's neighbours across
+  a bridge as the table (``Graph.bridges()``, from the same depth-first
+  pass as the cut vertices), and the decided-out hook cuts the branch, with
+  every larger v, once v - 1 is out together with a bridge neighbour below
+  it.  Every pair of decided-out bridge ends meets this test when its
+  higher end goes out.
 * Convex hull.  A pick whose new intervals hold a decided-out vertex is
   skipped.  A larger v may still fit, so this cut skips only v.
 
@@ -209,32 +213,6 @@ def _leaf_ok(kind: int, sub: int, full: int, open_m) -> bool:
     return True
 
 
-def bridge_table(n: int, open_m) -> list[int]:
-    """``table[v]``: the neighbours x of v for which vx is a bridge, an edge
-    whose loss leaves x and v in different components.  One bitmask BFS
-    per edge, from its lower end in the graph without it."""
-    table = [0] * n
-    for u in range(n):
-        rest = open_m[u] >> (u + 1) << (u + 1)
-        while rest:
-            wb = rest & (-rest)
-            rest ^= wb
-            frontier = open_m[u] & ~wb
-            reach = frontier | (1 << u)
-            while frontier and not reach & wb:
-                grow = 0
-                while frontier:
-                    b = frontier & (-frontier)
-                    frontier ^= b
-                    grow |= open_m[b.bit_length() - 1]
-                frontier = grow & ~reach
-                reach |= frontier
-            if not reach & wb:
-                table[u] |= wb
-                table[wb.bit_length() - 1] |= 1 << u
-    return table
-
-
 def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
     """The per-vertex tables of a subset scan that never picks ``forced_out``.
     ``suffix[v]`` is the union of the closed neighbourhoods of the vertices
@@ -243,8 +221,7 @@ def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
     ``must[v]`` is what must be covered once v is picked: every vertex for a
     dominating kind, nothing for ``KIND_INDEPENDENT``, and for a forced-out
     v the bit n, which no cover holds, so the coverage test turns v away at
-    no extra cost.  ``bridges`` is ``bridge_table`` for the weakly kind and
-    ``none`` for every other."""
+    no extra cost."""
     full = (1 << n) - 1 if kind != KIND_INDEPENDENT else 0
     must = [full] * n
     if forced_out:
@@ -257,11 +234,10 @@ def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
     suffix = none[:]
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] | closed_m[v]
-    bridges = bridge_table(n, open_m) if kind == KIND_WEAKLY_CONNECTED_DOMINATING else none
-    return suffix, none, must, bridges
+    return suffix, none, must
 
 
-def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) -> bool:
+def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> bool:
     """Calls ``visit`` on each feasible subset of size k that contains
     ``forced_in`` and misses the forced-out vertices of ``frame`` (see
     ``_scan_frame``), in lex order, until it returns False; returns whether
@@ -272,7 +248,7 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
     weakly = kind == KIND_WEAKLY_CONNECTED_DOMINATING
     hooked = super_dominating or weakly
     full = (1 << n) - 1
-    suffix, none, must, bridges = frame
+    suffix, none, must = frame
 
     def rec(first: int, picked: int, sub: int, cover: int, need: int) -> bool:
         if picked == k:
@@ -287,7 +263,7 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
                 if (
                     need & out
                     or (super_dominating and not _served(out, open_m))
-                    or (weakly and bridges[v - 1] & out)
+                    or (weakly and table[v - 1] & out)
                 ):
                     break
             if independent and (open_m[v] & sub):
@@ -302,7 +278,7 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
                 while rest:
                     ub = rest & (-rest)
                     rest ^= ub
-                    new_need |= intervals[row + ub.bit_length() - 1]
+                    new_need |= table[row + ub.bit_length() - 1]
                 if new_need & (bit - 1) & ~sub:
                     continue
             if new_need and (new_need | sub | bit).bit_count() > k:
@@ -314,7 +290,7 @@ def _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, visit) ->
     return rec(0, 0, 0, 0, forced_in)
 
 
-def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0, forced_out=0):
+def _first(kind, n, sizes, open_m, closed_m, table, forced_in=0, forced_out=0):
     """``(k, mask)`` of the lex-first feasible subset containing ``forced_in``
     and missing ``forced_out`` of the first size in ``sizes`` that has one,
     or None."""
@@ -328,7 +304,7 @@ def _first(kind, n, sizes, open_m, closed_m, intervals, forced_in=0, forced_out=
         return None
     frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
     for k in sizes:
-        if not _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, stop):
+        if not _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, stop):
             return k, found[0]
     return None
 
@@ -355,14 +331,14 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
     return smallest
 
 
-def scan_min(kind: int, n: int, open_m, closed_m, intervals=None, forced_in: int = 0, forced_out: int = 0):
+def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0, forced_out: int = 0):
     """Minimum feasible subset containing ``forced_in`` and missing
     ``forced_out``: ``(size, mask)``, or None when there is none."""
     check_kind(kind)
     check_mask(n, forced_in, "forced_in")
     check_mask(n, forced_out, "forced_out")
     sizes = range(start(kind, n, open_m, forced_in), n + 1)
-    return _first(kind, n, sizes, open_m, closed_m, intervals, forced_in, forced_out)
+    return _first(kind, n, sizes, open_m, closed_m, table, forced_in, forced_out)
 
 
 def scan_max_independent(n: int, open_m):
@@ -371,7 +347,7 @@ def scan_max_independent(n: int, open_m):
 
 
 def enumerate_size(
-    kind: int, n: int, open_m, closed_m, intervals, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
+    kind: int, n: int, open_m, closed_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
 ):
     """All feasible subsets of size k that contain ``forced_in`` and miss
     ``forced_out``, in lex order: ``(masks, hit_cap)``.  With ``cap == 0``
@@ -394,7 +370,7 @@ def enumerate_size(
             out.append(0)
         return out, False
     frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
-    completed = _scan_k(kind, n, k, open_m, closed_m, intervals, forced_in, frame, collect)
+    completed = _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, collect)
     return out, not completed
 
 

@@ -67,6 +67,8 @@ def _cmd_solve(args) -> int:
     graph, _ = read_edge_list(args.file, check=lambda n, edges: require_solvable(n, edges, kind))
     # Every check and computation runs before the first line is printed, so
     # a request that fails prints its error alone.
+    if args.classify_root is not None and graph.n < 2:
+        raise ValueError("root classification needs a graph of order at least 2")
     rooted = None if args.classify_root is None else RootedGraph(graph, args.classify_root)
     result = solve(graph, kind)
     witnesses = enumerate_optimal(graph, kind) if args.enumerate else None

@@ -4,17 +4,18 @@ Vertices are dense integers ``0..n-1``.  The constructor reads the edges
 once, building each vertex's neighbour set and open-neighbourhood bitmask
 in the same pass.  Graphs are immutable after construction; derived data
 (closed-neighbourhood masks, connectivity flag, distance table, geodesic
-interval masks, cut vertices) is computed once on demand and cached with
-single-assignment semantics, so instances are safe to share across
+interval masks, cut vertices, bridges) is computed once on demand and cached
+with single-assignment semantics, so instances are safe to share across
 concurrent workers.  Connectivity, of the graph and of a vertex subset, is
 the kernels' one bitmask BFS restricted to a vertex mask
-(``_pykernels.connected_mask``), and the cut vertices one depth-first pass;
-only the interval masks and convexity tests build the all-pairs table.
+(``_pykernels.connected_mask``), and the cut vertices and bridges one
+depth-first pass, the only place either is computed; only the interval masks
+and convexity tests build the all-pairs table.
 Vertex-deleted and weakly induced subgraphs share one relabelling path.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package; the
-per-vertex neighbourhoods, interval tables and cut vertices the kernels read
-are integer bitmasks.
+per-vertex neighbourhoods, interval tables, cut vertices and bridges the
+kernels read are integer bitmasks.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class Graph:
     """Undirected simple graph (no loops, no multi-edges) on ``0..n-1``."""
 
     __slots__ = (
-        "n", "m", "_adj", "_open_masks", "_closed_masks", "_connected", "_cut_vertices", "_dist",
-        "_intervals",
+        "n", "m", "_adj", "_open_masks", "_closed_masks", "_connected", "_cut_vertices", "_bridges",
+        "_dist", "_intervals",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -57,6 +58,7 @@ class Graph:
         self._closed_masks: tuple[int, ...] | None = None
         self._connected: bool | None = None
         self._cut_vertices: int | None = None
+        self._bridges: tuple[int, ...] | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._intervals: tuple[int, ...] | None = None
 
@@ -97,10 +99,13 @@ class Graph:
         One iterative Tarjan low-link pass over every component: a non-root
         vertex u is a cut vertex when some DFS child's subtree reaches no
         vertex discovered before u, and a DFS root when it has two children.
+        The same pass finds the bridges: a tree edge p-v is one when v's
+        subtree reaches no vertex discovered at or before p.
         """
         if self._cut_vertices is None:
             order = [0] * self.n  # discovery time, from 1; 0 while unvisited
             low = [0] * self.n
+            bridges = [0] * self.n
             time = cut = 0
             for root in range(self.n):
                 if order[root]:
@@ -121,6 +126,9 @@ class Graph:
                             low[v] = order[w]
                     else:
                         stack.pop()
+                        if parent >= 0 and low[v] > order[parent]:
+                            bridges[v] |= 1 << parent
+                            bridges[parent] |= 1 << v
                         if parent == root:
                             root_children += 1
                         elif parent >= 0:
@@ -129,8 +137,16 @@ class Graph:
                                 cut |= 1 << parent
                 if root_children > 1:
                     cut |= 1 << root
+            self._bridges = tuple(bridges)
             self._cut_vertices = cut
         return self._cut_vertices
+
+    def bridges(self) -> tuple[int, ...]:
+        """Per-vertex bitmasks of the neighbours across a bridge: bit x of
+        entry v is set when vx is an edge whose loss leaves x and v in
+        different components.  ``cut_vertices`` finds them, in its one pass."""
+        self.cut_vertices()
+        return self._bridges
 
     # -- distances ---------------------------------------------------------
 

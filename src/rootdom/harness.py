@@ -152,7 +152,7 @@ def _check_D1(G, H):
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
         return None, values
-    gamma_h = solvers.value(H.graph, PK.DOMINATION)
+    gamma_h = cls.value
     gamma_gh = solvers.product_value(G, H, PK.DOMINATION)
     values.update(
         {"gamma_h": gamma_h, "gamma_product": gamma_gh, "expected": G.n * gamma_h}
@@ -266,7 +266,7 @@ def _check_R5(G, H):
     branch_one_two = {1, 2} <= rv
     if not branch_zero and not branch_one_two:
         return None, values
-    roman_h = solvers.value(H.graph, PK.ROMAN)
+    roman_h = cls.value
     roman_gh = solvers.product_value(G, H, PK.ROMAN)
     if branch_zero:
         expected = G.n * roman_h
@@ -286,7 +286,7 @@ def _check_R6(G, H):
     values = {"root_labels": sorted(rv)}
     if rv != frozenset({1}):
         return None, values
-    roman_h = solvers.value(H.graph, PK.ROMAN)
+    roman_h = cls.value
     roman_g = solvers.value(G, PK.ROMAN)
     roman_gh = solvers.product_value(G, H, PK.ROMAN)
     expected = G.n * (roman_h - 1) + roman_g
@@ -310,7 +310,7 @@ def _check_I1(G, H):
 
 def _check_I2(G, H):
     cls = classify_root(H, PK.INDEPENDENCE)
-    alpha_h = solvers.value(H.graph, PK.INDEPENDENCE)
+    alpha_h = cls.value
     alpha_gh = solvers.product_value(G, H, PK.INDEPENDENCE)
     values = {"root_membership": cls.membership.value, "alpha_h": alpha_h, "alpha_product": alpha_gh}
     if cls.membership is Membership.IN_ALL:
@@ -414,7 +414,7 @@ def _check_I7(G, H):
     values = {"root_membership": cls.membership.value}
     if cls.membership is Membership.IN_SOME:
         return None, values
-    i_h = solvers.value(H.graph, PK.INDEPENDENT_DOMINATION)
+    i_h = cls.value
     i_gh = solvers.product_value(G, H, PK.INDEPENDENT_DOMINATION)
     values.update({"i_h": i_h, "i_product": i_gh})
     if cls.membership is Membership.IN_NONE:

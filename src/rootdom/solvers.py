@@ -51,9 +51,12 @@ One seam leads to the kernels.  ``solve()`` calls the three minimum
 kernels, and ``_least()`` the two that take forced masks, for the root
 states of ``product_value()``; ``_listing()`` is the one caller of the two
 listing kernels (``enumerate_size``, ``roman_enumerate``), for enumeration
-and for every existence scan, and adds the forced cut vertices;
-``_witness()`` is the one decoder of a kernel mask into a set or a Roman
-assignment.
+and for every existence scan.  Each subset scan takes its arguments from
+``_scan_args()``, the one place a kind's structure reaches the kernels:
+the cut vertices forced in for connected and convex, and the table
+``Graph`` computes, the interval masks for convex and the bridges for
+weakly.  ``_witness()`` is the one decoder of a kernel mask into a set or a
+Roman assignment.
 
 The scan budget is the one resource knob: ``scan_budget()`` reads it from
 ``ROOTDOM_BUDGET`` (default 22), and ``_require_scan()`` is the one guard
@@ -214,9 +217,11 @@ class Membership(str, Enum):
 
 @dataclass(frozen=True)
 class RootClassification:
-    """How the root sits across all optimal witnesses of one parameter."""
+    """How the root sits across all optimal witnesses of one parameter, and
+    the optimum's value."""
 
     kind: ParameterKind
+    value: int
     membership: Membership
     roman_values: frozenset[int] | None = None
 
@@ -287,16 +292,19 @@ def _require_connected(graph: Graph, kind: ParameterKind) -> None:
         )
 
 
-def _forced_in(graph: Graph, kind: ParameterKind) -> int:
-    """Mask of the vertices every optimum of ``kind`` holds."""
-    return graph.cut_vertices() if kind in _CUT_VERTICES_FORCED else 0
-
-
-def _scan_args(graph: Graph, kind: ParameterKind) -> tuple:
-    """The kernel arguments every subset scan of ``kind`` starts with: kind
-    code, order, open and closed masks, and the convex intervals."""
-    intervals = graph.interval_masks() if kind is ParameterKind.CONVEX else None
-    return _KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), intervals
+def _scan_args(graph: Graph, kind: ParameterKind, forced_in: int = 0) -> tuple[tuple, int]:
+    """The kernel arguments every subset scan of ``kind`` starts with (kind
+    code, order, open and closed masks, and the kind's table: the interval
+    masks for convex, the bridges for weakly), and ``forced_in`` with the cut
+    vertices added for connected and convex."""
+    table = None
+    if kind is ParameterKind.CONVEX:
+        table = graph.interval_masks()
+    elif kind is ParameterKind.WEAKLY_CONNECTED:
+        table = graph.bridges()
+    if kind in _CUT_VERTICES_FORCED:
+        forced_in |= graph.cut_vertices()
+    return (_KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), table), forced_in
 
 
 def _require_scan(n: int, task: str) -> None:
@@ -325,18 +333,17 @@ def _listing(
 ) -> list[int]:
     """Masks of the optima of ``kind`` at value ``target`` that hold
     ``forced_in`` and miss ``forced_out``, in scan order; for Roman, their
-    2-sets.  The kind's forced cut vertices are added to ``forced_in``.
-    ``cap == 0`` asks only whether one exists, and the list then says so by
-    being empty or not; past a positive ``cap`` it raises
+    2-sets.  ``cap == 0`` asks only whether one exists, and the list then
+    says so by being empty or not; past a positive ``cap`` it raises
     ``EnumerationCapError``."""
-    forced_in |= _forced_in(graph, kind)
     if kind is ParameterKind.ROMAN:
         masks, hit_cap = kernels.roman_enumerate(
             graph.n, graph.closed_masks(), target, cap, forced_in, forced_out
         )
         listed = "optimal Roman assignments"
     else:
-        masks, hit_cap = kernels.enumerate_size(*_scan_args(graph, kind), target, cap, forced_in, forced_out)
+        args, forced_in = _scan_args(graph, kind, forced_in)
+        masks, hit_cap = kernels.enumerate_size(*args, target, cap, forced_in, forced_out)
         listed = "optimal sets"
     if hit_cap and cap:
         raise EnumerationCapError(f"more than {cap} {listed}", partial_count=len(masks))
@@ -364,7 +371,8 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
     elif kind is ParameterKind.ROMAN:
         found = kernels.roman_min(graph.n, graph.closed_masks())
     else:
-        found = kernels.scan_min(*_scan_args(graph, kind), forced_in=_forced_in(graph, kind))
+        args, forced_in = _scan_args(graph, kind)
+        found = kernels.scan_min(*args, forced_in)
     if found is None:
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
     size, mask = found
@@ -429,7 +437,8 @@ def _least(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: in
     if kind is ParameterKind.ROMAN:
         found = kernels.roman_min(graph.n, graph.closed_masks(), forced_in, forced_out)
     else:
-        found = kernels.scan_min(*_scan_args(graph, kind), forced_in, forced_out)
+        args, forced_in = _scan_args(graph, kind, forced_in)
+        found = kernels.scan_min(*args, forced_in, forced_out)
     return _INFEASIBLE if found is None else found[0]
 
 
@@ -573,7 +582,7 @@ def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
     _require_connected(G, kind)
     _require_connected(graph, kind)
     if kind in _CUT_VERTICES_FORCED:
-        return G.n * _least(graph, kind, forced_in=(1 << root) | graph.cut_vertices())
+        return G.n * _least(graph, kind, forced_in=1 << root)
     if kind is ParameterKind.WEAKLY_CONNECTED:
         cost_in = _least(graph, kind, forced_in=1 << root)
         cost_out = _least(graph, kind, forced_out=1 << root)
@@ -640,16 +649,16 @@ def classify_root(rooted: RootedGraph, kind: ParameterKind) -> RootClassificatio
             membership = Membership.IN_NONE
         else:
             membership = Membership.IN_SOME
-        return RootClassification(kind, membership, roman_values=values)
+        return RootClassification(kind, target, membership, roman_values=values)
     bit = 1 << root
-    if _forced_in(graph, kind) & bit:
-        return RootClassification(kind, Membership.IN_ALL)
+    if kind in _CUT_VERTICES_FORCED and graph.cut_vertices() & bit:
+        return RootClassification(kind, target, Membership.IN_ALL)
     if root in witness:  # in every optimum, unless one leaves it out
         masks, unless_found = (0, bit), Membership.IN_ALL
     else:  # in none, unless one holds it
         masks, unless_found = (bit, 0), Membership.IN_NONE
     found = _listing(graph, kind, target, 0, *masks)
-    return RootClassification(kind, Membership.IN_SOME if found else unless_found)
+    return RootClassification(kind, target, Membership.IN_SOME if found else unless_found)
 
 
 def _roman_labels(graph: Graph, root: int, weight: int, first: int) -> frozenset[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from rootdom import _pykernels
 from rootdom.graph import Graph
 
 
@@ -20,6 +21,16 @@ def labelled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for chosen in product((False, True), repeat=len(pairs)):
         yield Graph(n, [e for e, take in zip(pairs, chosen) if take])
+
+
+def kind_table(graph: Graph, kind: int):
+    """The table a subset scan of kernel kind code ``kind`` reads: the
+    interval masks for convex, the bridges for weakly, None otherwise."""
+    if kind == _pykernels.KIND_CONVEX_DOMINATING:
+        return graph.interval_masks()
+    if kind == _pykernels.KIND_WEAKLY_CONNECTED_DOMINATING:
+        return graph.bridges()
+    return None
 
 
 def ladder_graph(rungs: int) -> Graph:

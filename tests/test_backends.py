@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from helpers import ladder_graph, random_gnp
+from helpers import kind_table, ladder_graph, random_gnp
 from rootdom import _pykernels as slow
 from rootdom import kernels
 from rootdom._cbackend import load
@@ -29,18 +29,17 @@ def _graphs():
 
 
 def _cases(kinds):
-    """Each graph with each kind defined on it, and the kind's interval masks."""
+    """Each graph with each kind defined on it, and the kind's table."""
     for g in _graphs():
         for kind in kinds:
-            convex = kind == slow.KIND_CONVEX_DOMINATING
-            if convex and not is_connected(g):
+            if kind == slow.KIND_CONVEX_DOMINATING and not is_connected(g):
                 continue
-            yield g, kind, g.interval_masks() if convex else None
+            yield g, kind, kind_table(g, kind)
 
 
 def test_scan_min_identical(fast):
-    for g, kind, intervals in _cases(range(6)):
-        args = (kind, g.n, g.open_masks(), g.closed_masks(), intervals)
+    for g, kind, table in _cases(range(6)):
+        args = (kind, g.n, g.open_masks(), g.closed_masks(), table)
         assert fast.scan_min(*args) == slow.scan_min(*args)
 
 
@@ -61,14 +60,14 @@ def test_max_independent_identical(fast):
 
 def test_enumeration_identical(fast):
     hit_cap = 0
-    for g, kind, intervals in _cases(KINDS):
+    for g, kind, table in _cases(KINDS):
         om, cm = g.open_masks(), g.closed_masks()
         if kind == slow.KIND_INDEPENDENT:
             found = slow.scan_max_independent(g.n, om)
         else:
-            found = slow.scan_min(kind, g.n, om, cm, intervals)
+            found = slow.scan_min(kind, g.n, om, cm, table)
         for cap in (10**6, 1) if found else ():
-            args = (kind, g.n, om, cm, intervals, found[0], cap)
+            args = (kind, g.n, om, cm, table, found[0], cap)
             result = fast.enumerate_size(*args)
             assert result == slow.enumerate_size(*args)
             hit_cap += result[1]
@@ -120,13 +119,13 @@ def test_connected_family_scans_with_forced_cut_vertices_identical(fast):
     hit_cap = forced = 0
     for g, kind in cases:
         om, cm = g.open_masks(), g.closed_masks()
-        intervals = g.interval_masks() if kind == convex else None
+        table = kind_table(g, kind)
         # The solvers force the cut vertices for connected and convex only.
         cut = 0 if kind == weakly else g.cut_vertices()
-        found = slow.scan_min(kind, g.n, om, cm, intervals, cut)
-        assert fast.scan_min(kind, g.n, om, cm, intervals, cut) == found
+        found = slow.scan_min(kind, g.n, om, cm, table, cut)
+        assert fast.scan_min(kind, g.n, om, cm, table, cut) == found
         for cap in (10**6, 1):
-            args = (kind, g.n, om, cm, intervals, found[0], cap, cut)
+            args = (kind, g.n, om, cm, table, found[0], cap, cut)
             result = fast.enumerate_size(*args)
             assert result == slow.enumerate_size(*args)
             hit_cap += result[1]
@@ -139,18 +138,18 @@ def test_forced_in_keeps_exactly_the_sets_that_hold_it(fast):
     # Forced vertices that the predicate does not imply, high ones included:
     # a forced vertex above the last pick must still be caught.
     rng = random.Random(7)
-    for g, kind, intervals in _cases(range(6)):
+    for g, kind, table in _cases(range(6)):
         om, cm = g.open_masks(), g.closed_masks()
         forced = (1 << rng.randrange(g.n)) | (1 << (g.n - 1))
         first = None
         for k in range(g.n + 1):
-            every, _ = slow.enumerate_size(kind, g.n, om, cm, intervals, k, 10**6)
+            every, _ = slow.enumerate_size(kind, g.n, om, cm, table, k, 10**6)
             held = [m for m in every if m & forced == forced]
-            args = (kind, g.n, om, cm, intervals, k, 10**6, forced)
+            args = (kind, g.n, om, cm, table, k, 10**6, forced)
             assert slow.enumerate_size(*args) == fast.enumerate_size(*args) == (held, False)
             if held and first is None:
                 first = (k, held[0])
-        args = (kind, g.n, om, cm, intervals, forced)
+        args = (kind, g.n, om, cm, table, forced)
         assert slow.scan_min(*args) == fast.scan_min(*args) == first
 
 
@@ -163,18 +162,18 @@ def test_forced_out_on_products_identical(fast):
     for g in _products():
         om, cm = g.open_masks(), g.closed_masks()
         for kind in KINDS:
-            intervals = g.interval_masks() if kind == slow.KIND_CONVEX_DOMINATING else None
+            table = kind_table(g, kind)
             cut = g.cut_vertices() if kind in (slow.KIND_CONNECTED_DOMINATING, slow.KIND_CONVEX_DOMINATING) else 0
             if kind == slow.KIND_INDEPENDENT:
                 size = slow.scan_max_independent(g.n, om)[0]
             else:
-                size = slow.scan_min(kind, g.n, om, cm, intervals, cut)[0]
-            every, _ = slow.enumerate_size(kind, g.n, om, cm, intervals, size, 10**6, cut)
+                size = slow.scan_min(kind, g.n, om, cm, table, cut)[0]
+            every, _ = slow.enumerate_size(kind, g.n, om, cm, table, size, 10**6, cut)
             out = (1 << rng.randrange(g.n)) & ~cut
             forced_in = cut | (rng.choice((0, 1 << rng.randrange(g.n))) & ~out)
             held = [m for m in every if m & forced_in == forced_in and not m & out]
             for cap in (0, 1, 10**6):
-                args = (kind, g.n, om, cm, intervals, size, cap, forced_in, out)
+                args = (kind, g.n, om, cm, table, size, cap, forced_in, out)
                 result = fast.enumerate_size(*args)
                 assert result == slow.enumerate_size(*args) == (held[: cap + 1], len(held) > cap)
                 stopped += result[1]
@@ -206,8 +205,8 @@ def test_scan_min_with_forced_masks_identical(fast):
     # enumerate_size lists.
     rng = random.Random(13)
     forced = 0
-    for g, kind, intervals in list(_cases(range(6))) + [(g, 0, None) for g in _products()]:
-        args = (kind, g.n, g.open_masks(), g.closed_masks(), intervals)
+    for g, kind, table in list(_cases(range(6))) + [(g, 0, None) for g in _products()]:
+        args = (kind, g.n, g.open_masks(), g.closed_masks(), table)
         assert fast.scan_min(*args, 0, 0) == slow.scan_min(*args, 0, 0) == slow.scan_min(*args)
         out = 1 << rng.randrange(g.n)
         forced_in = rng.choice((0, 1 << rng.randrange(g.n))) & ~out
@@ -245,13 +244,13 @@ def test_overlapping_forced_masks_list_nothing(fast):
     om, cm = g.open_masks(), g.closed_masks()
     for backend in (fast, slow):
         for kind in KINDS:
-            intervals = g.interval_masks() if kind == slow.KIND_CONVEX_DOMINATING else None
+            table = kind_table(g, kind)
             for k in (0, 2, 6):
-                assert backend.enumerate_size(kind, 6, om, cm, intervals, k, 10, 0b11, 0b10) == ([], False)
+                assert backend.enumerate_size(kind, 6, om, cm, table, k, 10, 0b11, 0b10) == ([], False)
         assert backend.roman_enumerate(6, cm, 4, 10, 0b100, 0b110) == ([], False)
         for kind in range(6):
-            intervals = g.interval_masks() if kind == slow.KIND_CONVEX_DOMINATING else None
-            assert backend.scan_min(kind, 6, om, cm, intervals, 0b11, 0b10) is None
+            table = kind_table(g, kind)
+            assert backend.scan_min(kind, 6, om, cm, table, 0b11, 0b10) is None
         assert backend.roman_min(6, cm, 0b100, 0b110) is None
 
 
@@ -261,8 +260,8 @@ def test_sizes_zero_and_below(fast):
     path, empty = Graph(3, [(0, 1), (1, 2)]), Graph(0, [])
     for backend in (fast, slow):
         for kind in KINDS:
-            for g, intervals in ((path, path.interval_masks()), (empty, None)):
-                args = (kind, g.n, g.open_masks(), g.closed_masks(), intervals)
+            for g, table in ((path, kind_table(path, kind)), (empty, None)):
+                args = (kind, g.n, g.open_masks(), g.closed_masks(), table)
                 assert backend.enumerate_size(*args, -1, 10) == ([], False)
                 listed = [0] if kind == slow.KIND_INDEPENDENT or g is empty else []
                 assert backend.enumerate_size(*args, 0, 10) == (listed, False)
@@ -343,7 +342,7 @@ def test_forced_out_outside_the_vertices_is_rejected(fast):
 def test_a_mask_sequence_shorter_than_the_order_is_rejected(fast):
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     full, short = g.closed_masks(), g.closed_masks()[:3]
-    dom, convex = slow.KIND_DOMINATING, slow.KIND_CONVEX_DOMINATING
+    dom, convex, weakly = slow.KIND_DOMINATING, slow.KIND_CONVEX_DOMINATING, slow.KIND_WEAKLY_CONNECTED_DOMINATING
     for call, args in (
         (fast.scan_min, (dom, 4, short, full)),
         (fast.scan_min, (dom, 4, full, short)),
@@ -352,6 +351,11 @@ def test_a_mask_sequence_shorter_than_the_order_is_rejected(fast):
         (fast.scan_max_independent, (4, short)),
         (fast.enumerate_size, (dom, 4, short, full, None, 2, 10)),
         (fast.enumerate_size, (convex, 4, full, full, g.interval_masks()[:15], 2, 10)),
+        # A weakly scan reads n bridge masks.
+        (fast.scan_min, (weakly, 4, full, full, g.bridges()[:3])),
+        (fast.scan_min, (weakly, 4, full, full, None)),
+        (fast.enumerate_size, (weakly, 4, full, full, g.bridges()[:3], 2, 10)),
+        (fast.enumerate_size, (weakly, 4, full, full, None, 2, 10)),
         (fast.roman_min, (4, short)),
         (fast.roman_enumerate, (4, short, 3, 10)),
     ):

@@ -2,7 +2,8 @@
 
 An edge with both ends out of S lies in no weak subgraph of S, and a weak
 subgraph without a bridge of G is disconnected, so the scans drop every set
-that leaves both ends of a bridge out.  The listings here are held to a
+that leaves both ends of a bridge out.  The table is ``Graph.bridges()``,
+held here to the removal of each edge in turn.  The listings are held to a
 brute force over all subsets that uses ``naive._weakly_connected``, which
 knows nothing of bridges.
 """
@@ -10,7 +11,7 @@ knows nothing of bridges.
 import random
 from itertools import combinations
 
-from helpers import labelled_graphs
+from helpers import labelled_graphs, random_gnp
 from rootdom import _pykernels as slow
 from rootdom.families import cycle_graph, path_graph, random_tree
 from rootdom.graph import Graph
@@ -20,8 +21,8 @@ WEAKLY = slow.KIND_WEAKLY_CONNECTED_DOMINATING
 
 
 def _bridges(graph):
-    """The bridges of ``graph`` as sorted pairs, read off the kernel table."""
-    table = slow.bridge_table(graph.n, graph.open_masks())
+    """The bridges of ``graph`` as sorted pairs, read off its table."""
+    table = graph.bridges()
     return {(u, v) for u in range(graph.n) for v in range(u + 1, graph.n) if table[u] >> v & 1}
 
 
@@ -49,15 +50,29 @@ def _apart(graph, u, v):
     return v not in seen
 
 
+def _check_table(graph):
+    n, table = graph.n, graph.bridges()
+    assert len(table) == n
+    for u, v in combinations(range(n), 2):
+        assert table[u] >> v & 1 == table[v] >> u & 1
+    for u in range(n):
+        assert not table[u] & ~graph.open_masks()[u]
+    for u, v in graph.edges():
+        rest = Graph(n, [e for e in graph.edges() if e != (u, v)])
+        assert bool(table[u] >> v & 1) == _apart(rest, u, v), graph.edges()
+
+
 def test_the_table_is_symmetric_and_lists_the_edges_whose_loss_disconnects_their_ends():
     for n in range(1, 6):
         for graph in labelled_graphs(n):
-            table = slow.bridge_table(n, graph.open_masks())
-            for u, v in combinations(range(n), 2):
-                assert table[u] >> v & 1 == table[v] >> u & 1
-            for u, v in graph.edges():
-                rest = Graph(n, [e for e in graph.edges() if e != (u, v)])
-                assert bool(table[u] >> v & 1) == _apart(rest, u, v)
+            _check_table(graph)
+
+
+def test_the_table_on_seeded_graphs_up_to_order_22():
+    rng = random.Random(22)
+    for n in range(6, 23):
+        for p in (0.1, 0.2, 0.35):
+            _check_table(random_gnp(n, p, seed=rng.randrange(1 << 30)))
 
 
 def _feasible(graph):
@@ -74,20 +89,20 @@ def _feasible(graph):
 
 
 def _check(backends, graph, feasible, forced_in, forced_out):
-    n, om, cm = graph.n, graph.open_masks(), graph.closed_masks()
+    n, om, cm, table = graph.n, graph.open_masks(), graph.closed_masks(), graph.bridges()
     for k in range(1, n + 1):
         expected = [
             s for s in feasible if s.bit_count() == k and s & forced_in == forced_in and not s & forced_out
         ]
         for backend in backends:
-            listed = backend.enumerate_size(WEAKLY, n, om, cm, None, k, len(expected), forced_in, forced_out)
+            listed = backend.enumerate_size(WEAKLY, n, om, cm, table, k, len(expected), forced_in, forced_out)
             assert listed == (expected, False), (graph.edges(), k, forced_in, forced_out)
-            exists = backend.enumerate_size(WEAKLY, n, om, cm, None, k, 0, forced_in, forced_out)
+            exists = backend.enumerate_size(WEAKLY, n, om, cm, table, k, 0, forced_in, forced_out)
             assert exists == (expected[:1], bool(expected))
     held = [s for s in feasible if s & forced_in == forced_in and not s & forced_out]
     least = (held[0].bit_count(), held[0]) if held else None
     for backend in backends:
-        assert backend.scan_min(WEAKLY, n, om, cm, None, forced_in, forced_out) == least
+        assert backend.scan_min(WEAKLY, n, om, cm, table, forced_in, forced_out) == least
 
 
 def _forced_pairs(n, rng):

@@ -3,8 +3,9 @@
 ``classify_root`` takes one optimum and asks one existence scan, with the
 root forced in or out, for an optimum on the other side; for Roman it asks
 one scan per missing root label.  ``enumerate_optimal`` lists every optimum,
-so reading the root's membership off that list is the referee.  The C leg
-of CI runs this file against a UBSan build of the kernels too.
+so reading the root's membership, and the optimum's value, off that list is
+the referee.  The C leg of CI runs this file against a UBSan build of the
+kernels too.
 """
 
 import random
@@ -59,6 +60,7 @@ def _check_every_root(graph):
         for root in graph.vertices:
             cls = classify_root(RootedGraph(graph, root), kind)
             assert cls.kind is kind
+            assert cls.value == (listing[0].weight if kind is PK.ROMAN else len(listing[0]))
             assert (cls.membership, cls.roman_values) == _read_off(kind, root, listing), (
                 kind, root, graph.edges()
             )

@@ -94,6 +94,14 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_classifying_a_root_of_a_single_vertex_says_why_it_fails(self, tmp_path, capsys):
+        path = tmp_path / "k1.el"
+        path.write_text("1 0\n", encoding="utf-8")
+        assert main(["solve", "--param", "gamma", str(path), "--classify-root", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: root classification needs a graph of order at least 2\n"
+
     @pytest.mark.parametrize("param", ["gamma", "i"])
     def test_an_order_no_method_solves_exits_before_allocating(self, tmp_path, param):
         # 10^8 vertices and no edges: not a tree, so past the scan budget no

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labelled_graphs, random_gnp, tree_shape
+from helpers import kind_table, labelled_graphs, random_gnp, tree_shape
 from rootdom import _pykernels, naive, solvers
 from rootdom.families import (
     complete_graph,
@@ -387,11 +387,12 @@ class TestValue:
             value(Graph(0, []), kind)
 
     def test_trees_compute_no_cut_vertices(self):
-        # The tree DP needs none; the product workloads past the budget stay cheap.
+        # The tree DP needs neither cut vertices nor bridges; the product
+        # workloads past the budget stay cheap.
         for t in (random_tree(9, seed=5), random_tree(40, seed=6)):
             for kind in self.KINDS:
                 value(t, kind)
-            assert t._cut_vertices is None
+            assert t._cut_vertices is None and t._bridges is None
 
     def test_enumeration_on_trees_keeps_the_lexicographic_order(self):
         for trial in range(6):
@@ -502,13 +503,12 @@ class TestScanStartBound:
     def _check(cls, g):
         om, cm = g.open_masks(), g.closed_masks()
         for kind in cls.KIND_CODES:
-            convex = kind == _pykernels.KIND_CONVEX_DOMINATING
-            if convex and not is_connected(g):
+            if kind == _pykernels.KIND_CONVEX_DOMINATING and not is_connected(g):
                 continue
-            intervals = g.interval_masks() if convex else None
+            table = kind_table(g, kind)
             smallest = _pykernels.start(kind, g.n, om, 0)
             for k in range(1, min(smallest, g.n + 1)):
-                found, _ = _pykernels.enumerate_size(kind, g.n, om, cm, intervals, k, 0)
+                found, _ = _pykernels.enumerate_size(kind, g.n, om, cm, table, k, 0)
                 assert not found, (kind, k, smallest, g.edges())
 
     def test_every_labelled_graph_up_to_order_6(self):
