@@ -1,8 +1,11 @@
 """ctypes bindings of the kernel library built from ``_ckernels.c``.
 
 ``rootdom.kernels`` imports this module only when the library exists, so a
-pure-Python install never loads ctypes.  Every buffer handed to C is
-checked for size in Python first, since C reads it without bounds.
+pure-Python install never loads ctypes.  Each wrapper checks its call with
+the ``_pykernels`` check of the kernel contract before C reads a buffer,
+since C reads them without bounds, then converts the masks, calls C and
+unpacks the result.  So both backends give identical values and witnesses,
+and the identical error on a call that breaks the contract.
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ import ctypes
 from array import array
 from types import SimpleNamespace
 
-from ._pykernels import (
-    KIND_CONVEX_DOMINATING, KIND_WEAKLY_CONNECTED_DOMINATING, MAX_ORDER, check_kind, check_mask,
-)
+from ._pykernels import check_listing, check_masks, check_scan
 
 
 def load(path: str):
@@ -49,28 +50,6 @@ def load(path: str):
     c_scan_min, c_scan_max = lib.scan_min, lib.scan_max_independent
     c_enumerate, c_roman_min, c_roman_enumerate = lib.enumerate_size, lib.roman_min, lib.roman_enumerate
 
-    def masks(seq, n: int, size: int):
-        # The C side reads ``size`` words, so a short sequence must not reach it.
-        if not 0 <= n <= MAX_ORDER:
-            raise ValueError(f"the C kernels take orders 0..{MAX_ORDER}, got {n}")
-        buf = array("Q", seq)
-        if len(buf) < size:
-            raise ValueError(f"expected {size} masks, got {len(buf)}")
-        return buf
-
-    def check_forced(n: int, forced_in: int, forced_out: int) -> None:
-        # ctypes would wrap a mask outside the vertices to 64 bits silently.
-        check_mask(n, forced_in, "forced_in")
-        check_mask(n, forced_out, "forced_out")
-
-    def kind_masks(kind: int, n: int, open_m, closed_m, table, forced_in: int, forced_out: int):
-        check_kind(kind)
-        check_forced(n, forced_in, forced_out)
-        # Convex reads n * n interval masks from the table, weakly n bridge
-        # masks, and no other kind reads it.
-        size = {KIND_CONVEX_DOMINATING: n * n, KIND_WEAKLY_CONNECTED_DOMINATING: n}.get(kind, 0)
-        return masks(open_m, n, n), masks(closed_m, n, n), masks((table or ()) if size else (), n, size)
-
     def take(status: int, out) -> tuple[list[int], bool]:
         if status:
             raise MemoryError("out of memory enumerating optimal sets")
@@ -82,22 +61,25 @@ def load(path: str):
 
     # In each wrapper every buffer stays bound to a local name until the C call returns.
     def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0, forced_out: int = 0):
-        om, cm, tb = kind_masks(kind, n, open_m, closed_m, table, forced_in, forced_out)
+        check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
+        om, cm, tb = array("Q", open_m), array("Q", closed_m), array("Q", table or ())
         found = c_scan_min(
             kind, n, om.buffer_info()[0], cm.buffer_info()[0], tb.buffer_info()[0], forced_in, forced_out
         )
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
-        om = masks(open_m, n, n)
+        check_masks(n, open_m)
+        om = array("Q", open_m)
         found = c_scan_max(n, om.buffer_info()[0])
         return found.bit_count(), found
 
     def enumerate_size(
         kind: int, n: int, open_m, closed_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
     ):
-        om, cm, tb = kind_masks(kind, n, open_m, closed_m, table, forced_in, forced_out)
-        out = MaskList()
+        check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
+        check_listing("size", k, n, cap)
+        om, cm, tb, out = array("Q", open_m), array("Q", closed_m), array("Q", table or ()), MaskList()
         status = c_enumerate(
             kind, n, om.buffer_info()[0], cm.buffer_info()[0], tb.buffer_info()[0], k, cap, forced_in, forced_out,
             ctypes.byref(out),
@@ -105,14 +87,15 @@ def load(path: str):
         return take(status, out)
 
     def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
-        cm, b2 = masks(closed_m, n, n), u64()
-        check_forced(n, forced_in, forced_out)
+        check_masks(n, closed_m, forced_in, forced_out)
+        cm, b2 = array("Q", closed_m), u64()
         weight = c_roman_min(n, cm.buffer_info()[0], forced_in, forced_out, ctypes.byref(b2))
-        return None if weight < 0 else (weight, b2.value)
+        return weight, b2.value
 
     def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
-        cm, out = masks(closed_m, n, n), MaskList()
-        check_forced(n, forced_in, forced_out)
+        check_masks(n, closed_m, forced_in, forced_out)
+        check_listing("target weight", target_weight, 2 * n, cap)
+        cm, out = array("Q", closed_m), MaskList()
         status = c_roman_enumerate(
             n, cm.buffer_info()[0], target_weight, cap, forced_in, forced_out, ctypes.byref(out)
         )

@@ -1,90 +1,24 @@
 /*
  * Compiled bitmask subset-scan kernels, loaded with ctypes by rootdom.kernels.
  *
- * Plain C without the Python C-API.  The semantics mirror
- * rootdom/_pykernels.py exactly: the same scan order (cardinality, then
- * lexicographic within a cardinality), the same pruning and the same
- * tie-breaks, so values and witnesses agree bit for bit.  A vertex set is a
- * uint64_t mask; the caller keeps the order n at most 62, so no shift
- * overflows and the all-ones word is never a vertex set.
+ * Plain C without the Python C-API.  The semantics are those of
+ * rootdom/_pykernels.py, whose docstring states the kernel contract, the
+ * start bound and the cuts: the same scan order, pruning and tie-breaks, so
+ * values and witnesses agree bit for bit.  Only what is C-specific is
+ * written here:
  *
- * scan_min and enumerate_size take a table of the graph's structure: the
- * n * n geodesic interval masks (entry u * n + w) for the convex kind, the n
- * bridge masks for the weakly kind, and nothing the other kinds read.  They
- * visit only feasible sets that hold the mask forced_in.  The solvers pass
- * the cut vertices for the connected and convex kinds: a connected set
- * without cut vertex v lies inside one component of G - v and leaves the
- * others undominated; convex sets are connected.  Five cuts follow.
- *
- * - Start size.  start() returns the largest of these lower bounds, with
- *   S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
- *   (each out-vertex v is served by its own member u with N(u) - S = {v});
- *   S_k >= n + k - 2 for connected and convex (G[S] has k - 1 edges and
- *   n - k edges leave S); S_k >= n - 1 for weakly (the weak subgraph spans
- *   G, is connected, and each of its edges has an end in S); S_k + k >= n
- *   for every dominating kind (|N[S]| <= S_k + k).
- * - Needed vertices.  rec_scan carries `need`, the vertices every feasible
- *   completion of the picked set must hold: forced_in, and for convex the
- *   geodesic interval of every picked pair.  A completion of size k that
- *   must hold more than k vertices fails, so such a pick is skipped.  At
- *   the last pick this test leaves no needed vertex out, one above the last
- *   pick included: the set holds forced_in and, for convex, the interval of
- *   every pair it holds, so it is convex.
- * - Decided out.  Before rec_scan picks vertex v, every unpicked vertex
- *   below v is out for good.  If one of them is needed, or (super) can no
- *   longer be served, since more out-vertices serve fewer, the branch is
- *   cut with every larger v.  These tests and the bridge test run on one
- *   decided-out set.
- * - Bridges.  An edge with both ends out of a set S is no edge of its weak
- *   subgraph, and a weak subgraph without a bridge of G is disconnected.
- *   So for the weakly kind the caller passes each vertex's neighbours across
- *   a bridge as the table (Graph.bridges(), from the same depth-first pass
- *   as the cut vertices), and rec_scan cuts the branch, with every larger v,
- *   once v - 1 is out together with a bridge neighbour below it.  Every
- *   pair of decided-out bridge ends meets this test when its higher end
- *   goes out.
- * - Convex hull.  A pick whose new intervals hold a decided-out vertex is
- *   skipped.  A larger v may still fit, so this cut skips only v.
- *
- * Each pick also passes two tests: for the independent kinds it has no picked
- * neighbour, and (coverage) every vertex that must be covered lies in the
- * closed neighbourhoods of the picked set or of the vertices above the pick
- * that may still join it, the suffix cover.  No vertex joins after the last
- * pick, so there the suffix is empty.  So every local condition (coverage,
- * independence, the forced vertices, convexity) is decided by a cut, exactly
- * at the last pick, and leaf_ok tests only what no cut decides: connectivity,
- * weak connectivity and super service.  Every cut drops only sets that are
- * not feasible, so feasible sets are visited in the same lexicographic order,
- * and witnesses and listings are unchanged.
- *
- * scan_min and enumerate_size also take a forced_out mask and visit only the
- * feasible sets that miss it; root classification asks enumerate_size for
- * one such set (cap 0), and the root-state tables of the product values ask
- * scan_min for the least one.  A forced-out vertex is never picked: the
- * coverage test reads must[v], what must be covered once v is picked, and a
- * forced-out v has the bit n there, which no cover holds, so a scan without
- * forced-out vertices runs no extra test per candidate.  The closed
- * neighbourhoods of forced-out vertices also leave the suffix cover, which
- * makes the coverage cut stronger, and it stays sound: a completion adds only
- * vertices above the last pick that are not forced out.  Overlapping
- * forced_in and forced_out masks list nothing, and scan_min then returns
- * NOT_FOUND.
- *
- * roman_min and roman_enumerate take 2-set masks the same way.  Forced-in
- * vertices start in B2 and forced-out vertices stay out; rec_roman runs over
- * the list of the other, free vertices, so a scan that forces nothing pays
- * no new test per node.  Its suffix cover holds the closed neighbourhoods of
- * the free vertices still to decide, and a branch is cut once a lower bound
- * on its weight exceeds the best weight so far (or the target weight): 2 per
- * vertex in B2 so far; 1 per uncovered vertex outside the suffix cover,
- * since it takes the label 1; and ceil(2|U|/D) for the set U of the other
- * uncovered vertices, with D = widest[v] the size of the largest closed
- * neighbourhood in the suffix cover, and at least 2.  Each vertex of U takes
- * the label 1 or joins a new 2-label's closed neighbourhood, and a new
- * 2-label costs 2 and covers at most D vertices of U, so each costs at least
- * min(1, 2/D).  Once every vertex is decided U is empty and the bound is the
- * weight itself, so the leaf takes it and skips that term.  Only strictly
- * heavier branches are cut, so ties and listings are unchanged.
+ * - A vertex set is a uint64_t mask.  rootdom/_cbackend.py checks every
+ *   call against the contract before C reads a buffer, so n is in 1..62,
+ *   a listing's size is in 1..n and its weight in 1..2n, no argument has
+ *   wrapped in ctypes, no shift overflows, the all-ones word is never a
+ *   vertex set (it is NOT_FOUND), and C reads every mask table without
+ *   bounds.
+ * - zeros is a mask table that holds no vertex: the bridge table of the
+ *   kinds other than weakly, the suffix cover of the last pick, and the
+ *   closed masks of the maximum independent set scan.
+ * - The listing kernels fill a mask_list whose masks C allocates; the
+ *   caller releases them with free_masks.  Out of memory, a listing frees
+ *   them itself and returns -1.
  */
 
 #include <stdint.h>
@@ -322,7 +256,8 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
 }
 
 /* The smallest size a feasible set holding forced_in can have, by the bounds
- * at the top: at least 1, and n + 1 when no size up to n meets them. */
+ * of the _pykernels docstring: at least 1, and n + 1 when no size up to n
+ * meets them. */
 static int start(int kind, int n, const u64 *open_m, u64 forced_in)
 {
     int smallest = POPCOUNT(forced_in) > 1 ? POPCOUNT(forced_in) : 1;
@@ -357,21 +292,19 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, table, forced_out, NULL, 0);
-    if (forced_in & forced_out)
-        return NOT_FOUND;
     for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in); s.k++)
         ;
     return s.found;
 }
 
-/* Maximum independent set; the empty set for n == 0. */
+/* Maximum independent set: a single vertex is one, so the scan finds a set. */
 u64 scan_max_independent(int n, const u64 *open_m)
 {
     scan s;
     init_scan(&s, KIND_INDEPENDENT, n, open_m, zeros, NULL, 0, NULL, 0);
-    for (s.k = n; s.k > 0 && rec_scan(&s, 0, 0, 0, 0, 0); s.k--)
+    for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0); s.k--)
         ;
-    return s.k ? s.found : 0;
+    return s.found;
 }
 
 /* All feasible subsets of size k that hold forced_in and miss forced_out, in
@@ -382,13 +315,6 @@ int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, table, forced_out, out, cap);
-    if (forced_in & forced_out)
-        return finish(&s, 1);
-    if (k <= 0) { /* the empty set is listed whatever the cap */
-        if (k == 0 && !forced_in && (kind == KIND_INDEPENDENT || n == 0))
-            visit(&s, 0);
-        return finish(&s, 1);
-    }
     s.k = k;
     return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in));
 }
@@ -446,15 +372,12 @@ static int roman_scan(scan *s, const u64 *closed_m, u64 forced_in)
 /*
  * Minimum Roman weight over the 2-label sets B2 that hold forced_in and
  * miss forced_out, with the 1-labels forced onto the vertices outside
- * N[B2].  Writes the B2 mask to *b2 and returns the weight, or -1 when the
- * masks overlap.
+ * N[B2].  Writes the B2 mask to *b2 and returns the weight.
  */
 int64_t roman_min(int n, const u64 *closed_m, u64 forced_in, u64 forced_out, u64 *b2)
 {
     scan s;
     init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, forced_in | forced_out, NULL, 0);
-    if (forced_in & forced_out)
-        return -1;
     s.bound = 3 * (int64_t)n + 1;
     s.found = 0;
     roman_scan(&s, closed_m, forced_in);
@@ -471,8 +394,6 @@ int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, u64
     scan s;
     init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, forced_in | forced_out, out, cap);
     s.bound = target;
-    if (forced_in & forced_out)
-        return finish(&s, 1);
     return finish(&s, roman_scan(&s, closed_m, forced_in));
 }
 

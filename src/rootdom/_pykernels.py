@@ -1,8 +1,24 @@
 """Pure-Python bitmask kernels: the fallback when ``_ckernels.c`` is not built.
 
 This module also holds what both backends share: the kind codes,
-``MAX_ORDER``, ``check_kind`` and ``check_mask``.  ``graph`` imports
-``connected_mask`` from it, so it is loaded on either backend.
+``MAX_ORDER`` and the checks of the kernel contract below.  ``graph``
+imports ``connected_mask`` from it, so it is loaded on either backend.
+
+Contract.  Every entry of both backends first checks its call, with
+``check_scan`` for the subset scans, ``check_masks`` for the Roman scans
+and ``scan_max_independent``, and ``check_listing`` for the two listings,
+so a call that breaks the contract raises the same ``ValueError``, with the
+same message, on either backend.  A call keeps it when its kind code is one
+of the seven below; the order n is in 1..``MAX_ORDER``; it passes at least
+n open and n closed masks, and a table of at least the n * n interval masks
+for convex and the n bridge masks for weakly; its forced masks are sets of
+vertices 0..n-1 and disjoint; and a listing asks for a size in 1..n
+(``enumerate_size``) or a target weight in 1..2n (``roman_enumerate``),
+with a cap in 0..``MAX_CAP``.  No solver call breaks it, so no kernel has a
+branch for the empty graph, the empty set or overlapping forced masks.  The
+values in the mask sequences and tables are not checked, since they are
+``Graph``'s own: one that does not fit 64 bits raises ``OverflowError`` on
+the C backend only, when its wrapper converts the masks.
 
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
@@ -76,8 +92,6 @@ makes the coverage cut stronger.  The cut stays sound: a completion of the
 picked set adds only vertices above the last pick that are not forced out,
 so it dominates no vertex outside the picked set's closed neighbourhoods
 and that suffix cover, and a pick that leaves such a vertex is skipped.
-Overlapping ``forced_in`` and ``forced_out`` masks list nothing, and
-``scan_min`` then returns None.
 
 ``roman_min`` and ``roman_enumerate`` take 2-set masks the same way.
 Forced-in vertices start in B2 and forced-out vertices stay out; the
@@ -95,8 +109,9 @@ min(1, 2/D).  Once every vertex is decided U is empty and the bound is the
 weight itself, so the leaf takes it and skips that term.  Only strictly
 heavier branches are cut, so ties and listings are unchanged.
 
-The C kernels in ``_ckernels.c`` have identical semantics, and
-``tests/test_backends.py`` holds them to it with this module as the referee.
+The C kernels in ``_ckernels.c`` have identical semantics, ``_cbackend``
+checks their calls with the checks above, and ``tests/test_backends.py``
+holds them to both with this module as the referee.
 To compare their speed, run ``perfbench/run.py`` in a checkout with the
 library built (``python setup.py build_ext --inplace``) and in one without
 it.
@@ -119,6 +134,9 @@ KIND_INDEPENDENT = 6
 #: in 64-bit masks.  It is also the ceiling of the scan budget.
 MAX_ORDER = 62
 
+#: Largest cap a listing takes: the C kernels keep it in an int64.
+MAX_CAP = (1 << 63) - 1
+
 
 def check_kind(kind: int) -> None:
     """``kind`` must be one of the kind codes above."""
@@ -130,6 +148,48 @@ def check_mask(n: int, mask: int, name: str) -> None:
     """A forced mask, named ``name`` in the error, must be a set of vertices 0..n-1."""
     if not 0 <= mask < 1 << n:
         raise ValueError(f"{name} {mask:#x} is not a set of vertices of a graph of order {n}")
+
+
+def _check_length(masks, size: int) -> None:
+    """A mask sequence, or a table, must hold at least ``size`` masks."""
+    got = 0 if masks is None else len(masks)
+    if got < size:
+        raise ValueError(f"expected {size} masks, got {got}")
+
+
+def check_masks(n: int, masks, forced_in: int = 0, forced_out: int = 0) -> None:
+    """The contract of a Roman scan, on its closed masks, and of
+    ``scan_max_independent``, on its open masks: an order in
+    1..``MAX_ORDER``, n masks, and disjoint forced masks of vertices 0..n-1."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"the kernels take orders 1..{MAX_ORDER}, got {n}")
+    _check_length(masks, n)
+    check_mask(n, forced_in, "forced_in")
+    check_mask(n, forced_out, "forced_out")
+    if forced_in & forced_out:
+        raise ValueError(f"forced_in {forced_in:#x} and forced_out {forced_out:#x} overlap")
+
+
+def check_scan(kind: int, n: int, open_m, closed_m, table, forced_in: int = 0, forced_out: int = 0) -> None:
+    """The contract of a subset scan: ``check_masks`` on the closed masks, a
+    known kind code (checked first), n open masks, and the kind's table."""
+    check_kind(kind)
+    check_masks(n, closed_m, forced_in, forced_out)
+    _check_length(open_m, n)
+    if kind == KIND_CONVEX_DOMINATING:
+        _check_length(table, n * n)
+    elif kind == KIND_WEAKLY_CONNECTED_DOMINATING:
+        _check_length(table, n)
+
+
+def check_listing(name: str, size: int, top: int, cap: int) -> None:
+    """The contract of a listing: a size, named ``name`` in the error, in
+    1..``top`` and a cap in 0..``MAX_CAP``.  C takes them as int and int64,
+    which would wrap a larger one silently."""
+    if not 1 <= size <= top:
+        raise ValueError(f"a listing takes a {name} in 1..{top}, got {size}")
+    if not 0 <= cap <= MAX_CAP:
+        raise ValueError(f"a listing takes a cap in 0..{MAX_CAP}, got {cap}")
 
 
 _INDEPENDENT_KINDS = (KIND_INDEPENDENT_DOMINATING, KIND_INDEPENDENT)
@@ -300,8 +360,6 @@ def _first(kind, n, sizes, open_m, closed_m, table, forced_in=0, forced_out=0):
         found.append(sub)
         return False
 
-    if forced_in & forced_out:
-        return None
     frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
     for k in sizes:
         if not _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, stop):
@@ -334,16 +392,15 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
 def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0, forced_out: int = 0):
     """Minimum feasible subset containing ``forced_in`` and missing
     ``forced_out``: ``(size, mask)``, or None when there is none."""
-    check_kind(kind)
-    check_mask(n, forced_in, "forced_in")
-    check_mask(n, forced_out, "forced_out")
+    check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
     sizes = range(start(kind, n, open_m, forced_in), n + 1)
     return _first(kind, n, sizes, open_m, closed_m, table, forced_in, forced_out)
 
 
 def scan_max_independent(n: int, open_m):
-    """Maximum independent set: ``(size, mask)``; the empty set for n == 0."""
-    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None) or (0, 0)
+    """Maximum independent set: ``(size, mask)``."""
+    check_masks(n, open_m)
+    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None)
 
 
 def enumerate_size(
@@ -351,24 +408,15 @@ def enumerate_size(
 ):
     """All feasible subsets of size k that contain ``forced_in`` and miss
     ``forced_out``, in lex order: ``(masks, hit_cap)``.  With ``cap == 0``
-    this is an existence test: it stops at the first such subset.  Size 0
-    lists the empty set when nothing is forced in and it is feasible: for
-    ``KIND_INDEPENDENT``, and for every kind on the empty graph."""
-    check_kind(kind)
-    check_mask(n, forced_in, "forced_in")
-    check_mask(n, forced_out, "forced_out")
+    this is an existence test: it stops at the first such subset."""
+    check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
+    check_listing("size", k, n, cap)
     out: list[int] = []
 
     def collect(sub: int) -> bool:
         out.append(sub)
         return len(out) <= cap
 
-    if forced_in & forced_out:
-        return out, False
-    if k <= 0:
-        if k == 0 and not forced_in and (kind == KIND_INDEPENDENT or not n):
-            out.append(0)
-        return out, False
     frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
     completed = _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, collect)
     return out, not completed
@@ -421,8 +469,7 @@ def _roman_scan(n: int, closed_m, bound: list[int], leaf, forced_in: int = 0, fo
 
 def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
     """Minimum Roman weight over the 2-label sets B2 that contain
-    ``forced_in`` and miss ``forced_out``, with B1 forced; None when the
-    masks overlap.
+    ``forced_in`` and miss ``forced_out``, with B1 forced.
 
     For a fixed B2 the cheapest completion labels exactly the vertices
     outside N[B2] with 1, giving weight ``2|B2| + n - |N[B2]|``; every
@@ -431,10 +478,7 @@ def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
     broken by fewest 2-labels, then lexicographically smallest B2: a tie
     goes to the last candidate, which the scan order makes the smallest.
     """
-    check_mask(n, forced_in, "forced_in")
-    check_mask(n, forced_out, "forced_out")
-    if forced_in & forced_out:
-        return None
+    check_masks(n, closed_m, forced_in, forced_out)
     bound = [3 * n + 1]
     best = [(3 * n + 1, 0), 0]
 
@@ -453,8 +497,8 @@ def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: i
     forced completion has the target weight, in scan order: ``(masks,
     hit_cap)``.  ``solvers.enumerate_optimal`` sorts them.  With ``cap == 0``
     this is an existence test."""
-    check_mask(n, forced_in, "forced_in")
-    check_mask(n, forced_out, "forced_out")
+    check_masks(n, closed_m, forced_in, forced_out)
+    check_listing("target weight", target_weight, 2 * n, cap)
     out: list[int] = []
 
     def collect(weight: int, twos: int, mask: int) -> bool:
@@ -462,7 +506,5 @@ def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: i
             out.append(mask)
         return len(out) <= cap
 
-    if forced_in & forced_out:
-        return out, False
     completed = _roman_scan(n, closed_m, [target_weight], collect, forced_in, forced_out)
     return out, not completed

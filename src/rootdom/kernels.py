@@ -3,8 +3,10 @@
 ``setup.py`` builds ``_ckernels.c`` next to this file as an optional
 shared library, and ``_cbackend`` calls it through ctypes.  Without the
 library the kernels come from ``_pykernels``.  Both backends return
-identical values and witnesses; ``BACKEND`` names the one in use (``"c"``
-or ``"python"``).
+identical values and witnesses, and raise the identical ``ValueError`` on a
+call that breaks the kernel contract: each entry of either one first checks
+its call with the contract checks of ``_pykernels``.  ``BACKEND``
+names the one in use (``"c"`` or ``"python"``).
 """
 
 from __future__ import annotations

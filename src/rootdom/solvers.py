@@ -47,11 +47,13 @@ For Roman it reads one root label off ``solve()``'s witness and asks one
 scan per missing label, with 2-set masks.  It lists no optimum, so unlike
 ``enumerate_optimal`` it never raises ``EnumerationCapError``.
 
-One seam leads to the kernels.  ``solve()`` calls the three minimum
-kernels, and ``_least()`` the two that take forced masks, for the root
-states of ``product_value()``; ``_listing()`` is the one caller of the two
-listing kernels (``enumerate_size``, ``roman_enumerate``), for enumeration
-and for every existence scan.  Each subset scan takes its arguments from
+One seam leads to the kernels.  ``_minimum()`` is the one caller of the
+two minimum kernels that take forced masks (``scan_min``, ``roman_min``),
+for ``solve()`` and for ``_least()``, which reads the root states of
+``product_value()``; ``solve()`` calls ``scan_max_independent`` for alpha.
+``_listing()`` is the one caller of the two listing kernels
+(``enumerate_size``, ``roman_enumerate``), for enumeration and for every
+existence scan.  Each subset scan takes its arguments from
 ``_scan_args()``, the one place a kind's structure reaches the kernels:
 the cut vertices forced in for connected and convex, and the table
 ``Graph`` computes, the interval masks for convex and the bridges for
@@ -328,6 +330,18 @@ def require_solvable(n: int, edges: list[tuple[int, int]], kind: ParameterKind) 
         _require_scan(n, "solve")
 
 
+def _minimum(
+    graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: int = 0
+) -> tuple[int, int] | None:
+    """The kernel's ``(value, mask)`` of the least set of ``kind`` (for Roman,
+    the least 2-set) that holds ``forced_in`` and misses ``forced_out``, or
+    None if no set does."""
+    if kind is ParameterKind.ROMAN:
+        return kernels.roman_min(graph.n, graph.closed_masks(), forced_in, forced_out)
+    args, forced_in = _scan_args(graph, kind, forced_in)
+    return kernels.scan_min(*args, forced_in, forced_out)
+
+
 def _listing(
     graph: Graph, kind: ParameterKind, target: int, cap: int, forced_in: int = 0, forced_out: int = 0
 ) -> list[int]:
@@ -368,11 +382,8 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
 
     if kind is ParameterKind.INDEPENDENCE:
         found = kernels.scan_max_independent(graph.n, graph.open_masks())
-    elif kind is ParameterKind.ROMAN:
-        found = kernels.roman_min(graph.n, graph.closed_masks())
     else:
-        args, forced_in = _scan_args(graph, kind)
-        found = kernels.scan_min(*args, forced_in)
+        found = _minimum(graph, kind)
     if found is None:
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
     size, mask = found
@@ -434,11 +445,7 @@ def induced_independent_domination(graph: Graph) -> list[int]:
 def _least(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: int = 0) -> int:
     """The least value of ``kind`` over the sets (for Roman, the 2-sets) that
     hold ``forced_in`` and miss ``forced_out``; ``_INFEASIBLE`` if none does."""
-    if kind is ParameterKind.ROMAN:
-        found = kernels.roman_min(graph.n, graph.closed_masks(), forced_in, forced_out)
-    else:
-        args, forced_in = _scan_args(graph, kind, forced_in)
-        found = kernels.scan_min(*args, forced_in, forced_out)
+    found = _minimum(graph, kind, forced_in, forced_out)
     return _INFEASIBLE if found is None else found[0]
 
 

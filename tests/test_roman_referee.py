@@ -8,6 +8,7 @@ labels the vertices outside N[B2] with 1, so it weighs 2|B2| + n - |N[B2]|.
 
 import random
 
+import pytest
 from helpers import labelled_graphs, random_gnp
 from rootdom import _pykernels as slow
 from rootdom.families import random_connected_graph, random_tree
@@ -39,13 +40,16 @@ def _lex(n):
 
 def _check(backends, graph, weights, forced_in, forced_out):
     n, closed = graph.n, graph.closed_masks()
+    if forced_in & forced_out:  # overlapping forced masks break the kernel contract
+        for backend in backends:
+            with pytest.raises(ValueError, match="overlap"):
+                backend.roman_min(n, closed, forced_in, forced_out)
+            with pytest.raises(ValueError, match="overlap"):
+                backend.roman_enumerate(n, closed, 1, 10, forced_in, forced_out)
+        return
     allowed = [b2 for b2 in range(1 << n) if b2 & forced_in == forced_in and not b2 & forced_out]
     for backend in backends:
         found = backend.roman_min(n, closed, forced_in, forced_out)
-        if not allowed:
-            assert found is None
-            assert backend.roman_enumerate(n, closed, 0, 10, forced_in, forced_out) == ([], False)
-            continue
         best = min(weights[b2] for b2 in allowed)
         optima = [b2 for b2 in allowed if weights[b2] == best]
         # Ties go to the fewest 2-labels, then the lexicographically smallest 2-set.
@@ -55,6 +59,11 @@ def _check(backends, graph, weights, forced_in, forced_out):
         assert backend.roman_enumerate(n, closed, best, len(listed), forced_in, forced_out) == (listed, False)
         assert backend.roman_enumerate(n, closed, best, 0, forced_in, forced_out) == (listed[:1], True)
         # One above the optimum: every 2-set of that weight, none lighter.
+        # Past the largest weight, 2n, the call breaks the kernel contract.
+        if best == 2 * n:
+            with pytest.raises(ValueError, match=f"^a listing takes a target weight in 1..{2 * n}, got {best + 1}$"):
+                backend.roman_enumerate(n, closed, best + 1, 1 << n, forced_in, forced_out)
+            continue
         heavier = sorted((b2 for b2 in allowed if weights[b2] == best + 1), key=_scan_order(n))
         assert backend.roman_enumerate(n, closed, best + 1, 1 << n, forced_in, forced_out) == (heavier, False)
 
