@@ -3,9 +3,11 @@
 ``rootdom.kernels`` imports this module only when the library exists, so a
 pure-Python install never loads ctypes.  Each wrapper checks its call with
 the ``_pykernels`` check of the kernel contract before C reads a buffer,
-since C reads them without bounds, then converts the masks, calls C and
-unpacks the result.  So both backends give identical values and witnesses,
-and the identical error on a call that breaks the contract.
+since C trusts the order, the lengths and every mask value: it reads the
+buffers without bounds and indexes them by the bits of the masks.  It then
+converts the masks, calls C and unpacks the result.  So both backends give
+identical values and witnesses, and the identical error on a call that
+breaks the contract.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def load(path: str):
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
-        check_masks(n, open_m)
+        check_masks(n, open_m, name="open mask")
         om = array("Q", open_m)
         found = c_scan_max(n, om.buffer_info()[0])
         return found.bit_count(), found

@@ -9,10 +9,11 @@
  *
  * - A vertex set is a uint64_t mask.  rootdom/_cbackend.py checks every
  *   call against the contract before C reads a buffer, so n is in 1..62,
- *   a listing's size is in 1..n and its weight in 1..2n, no argument has
- *   wrapped in ctypes, no shift overflows, the all-ones word is never a
- *   vertex set (it is NOT_FOUND), and C reads every mask table without
- *   bounds.
+ *   every mask is a set of vertices 0..n-1 (a degree stays below 64, and a
+ *   bit indexes one of the n masks passed), a listing's size is in 1..n and
+ *   its weight in 1..2n, no argument has wrapped in ctypes, no shift
+ *   overflows, the all-ones word is never a vertex set (it is NOT_FOUND),
+ *   and C reads every mask table without bounds.
  * - zeros is a mask table that holds no vertex: the bridge table of the
  *   kinds other than weakly, the suffix cover of the last pick, and the
  *   closed masks of the maximum independent set scan.

@@ -11,14 +11,14 @@ so a call that breaks the contract raises the same ``ValueError``, with the
 same message, on either backend.  A call keeps it when its kind code is one
 of the seven below; the order n is in 1..``MAX_ORDER``; it passes at least
 n open and n closed masks, and a table of at least the n * n interval masks
-for convex and the n bridge masks for weakly; its forced masks are sets of
-vertices 0..n-1 and disjoint; and a listing asks for a size in 1..n
-(``enumerate_size``) or a target weight in 1..2n (``roman_enumerate``),
-with a cap in 0..``MAX_CAP``.  No solver call breaks it, so no kernel has a
-branch for the empty graph, the empty set or overlapping forced masks.  The
-values in the mask sequences and tables are not checked, since they are
-``Graph``'s own: one that does not fit 64 bits raises ``OverflowError`` on
-the C backend only, when its wrapper converts the masks.
+for convex and the n bridge masks for weakly; every mask in these, and both
+forced masks, are sets of vertices 0..n-1; its forced masks are disjoint;
+and a listing asks for a size in 1..n (``enumerate_size``) or a target
+weight in 1..2n (``roman_enumerate``), with a cap in 0..``MAX_CAP``.  Each
+mask sequence is checked once, whole, by its least and its largest mask.
+No solver call breaks the contract, so no kernel has a branch for the
+empty graph, the empty set, overlapping forced masks or a neighbour
+outside the graph.
 
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
@@ -110,8 +110,9 @@ weight itself, so the leaf takes it and skips that term.  Only strictly
 heavier branches are cut, so ties and listings are unchanged.
 
 The C kernels in ``_ckernels.c`` have identical semantics, ``_cbackend``
-checks their calls with the checks above, and ``tests/test_backends.py``
-holds them to both with this module as the referee.
+checks their calls with the checks above, ``tests/test_backends.py`` holds
+them to this module, and ``tests/test_referee.py`` holds both to the
+prune-free referee ``naive``.
 To compare their speed, run ``perfbench/run.py`` in a checkout with the
 library built (``python setup.py build_ext --inplace``) and in one without
 it.
@@ -145,25 +146,30 @@ def check_kind(kind: int) -> None:
 
 
 def check_mask(n: int, mask: int, name: str) -> None:
-    """A forced mask, named ``name`` in the error, must be a set of vertices 0..n-1."""
+    """A mask, named ``name`` in the error, must be a set of vertices 0..n-1."""
     if not 0 <= mask < 1 << n:
         raise ValueError(f"{name} {mask:#x} is not a set of vertices of a graph of order {n}")
 
 
-def _check_length(masks, size: int) -> None:
-    """A mask sequence, or a table, must hold at least ``size`` masks."""
+def _check_sequence(masks, size: int, n: int, name: str) -> None:
+    """A mask sequence, or a table, must hold at least ``size`` masks, and
+    each of them, named ``name`` in the error, must be a set of vertices
+    0..n-1: the C wrapper converts them all to 64-bit words."""
     got = 0 if masks is None else len(masks)
     if got < size:
         raise ValueError(f"expected {size} masks, got {got}")
+    if min(masks) < 0 or max(masks) >> n:
+        check_mask(n, next(m for m in masks if not 0 <= m < 1 << n), name)
 
 
-def check_masks(n: int, masks, forced_in: int = 0, forced_out: int = 0) -> None:
+def check_masks(n: int, masks, forced_in: int = 0, forced_out: int = 0, name: str = "closed mask") -> None:
     """The contract of a Roman scan, on its closed masks, and of
     ``scan_max_independent``, on its open masks: an order in
-    1..``MAX_ORDER``, n masks, and disjoint forced masks of vertices 0..n-1."""
+    1..``MAX_ORDER``, n masks of vertices 0..n-1, and disjoint forced masks
+    of vertices 0..n-1."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"the kernels take orders 1..{MAX_ORDER}, got {n}")
-    _check_length(masks, n)
+    _check_sequence(masks, n, n, name)
     check_mask(n, forced_in, "forced_in")
     check_mask(n, forced_out, "forced_out")
     if forced_in & forced_out:
@@ -172,14 +178,14 @@ def check_masks(n: int, masks, forced_in: int = 0, forced_out: int = 0) -> None:
 
 def check_scan(kind: int, n: int, open_m, closed_m, table, forced_in: int = 0, forced_out: int = 0) -> None:
     """The contract of a subset scan: ``check_masks`` on the closed masks, a
-    known kind code (checked first), n open masks, and the kind's table."""
+    known kind code (checked first), n open masks, and the kind's table, or
+    any table given to a kind that reads none, all of vertices 0..n-1."""
     check_kind(kind)
     check_masks(n, closed_m, forced_in, forced_out)
-    _check_length(open_m, n)
-    if kind == KIND_CONVEX_DOMINATING:
-        _check_length(table, n * n)
-    elif kind == KIND_WEAKLY_CONNECTED_DOMINATING:
-        _check_length(table, n)
+    _check_sequence(open_m, n, n, "open mask")
+    size = n * n if kind == KIND_CONVEX_DOMINATING else n if kind == KIND_WEAKLY_CONNECTED_DOMINATING else 0
+    if size or table:
+        _check_sequence(table, size, n, "table entry")
 
 
 def check_listing(name: str, size: int, top: int, cap: int) -> None:
@@ -399,7 +405,7 @@ def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0
 
 def scan_max_independent(n: int, open_m):
     """Maximum independent set: ``(size, mask)``."""
-    check_masks(n, open_m)
+    check_masks(n, open_m, name="open mask")
     return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None)
 
 

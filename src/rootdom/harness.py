@@ -739,10 +739,12 @@ def _tree_pairs(cap_field: str, seed: int, config: CampaignConfig):
         left -= n2
 
 
-#: The products are trees the exact tree DP solves at any order, so they get
-#: the higher ``tree_product_cap``.
+#: C3, C4 and X2 draw their pairs under ``tree_product_cap``, W3 and S3 under
+#: ``product_cap``.  No tree-pair product is scanned or solved: C3 builds
+#: only the product's shape, and the others read it through
+#: ``solvers.product_value``, from scans of H.  The two caps stay because the
+#: pinned instance streams depend on them.
 _dp_tree_pairs = partial(_tree_pairs, "tree_product_cap")
-#: The parameter needs the subset scan, so the products keep ``product_cap``.
 _scan_tree_pairs = partial(_tree_pairs, "product_cap")
 
 

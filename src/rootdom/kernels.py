@@ -4,9 +4,9 @@
 shared library, and ``_cbackend`` calls it through ctypes.  Without the
 library the kernels come from ``_pykernels``.  Both backends return
 identical values and witnesses, and raise the identical ``ValueError`` on a
-call that breaks the kernel contract: each entry of either one first checks
-its call with the contract checks of ``_pykernels``.  ``BACKEND``
-names the one in use (``"c"`` or ``"python"``).
+call that breaks the kernel contract, a mask outside the vertices included:
+each entry of either one first checks its call with the contract checks of
+``_pykernels``.  ``BACKEND`` names the one in use (``"c"`` or ``"python"``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,16 @@
-"""Naive reference enumerators: the in-tree correctness referee.
+"""Naive reference enumerators: the one correctness referee.
 
 Every routine scans its full search space with set arithmetic and explicit
-definitions, no pruning and no early exit, independent of the bitmask
-kernels.  Only sensible at desk scale (n around 8, 3^n for Roman).
+definitions over vertex tuples, no pruning and no early exit, independent
+of the bitmask kernels and of ``Graph``'s masks.  Only sensible at desk
+scale (n around 10, 3^n for Roman).  ``naive_sets`` lists every feasible
+set of a set parameter, by size then lexicographically, and
+``naive_roman_weights`` the weight of the forced completion of every
+Roman 2-set; ``naive_value`` reads a value off the first, and
+``naive_roman`` scans all 3^n labelings.  ``tests/test_referee.py`` holds
+to these listings ``solve()`` and ``enumerate_optimal()``, and both kernel
+backends on each call that these, ``classify_root()`` and
+``product_value()`` make on its graphs.
 
 The set-level predicates are the public ones the witness checks use:
 ``solvers.is_dominating``, ``is_independent`` and ``is_super_dominating``.
@@ -26,9 +34,9 @@ from .solvers import is_dominating, is_independent, is_super_dominating
 _FAR = 1 << 30
 
 
-def _all_subsets(n: int):
-    for k in range(n + 1):
-        yield from combinations(range(n), k)
+def _all_subsets(vertices):
+    for k in range(len(vertices) + 1):
+        yield from combinations(vertices, k)
 
 
 def _floyd_warshall(graph: Graph) -> list[list[int]]:
@@ -92,62 +100,79 @@ def _weakly_connected(graph: Graph, sub: set[int]) -> bool:
     return seen == closed
 
 
+def _accepts(graph: Graph, kind: str):
+    """The feasibility test of the set parameter ``kind`` on a vertex set."""
+    if kind == "gamma":
+        return lambda s: is_dominating(graph, s)
+    if kind == "alpha":
+        return lambda s: is_independent(graph, s)
+    if kind == "i":
+        return lambda s: is_dominating(graph, s) and is_independent(graph, s)
+    if kind == "connected":
+        return lambda s: is_dominating(graph, s) and bool(s) and _connected(graph, s)
+    if kind == "convex":
+        # Convexity is only defined on connected hosts.
+        dist = _floyd_warshall(graph)
+        connected = all(d < _FAR for row in dist for d in row)
+        return lambda s: connected and is_dominating(graph, s) and _convex(graph, s, dist)
+    if kind == "weakly":
+        return lambda s: is_dominating(graph, s) and bool(s) and _weakly_connected(graph, s)
+    if kind == "super":
+        return lambda s: is_super_dominating(graph, s)
+    raise ValueError(f"unknown set parameter name {kind!r}")
+
+
+def naive_sets(
+    graph: Graph, kind: str, holding: frozenset[int] = frozenset(), missing: frozenset[int] = frozenset()
+) -> list[int]:
+    """Every feasible subset of ``kind`` that holds the vertices ``holding``
+    and misses ``missing``, as a vertex mask, by size, then lexicographically
+    by sorted vertex tuple; the empty set too where it is feasible (alpha).
+    Adding ``holding`` to two sets of free vertices of one size keeps their
+    order, so the listing needs no sort.
+
+    ``kind`` is one of gamma, alpha, i, connected, convex, weakly, super (the
+    CLI parameter names of the set parameters).
+    """
+    accepts = _accepts(graph, kind)
+    free = [v for v in range(graph.n) if v not in holding and v not in missing]
+    chosen = (holding.union(sub) for sub in _all_subsets(free))
+    return [sum(1 << v for v in s) for s in chosen if accepts(s)]
+
+
 def naive_value(graph: Graph, kind: str) -> int | None:
     """Exact parameter value by full unpruned enumeration; None if infeasible.
 
     ``kind`` is one of gamma, alpha, i, roman, connected, convex, weakly,
-    super (the CLI parameter names).
+    super (the CLI parameter names): Roman from ``naive_roman``, every other
+    kind the least (for alpha the largest) size ``naive_sets`` lists.
     """
-    n = graph.n
     if kind == "roman":
         return naive_roman(graph)
-    if kind == "alpha":
-        best = -1
-        for sub in _all_subsets(n):
-            s = set(sub)
-            if is_independent(graph, s) and len(s) > best:
-                best = len(s)
-        return best
+    feasible = naive_sets(graph, kind)
+    if not feasible:
+        return None
+    return (feasible[-1] if kind == "alpha" else feasible[0]).bit_count()
 
-    dist = None
-    if kind == "convex":
-        # Convexity is only defined on connected hosts.
-        dist = _floyd_warshall(graph)
-        if any(d >= _FAR for row in dist for d in row):
-            return None
-    best: int | None = None
-    for sub in _all_subsets(n):
-        s = set(sub)
-        if kind == "gamma":
-            ok = is_dominating(graph, s)
-        elif kind == "i":
-            ok = is_dominating(graph, s) and is_independent(graph, s)
-        elif kind == "connected":
-            ok = is_dominating(graph, s) and bool(s) and _connected(graph, s)
-        elif kind == "convex":
-            ok = is_dominating(graph, s) and _convex(graph, s, dist)
-        elif kind == "weakly":
-            ok = is_dominating(graph, s) and bool(s) and _weakly_connected(graph, s)
-        elif kind == "super":
-            ok = is_super_dominating(graph, s)
-        else:
-            raise ValueError(f"unknown parameter name {kind!r}")
-        if ok and (best is None or len(s) < best):
-            best = len(s)
-    return best
+
+def naive_roman_weights(graph: Graph) -> list[int]:
+    """``weights[b2]``: the weight 2|B2| + n - |N[B2]| of the cheapest Roman
+    assignment with 2-set B2, which labels the vertices outside N[B2] with 1,
+    for every vertex mask b2."""
+    n = graph.n
+    weights = [0] * (1 << n)
+    for b2 in _all_subsets(range(n)):
+        covered = set(b2).union(*(graph.neighbors(v) for v in b2))
+        weights[sum(1 << v for v in b2)] = 2 * len(b2) + n - len(covered)
+    return weights
 
 
 def naive_roman(graph: Graph) -> int:
     """Minimum Roman weight by scanning all 3^n labelings."""
     n = graph.n
-    best = None
-    for labels in product((0, 1, 2), repeat=n):
-        ok = all(
-            labels[v] != 0 or any(labels[u] == 2 for u in graph.neighbors(v))
-            for v in range(n)
-        )
-        if ok:
-            weight = sum(labels)
-            if best is None or weight < best:
-                best = weight
-    return best if best is not None else 0
+    neighbours = [graph.neighbors(v) for v in range(n)]
+    return min(
+        sum(labels)
+        for labels in product((0, 1, 2), repeat=n)
+        if all(labels[v] or any(labels[u] == 2 for u in neighbours[v]) for v in range(n))
+    )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import kind_table, labelled_graphs, random_gnp, tree_shape
-from rootdom import _pykernels, naive, solvers
+from rootdom import _pykernels, solvers
 from rootdom.families import (
     complete_graph,
     cycle_graph,
@@ -152,23 +152,6 @@ class TestEnumeration:
             enumerate_optimal(complete_graph(5), PK.ROMAN)
         assert info.value.partial_count == 3
         assert str(info.value) == "more than 2 optimal Roman assignments"
-
-    def test_roman_listing_and_witness_by_brute_force(self):
-        # Every B2 whose forced completion is optimal, by size then
-        # lexicographically; the witness of solve() is the first of them.
-        for n in range(1, 6):
-            for g in labelled_graphs(n):
-                fns = enumerate_optimal(g, PK.ROMAN)
-                weight = {}
-                for k in range(n + 1):
-                    for b2 in itertools.combinations(range(n), k):
-                        covered = set().union(*(g.closed_neighborhood(v) for v in b2))
-                        weight[b2] = 2 * k + n - len(covered)
-                best = min(weight.values())
-                expected = sorted((list(b2) for b2, w in weight.items() if w == best),
-                                  key=lambda b2: (len(b2), b2))
-                assert [sorted(f.b2) for f in fns] == expected, g.edges()
-                assert solve(g, PK.ROMAN).witness == fns[0]
 
     def test_forced_ones_structure(self):
         for seed in range(10):
@@ -401,94 +384,6 @@ class TestValue:
                 found = enumerate_optimal(t, kind)
                 assert found == sorted(found, key=lambda w: sorted(w))
                 assert found[0] == solve(t, kind).witness
-
-
-class TestSuperWitnessIdentity:
-    """The pruned super scan against brute force over every subset, in
-    cardinality-then-lexicographic order, with the witness predicate."""
-
-    @staticmethod
-    def _graphs():
-        for n in range(1, 6):
-            yield from labelled_graphs(n)
-        for n in range(6, 13):
-            for p in (0.2, 0.35, 0.5):
-                for seed in range(2):
-                    yield random_gnp(n, p, seed=1000 * n + 10 * seed + int(100 * p))
-
-    def test_witness_enumeration_and_half_order_bound(self):
-        checked = 0
-        for g in self._graphs():
-            optima = []
-            for k in range(g.n + 1):
-                optima = [
-                    frozenset(sub)
-                    for sub in itertools.combinations(range(g.n), k)
-                    if is_super_dominating(g, sub)
-                ]
-                if optima:
-                    break
-            res = solve(g, PK.SUPER)
-            assert res.value == len(optima[0]) >= (g.n + 1) // 2, g.edges()
-            assert res.witness == optima[0], g.edges()
-            assert enumerate_optimal(g, PK.SUPER) == optima, g.edges()
-            checked += 1
-        assert checked == 1 + 2 + 8 + 64 + 1024 + 7 * 3 * 2
-
-
-class TestConnectedFamilyWitnessIdentity:
-    """The connected, convex and weakly scans, with their forced cut vertices,
-    degree-sum start sizes and convex-hull cut, against brute force over every
-    subset in cardinality-then-lexicographic order, with the witness predicates
-    and the referee's convex and weakly checks."""
-
-    KINDS = (PK.CONNECTED, PK.CONVEX, PK.WEAKLY_CONNECTED)
-
-    @staticmethod
-    def _graphs():
-        for n in range(1, 6):
-            yield from labelled_graphs(n)
-        for n in range(6, 13):
-            for p in (0.25, 0.4, 0.6):
-                for seed in range(4):
-                    yield random_gnp(n, p, seed=2000 * n + 10 * seed + int(100 * p))
-            yield random_tree(n, seed=n)
-            yield cycle_graph(n)
-
-    @staticmethod
-    def _predicate(g, kind):
-        if kind is PK.CONNECTED:
-            return lambda s: is_dominating(g, s) and is_connected_subset(g, s)
-        if kind is PK.CONVEX:
-            dist = naive._floyd_warshall(g)
-            return lambda s: is_dominating(g, s) and naive._convex(g, s, dist)
-        return lambda s: is_dominating(g, s) and naive._weakly_connected(g, s)
-
-    def test_witness_and_enumeration(self):
-        connected = 0
-        for g in self._graphs():
-            if not is_connected(g):
-                for kind in self.KINDS:
-                    with pytest.raises(InfeasibleParameterError):
-                        solve(g, kind)
-                continue
-            connected += 1
-            for kind in self.KINDS:
-                accepts = self._predicate(g, kind)
-                for k in range(1, g.n + 1):
-                    optima = [
-                        frozenset(sub)
-                        for sub in itertools.combinations(range(g.n), k)
-                        if accepts(set(sub))
-                    ]
-                    if optima:
-                        break
-                res = solve(g, kind)
-                assert res.value == len(optima[0]), (kind, g.edges())
-                assert res.witness == optima[0], (kind, g.edges())
-                assert enumerate_optimal(g, kind) == optima, (kind, g.edges())
-        # Connected labelled graphs of order 1..5 (OEIS A001187), then the seeded ones.
-        assert connected > 1 + 1 + 4 + 38 + 728 + 2 * 7
 
 
 class TestScanStartBound:
