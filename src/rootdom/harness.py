@@ -197,8 +197,7 @@ def _check_R2(G, H):
     ok = True
     for v in range(G.n):
         roman_del = solvers.value(delete_vertices(G, {v}).graph, PK.ROMAN)
-        for fn in assignments:
-            label = fn.label(v)
+        for label in sorted({fn.label(v) for fn in assignments}):
             if label == 0:
                 holds = roman_g - 1 <= roman_del <= roman_g
             elif label == 1:
@@ -910,6 +909,9 @@ class CampaignConfig:
         if not isinstance(self.theorems, (list, tuple)):
             raise ValueError("campaign config theorems must be a list of theorem ids")
         self.theorems = [TheoremId(t) for t in self.theorems]
+        repeated = sorted({t.value for t in self.theorems if self.theorems.count(t) > 1})
+        if repeated:
+            raise ValueError(f"campaign config theorems must name each theorem once, repeated: {repeated}")
         for name in (f.name for f in fields(self) if f.name != "theorems"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"campaign config {name} must be an integer, got {getattr(self, name)!r}")

@@ -26,13 +26,13 @@ Three entry points:
   use it.
 * ``product_value()`` returns the value on a rooted product G o H, and the
   theorem harness reads every product side through it.  It builds no
-  product: each copy of H adds a cost by the state of its root, from scans
-  of H with forced masks (for super, of H plus a small gadget), and a
-  profile of count tuples over the subsets of V(G) says how many copies
-  take each state; for connected, convex and weakly a closed form takes
-  the place of the profile.  The scan budget then applies to each factor,
-  not to the product; a factor past it gets ``value()`` of the built
-  product.
+  product, and joins two tables the same way for every kind:
+  ``_root_costs()`` prices one copy of H by the state of its root, from
+  scans of H with forced masks (for super, of H plus a small gadget), and
+  ``_base_table()`` lists count tuples of G, how many copies take each
+  state; the value is the best dot product of the two.  The scan budget
+  then applies to each factor, not to the product; a factor past it gets
+  ``value()`` of the built product.
 
 ``induced_independent_domination()`` tabulates i(G[U]) for every vertex
 mask U of G in one pass over the independent sets of G, for the harness's
@@ -49,7 +49,7 @@ scan per missing label, with 2-set masks.  It lists no optimum, so unlike
 
 One seam leads to the kernels.  ``_minimum()`` is the one caller of the
 two minimum kernels that take forced masks (``scan_min``, ``roman_min``),
-for ``solve()`` and for ``_least()``, which reads the root states of
+for ``solve()`` and for ``_least()``, which reads the root costs of
 ``product_value()``; ``solve()`` calls ``scan_max_independent`` for alpha.
 ``_listing()`` is the one caller of the two listing kernels
 (``enumerate_size``, ``roman_enumerate``), for enumeration and for every
@@ -449,22 +449,41 @@ def _least(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: in
     return _INFEASIBLE if found is None else found[0]
 
 
-def _copy_costs(rooted: RootedGraph, kind: ParameterKind) -> tuple[int, int, int]:
-    """What one copy of H adds to an optimum of ``kind`` on G o H, by the
-    state of its root r: r in the set (for Roman, in B2); r out and
-    dominated from G, or for Roman next to a 2 in G ("near"); r out and left
-    to its own copy ("far").
+def _root_costs(rooted: RootedGraph, kind: ParameterKind) -> tuple[int, ...]:
+    """What one copy of H adds to a value of ``kind`` on G o H, by the state
+    of its root r, in the order of ``_base_table``'s counts (``_INFEASIBLE``
+    where no set attains the state):
 
-    Near, the copy is H - r on its own, and for alpha so is far; the other
-    states are H's scans with r forced in or out.  For alpha, r in the set
-    takes H - N[r] with it, which is empty when r dominates H."""
+    * gamma, i, Roman: r in (Roman: in B2); r out and dominated from G
+      (Roman: next to a 2), the copy then being H - r; r out, left to its copy.
+    * alpha: r in, taking N[r] with it; r out, leaving H - r either way.
+    * connected and convex: r in.  Weakly: r in, r out.
+    * super: see ``_super_profile``.  ``busy`` and ``og`` scan H plus a
+      gadget, less its one member: a path r-p-q with p out and q in, so q
+      serves p and r serves nobody; a pendant q in at r out, so q serves r.
+    """
     graph, root = rooted.graph, rooted.root
+    bit = 1 << root
+    if kind in _CUT_VERTICES_FORCED:
+        return (_least(graph, kind, forced_in=bit),)
+    if kind is ParameterKind.WEAKLY_CONNECTED:
+        return _least(graph, kind, forced_in=bit), _least(graph, kind, forced_out=bit)
+    if kind is ParameterKind.SUPER:
+        n, edges = graph.n, graph.edges()
+        hserve = _least(graph, kind, forced_in=bit)
+        own = _least(graph, kind, forced_out=bit)
+        free = _least(graph, kind, forced_in=graph.closed_masks()[root])
+        path = Graph(n + 2, edges + [(root, n), (n, n + 1)])
+        busy = _least(path, kind, forced_in=bit | 1 << (n + 1), forced_out=1 << n) - 1
+        pendant = Graph(n + 1, edges + [(root, n)])
+        og = _least(pendant, kind, forced_in=1 << n, forced_out=bit) - 1
+        return hserve, busy, min(own, og + free - busy), own
     near = value(delete_vertices(graph, {root}).graph, kind)
     if kind is ParameterKind.INDEPENDENCE:
         closed = graph.closed_neighborhood(root)
         rest = value(delete_vertices(graph, closed).graph, kind) if len(closed) < graph.n else 0
         return 1 + rest, near, near
-    return _least(graph, kind, forced_in=1 << root), near, _least(graph, kind, forced_out=1 << root)
+    return _least(graph, kind, forced_in=bit), near, _least(graph, kind, forced_out=bit)
 
 
 def _unions(masks) -> list[int]:
@@ -494,25 +513,6 @@ def _closed_profile(G: Graph, independent: bool) -> set[tuple[int, int, int]]:
     return {(k, c - k, n - c) for k, c in pairs}
 
 
-def _super_costs(rooted: RootedGraph) -> tuple[int, int, int, int]:
-    """The super costs of one copy of H by the state of its root r, in the
-    order of ``_super_profile``'s counts: (hserve, busy, the cheaper of
-    self and og + free - busy, self), ``own`` standing for self.  ``busy``
-    and ``og`` scan H plus a gadget, less its one member: a path r-p-q with
-    p out and q in, so q serves p and r serves nobody; a pendant q in at r
-    out, so q serves r."""
-    graph, root = rooted.graph, rooted.root
-    n, bit, edges = graph.n, 1 << root, graph.edges()
-    hserve = _least(graph, ParameterKind.SUPER, forced_in=bit)
-    own = _least(graph, ParameterKind.SUPER, forced_out=bit)
-    free = _least(graph, ParameterKind.SUPER, forced_in=graph.closed_masks()[root])
-    path = Graph(n + 2, edges + [(root, n), (n, n + 1)])
-    busy = _least(path, ParameterKind.SUPER, forced_in=bit | 1 << (n + 1), forced_out=1 << n) - 1
-    pendant = Graph(n + 1, edges + [(root, n)])
-    og = _least(pendant, ParameterKind.SUPER, forced_in=1 << n, forced_out=bit) - 1
-    return hserve, busy, min(own, og + free - busy), own
-
-
 def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
     """The count tuples (a, b, c1, c2) over the subsets S of V(G): a counts
     the members of S with no G-neighbour outside S and b the other members;
@@ -534,8 +534,8 @@ def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
 
     A server's one outside neighbour is the only vertex it can serve, so
     servers never compete: each w of c1 takes the cheaper of self and
-    og + free - busy, and each of c2 takes self.  The value is the least
-    dot product of a profile tuple with ``_super_costs``.  The pass visits
+    og + free - busy, and each of c2 takes self, the costs of
+    ``_root_costs`` in the order of these counts.  The pass visits
     all 2^n masks at O(|S|) steps each, in Python on either backend: about
     3 s at order 20, and four times that per two vertices more."""
     n, open_m = G.n, G.open_masks()
@@ -557,52 +557,51 @@ def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
     return profile
 
 
-def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
-    """Exact value of ``kind`` on G o H, read off root-state tables of H;
-    no product is built.  G o H meets each copy of H only at its root r:
+def _base_table(G: Graph, kind: ParameterKind) -> set[tuple[int, ...]]:
+    """The count tuples, over the root sets an optimum of ``kind`` on G o H
+    may hold, of the copies whose root takes each state of ``_root_costs``.
 
-    * gamma, alpha, i, Roman and super: the least (for alpha the most) dot
-      product of the copy costs by the state of r with a count tuple of G's
-      profile (``_closed_profile`` and ``_copy_costs``, ``_super_profile``
-      and ``_super_costs``).
+    * gamma, alpha, i, Roman: ``_closed_profile``; super: ``_super_profile``.
     * connected and convex: every root is a cut vertex of the product, so
-      every optimum holds V(G), and each copy then needs a connected
-      (convex) dominating set of H holding r.
-    * weakly: with ``in`` and ``out`` the least weakly connected dominating
-      sets of H with r in and out, the roots of an optimum form a weakly
-      connected dominating set of G, since a copy with r out reaches the
-      rest only through an edge from r to a root in the set; so the value
-      is n * in if in < out, and n * out + gamma_w(G) * (in - out) otherwise.
-
-    Connected, convex and weakly raise the product's
-    ``InfeasibleParameterError`` for a disconnected factor.  The scan budget
-    bounds each factor, H with the super gadgets' two vertices, not the
-    product.  A base of order 1 and a factor past the budget get ``value()``
-    of the built product: the constructor refuses such a base, and past the
-    budget ``value()`` answers trees with the tree DP and raises
-    ``BudgetExceededError`` otherwise.
+      every optimum holds all n roots.
+    * weakly: unless they are all n, the roots of an optimum form a weakly
+      connected dominating set of G, since a copy with r out reaches the rest
+      only through an edge from r to a root in the set.  So do its supersets,
+      and a cost linear in their number is least at n or gamma_w(G) roots.
     """
-    graph, root = rooted.graph, rooted.root
-    h_scan = graph.n + 2 if kind is ParameterKind.SUPER else graph.n
-    if G.n < 2 or max(G.n, h_scan) > scan_budget():
+    if kind is ParameterKind.SUPER:
+        return _super_profile(G)
+    if kind in _CUT_VERTICES_FORCED:
+        return {(G.n,)}
+    if kind is ParameterKind.WEAKLY_CONNECTED:
+        gamma_w = value(G, kind)
+        return {(G.n, 0), (gamma_w, G.n - gamma_w)}
+    independent = kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION)
+    return _closed_profile(G, independent)
+
+
+def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
+    """Exact value of ``kind`` on G o H, with no product built: G o H meets
+    each copy of H only at its root, so the value is the least (for alpha
+    the most) dot product of a count tuple of G with the root costs of H.
+
+    A base of order 1 raises the product's ``ValueError``, and a
+    disconnected factor its ``InfeasibleParameterError`` for connected,
+    convex and weakly.  The scan budget bounds each factor (H with the super
+    gadgets' two vertices), not the product; a factor past it gets
+    ``value()`` of the built product, which answers trees with the tree DP
+    and raises ``BudgetExceededError`` otherwise.
+    """
+    if G.n < 2:
+        raise ValueError("the base factor must have at least two vertices")
+    h_scan = rooted.n + 2 if kind is ParameterKind.SUPER else rooted.n
+    if max(G.n, h_scan) > scan_budget():
         return value(rooted_product(G, rooted).product, kind)
     _require_connected(G, kind)
-    _require_connected(graph, kind)
-    if kind in _CUT_VERTICES_FORCED:
-        return G.n * _least(graph, kind, forced_in=1 << root)
-    if kind is ParameterKind.WEAKLY_CONNECTED:
-        cost_in = _least(graph, kind, forced_in=1 << root)
-        cost_out = _least(graph, kind, forced_out=1 << root)
-        if cost_in < cost_out:
-            return G.n * cost_in
-        return G.n * cost_out + value(G, kind) * (cost_in - cost_out)
-    if kind is ParameterKind.SUPER:
-        profile, costs = _super_profile(G), _super_costs(rooted)
-    else:
-        independent = kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION)
-        profile, costs = _closed_profile(G, independent), _copy_costs(rooted, kind)
+    _require_connected(rooted.graph, kind)
+    costs = _root_costs(rooted, kind)
     best = max if kind is ParameterKind.INDEPENDENCE else min
-    return best(sum(map(mul, counts, costs)) for counts in profile)
+    return best(sum(map(mul, counts, costs)) for counts in _base_table(G, kind))
 
 
 # -- enumeration and root classification --------------------------------------

@@ -392,8 +392,9 @@ class TestCampaign:
             {"trials": "x"},  # crashed with a TypeError
             {"trials": -1},  # ran no trial and exited 0
             {"theorems": ["W3"], "tree_min": 5, "tree_max": 6},  # looped forever: 25 > cap 20
+            {"theorems": ["D1", "D1"]},  # ran D1 once and reported it twice
         ],
-        ids=["product-cap", "trials-type", "trials-negative", "tree-pair-cap"],
+        ids=["product-cap", "trials-type", "trials-negative", "tree-pair-cap", "theorems-repeated"],
     )
     def test_invalid_config_exits_two(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "c.json"

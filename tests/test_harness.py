@@ -75,6 +75,17 @@ class TestRomanChecks:
         v = check(T.R2, cycle_graph(5))
         assert v.outcome is Outcome.PASS and v.values["violations"] == []
 
+    def test_deletion_reports_each_vertex_and_label_once(self, monkeypatch):
+        # With every deleted graph's Roman value read as 0, each case fails.
+        # Each vertex of C4 takes label 0 in two of its four optimal
+        # assignments, and is still reported once per label.
+        real = solvers.value
+        monkeypatch.setattr(solvers, "value", lambda g, kind: real(g, kind) if g.n == 4 else 0)
+        v = check(T.R2, cycle_graph(4))
+        cases = [(case["v"], case["label"]) for case in v.values["violations"]]
+        assert v.outcome is Outcome.FAIL and v.values["assignments"] == 4
+        assert sorted(cases) == sorted(set(cases)) == [(u, label) for u in range(4) for label in range(3)]
+
     def test_always_zero_vertices(self):
         v = check(T.R3, path_graph(3))
         assert v.outcome is Outcome.PASS
@@ -395,6 +406,8 @@ class TestCampaign:
         assert again == cfg
         with pytest.raises(ValueError, match="unknown campaign config keys"):
             CampaignConfig.from_dict({"nope": 1})
+        with pytest.raises(ValueError, match=r"name each theorem once, repeated: \['D1'\]$"):
+            CampaignConfig.from_dict({"theorems": ["D1", "S3", "D1"]})
 
     def test_must_hold_membership(self):
         assert MUST_HOLD == {

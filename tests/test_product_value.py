@@ -11,7 +11,7 @@ import random
 import pytest
 
 from helpers import labelled_graphs, random_gnp
-from rootdom import tree_dp
+from rootdom import solvers, tree_dp
 from rootdom.families import (
     complete_graph,
     cycle_graph,
@@ -142,7 +142,11 @@ def test_the_super_gadgets_count_against_the_budget(monkeypatch):
         product_value(G, rooted, PK.SUPER)
 
 
-def test_a_base_of_order_one_is_refused():
+def test_a_base_of_order_one_is_refused(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a base of order 1 built the product graph")
+
+    monkeypatch.setattr(solvers, "rooted_product", refuse)
     for kind in (PK.DOMINATION, PK.SUPER):
-        with pytest.raises(ValueError, match="base factor"):
+        with pytest.raises(ValueError, match="^the base factor must have at least two vertices$"):
             product_value(Graph(1, []), RootedGraph(path_graph(3), 0), kind)
