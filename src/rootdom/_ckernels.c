@@ -15,8 +15,7 @@
  *   overflows, the all-ones word is never a vertex set (it is NOT_FOUND),
  *   and C reads every mask table without bounds.
  * - zeros is a mask table that holds no vertex: the bridge table of the
- *   kinds other than weakly, the suffix cover of the last pick, and the
- *   closed masks of the maximum independent set scan.
+ *   kinds other than weakly and the suffix cover of the last pick.
  * - The listing kernels fill a mask_list whose masks C allocates; the
  *   caller releases them with free_masks.  Out of memory, a listing frees
  *   them itself and returns -1.
@@ -58,7 +57,9 @@ typedef struct {
  */
 typedef struct {
     int kind, n, k;
-    int independent, convex, super_dominating;
+    /* covering: the kinds of the cover cut (gamma, i, weakly); the room cut
+     * takes the independent kinds, the lost-edge cut the weakly kind. */
+    int independent, convex, super_dominating, weakly, covering;
     u64 full;
     /* table: the caller's interval masks (convex) or bridge masks (weakly);
      * bridges: the table for the weakly kind, else zeros. */
@@ -69,9 +70,11 @@ typedef struct {
      * dominating kind, none for KIND_INDEPENDENT, and for a fixed v the bit
      * n, which no cover holds, so the coverage test turns v away.
      * widest[v]: the size of the largest of those closed neighbourhoods, and
-     * at least 2. */
+     * at least 2: the D of the cover cut and of the Roman weight bound.
+     * slack: for the weakly kind, m - n + 1, the most edges a spanning weak
+     * subgraph may lose. */
     u64 suffix[64], must[64];
-    int widest[64];
+    int widest[64], slack;
     /* Roman scans: the vertices rec_roman decides, in increasing order, then n. */
     int decide[64], ndecide;
     mask_list *out;
@@ -92,19 +95,25 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->independent = kind == KIND_INDEPENDENT_DOMINATING || kind == KIND_INDEPENDENT;
     s->convex = kind == KIND_CONVEX_DOMINATING;
     s->super_dominating = kind == KIND_SUPER_DOMINATING;
+    s->weakly = kind == KIND_WEAKLY_CONNECTED_DOMINATING;
+    s->covering = kind == KIND_DOMINATING || kind == KIND_INDEPENDENT_DOMINATING || s->weakly;
     s->full = BIT(n) - 1;
     s->open_m = open_m;
     s->closed_m = closed_m;
     s->table = table;
-    s->bridges = kind == KIND_WEAKLY_CONNECTED_DOMINATING ? table : zeros;
+    s->bridges = s->weakly ? table : zeros;
     s->suffix[n] = 0;
     s->widest[n] = 2;
+    int degrees = 0;
     for (int v = n - 1; v >= 0; v--) {
         int is_fixed = (fixed >> v) & 1, size = is_fixed ? 0 : POPCOUNT(closed_m[v]);
         s->suffix[v] = s->suffix[v + 1] | (is_fixed ? 0 : closed_m[v]);
         s->widest[v] = size > s->widest[v + 1] ? size : s->widest[v + 1];
         s->must[v] = is_fixed ? BIT(n) : kind == KIND_INDEPENDENT ? 0 : s->full;
+        if (s->weakly)
+            degrees += POPCOUNT(open_m[v]);
     }
+    s->slack = degrees / 2 - n + 1;
     s->ndecide = 0;
     for (int v = 0; v < n; v++)
         if (!((fixed >> v) & 1))
@@ -220,26 +229,43 @@ static int leaf_ok(const scan *s, u64 sub)
 }
 
 /* Visits the feasible completions of `sub` to s->k vertices that hold
- * `need`, in lex order; returns 0 once the scan stopped. */
-static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need)
+ * `need`, in lex order; returns 0 once the scan stopped.  `lost` counts the
+ * edges with both ends below `first` and out of `sub`. */
+static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need, int lost)
 {
     if (picked == s->k)
         return !leaf_ok(s, sub) || visit(s, sub);
     /* No vertex joins after the last pick, so its coverage test reads no suffix. */
     const u64 *tail = picked + 1 < s->k ? s->suffix : zeros;
+    int left = s->covering || s->independent ? s->k - picked - 1 : 0;
     for (int v = first; v <= s->n - (s->k - picked); v++) {
         /* Below v every unpicked vertex is out for good: a needed one, one
-         * that can no longer be served, or a bridge between two of them (v - 1
-         * and a lower one) rules out every larger v too. */
+         * that can no longer be served, a bridge between two of them (v - 1
+         * and a lower one), or more lost edges than a spanning weak subgraph
+         * can spare rules out every larger v too. */
         u64 out = (BIT(v) - 1) & ~sub;
-        if (v > first && ((need & out) || (s->bridges[v - 1] & out)
-                          || (s->super_dominating && !served(out, s->open_m))))
-            break;
+        if (v > first) {
+            if (s->weakly)
+                lost += POPCOUNT(s->open_m[v - 1] & out);
+            if ((need & out) || (s->bridges[v - 1] & out) || (s->weakly && lost > s->slack)
+                || (s->super_dominating && !served(out, s->open_m)))
+                break;
+        }
         if (s->independent && (s->open_m[v] & sub))
             continue;
         u64 new_cover = cover | s->closed_m[v];
         if (s->must[v] & ~(new_cover | tail[v + 1]))
             continue;
+        if (left) {
+            /* The picks still to come must cover what is left uncovered, at
+             * most widest[v + 1] vertices each, and (for the independent
+             * kinds) lie above v and outside N[sub + v]. */
+            u64 uncovered = s->full & ~new_cover;
+            if (s->covering && POPCOUNT(uncovered) > left * s->widest[v + 1])
+                continue;
+            if (s->independent && POPCOUNT(uncovered >> (v + 1)) < left)
+                continue;
+        }
         u64 new_need = need;
         if (s->convex) {
             const u64 *row = s->table + (int64_t)v * s->n;
@@ -250,7 +276,7 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
         }
         if (POPCOUNT(new_need | sub | BIT(v)) > s->k)
             continue;
-        if (!rec_scan(s, v + 1, picked + 1, sub | BIT(v), new_cover, new_need))
+        if (!rec_scan(s, v + 1, picked + 1, sub | BIT(v), new_cover, new_need, lost))
             return 0;
     }
     return 1;
@@ -293,17 +319,21 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, table, forced_out, NULL, 0);
-    for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in); s.k++)
+    for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in, 0); s.k++)
         ;
     return s.found;
 }
 
-/* Maximum independent set: a single vertex is one, so the scan finds a set. */
+/* Maximum independent set: a single vertex is one, so the scan finds a set.
+ * The room cut reads the closed masks. */
 u64 scan_max_independent(int n, const u64 *open_m)
 {
     scan s;
-    init_scan(&s, KIND_INDEPENDENT, n, open_m, zeros, NULL, 0, NULL, 0);
-    for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0); s.k--)
+    u64 closed_m[64];
+    for (int v = 0; v < n; v++)
+        closed_m[v] = open_m[v] | BIT(v);
+    init_scan(&s, KIND_INDEPENDENT, n, open_m, closed_m, NULL, 0, NULL, 0);
+    for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0, 0); s.k--)
         ;
     return s.found;
 }
@@ -317,7 +347,7 @@ int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, table, forced_out, out, cap);
     s.k = k;
-    return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in));
+    return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in, 0));
 }
 
 /* A complete 2-set: listed when its weight meets the bound, else kept when it

@@ -32,7 +32,7 @@ kinds read.  They also take a ``forced_in`` mask and visit only feasible
 sets that contain it.  The solvers pass the cut vertices for the
 connected and convex kinds: if a cut vertex v is left out, a connected set
 lies inside one component of G - v and the other components go
-undominated; convex sets are connected.  Five cuts follow.
+undominated; convex sets are connected.  Eight cuts follow.
 
 * Start size.  ``start`` returns the largest of these lower bounds, with
   S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
@@ -51,8 +51,8 @@ undominated; convex sets are connected.  Five cuts follow.
 * Decided out.  Before the scan picks vertex v, every unpicked vertex
   below v is out for good.  If one of them is needed, or (super) can no
   longer be served, since more out-vertices serve fewer, the branch is cut
-  with every larger v.  These tests and the bridge test run on one
-  decided-out set, in one hook.
+  with every larger v.  These tests and the bridge and lost-edge tests
+  run on one decided-out set, in one hook.
 * Bridges.  An edge with both ends out of a set S is no edge of its weak
   subgraph, and a weak subgraph without a bridge of G is disconnected.
   So for the weakly kind the caller passes each vertex's neighbours across
@@ -63,6 +63,32 @@ undominated; convex sets are connected.  Five cuts follow.
   higher end goes out.
 * Convex hull.  A pick whose new intervals hold a decided-out vertex is
   skipped.  A larger v may still fit, so this cut skips only v.
+
+Three more cuts are node-level forms of the counting bounds that
+``start`` applies only at the root.  The first two read ``left``, the
+number of picks still to come after the pick v, and test only picks with
+``left > 0``: at the last pick the coverage test below is exact.
+
+* Cover (gamma, i, weakly).  Each pick still to come covers at most D
+  vertices, with D the size of the largest closed neighbourhood among the
+  vertices above v that are not forced out (and at least 2:
+  ``_scan_frame``'s ``widest[v + 1]``).  So a pick is skipped when more
+  than ``left * D`` vertices lie outside N[S + v], the closed
+  neighbourhood of the picked set with v.
+* Room (alpha, i).  The picks still to come lie above v, and an
+  independent set holds no vertex of N[S + v] but its own.  So a pick is
+  skipped when fewer than ``left`` vertices above v lie outside N[S + v].
+  ``scan_max_independent`` builds the closed masks this reads.
+* Lost edges (weakly).  The weak subgraph of S loses every edge with both
+  ends out of S, and as a connected spanning subgraph it keeps at least
+  n - 1 of the m edges.  The decided-out hook counts the edges with both
+  ends decided out (``lost``, one vertex more at each v) and cuts the
+  branch, with every larger v, once they exceed m - n + 1; the count only
+  grows with v.  The bridge test stays, since one lost bridge already
+  disconnects the weak subgraph.
+
+Connected, convex and super scans do without the counting cuts: there they
+prune little and cost more than they save.
 
 Each pick also passes two tests of its own.  Independence: for the
 independent kinds, a pick next to a picked vertex is skipped.  Coverage: a
@@ -200,6 +226,9 @@ def check_listing(name: str, size: int, top: int, cap: int) -> None:
 
 _INDEPENDENT_KINDS = (KIND_INDEPENDENT_DOMINATING, KIND_INDEPENDENT)
 
+#: The kinds of the cover cut (see the module docstring).
+_COVER_CUT_KINDS = (KIND_DOMINATING, KIND_INDEPENDENT_DOMINATING, KIND_WEAKLY_CONNECTED_DOMINATING)
+
 #: (slope, offset) of the degree-sum bound of ``start`` for the connected
 #: kinds; every other dominating kind has (-1, 0).
 _DEGREE_BOUND = {
@@ -287,7 +316,10 @@ def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
     ``must[v]`` is what must be covered once v is picked: every vertex for a
     dominating kind, nothing for ``KIND_INDEPENDENT``, and for a forced-out
     v the bit n, which no cover holds, so the coverage test turns v away at
-    no extra cost."""
+    no extra cost.  ``widest[v]`` is the size of the largest of those closed
+    neighbourhoods, and at least 2, the D of the cover cut; for the weakly
+    kind, ``slack`` is m - n + 1, the most edges a spanning weak subgraph
+    can lose (see the module docstring)."""
     full = (1 << n) - 1 if kind != KIND_INDEPENDENT else 0
     must = [full] * n
     if forced_out:
@@ -296,11 +328,21 @@ def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
             if forced_out >> v & 1:
                 must[v] = 1 << n
                 closed_m[v] = 0
-    none = [0] * (n + 2)
-    suffix = none[:]
+    suffix = [0] * (n + 1)
+    widest = [2] * (n + 1)
+    cover = 0
+    wide = 2
     for v in range(n - 1, -1, -1):
-        suffix[v] = suffix[v + 1] | closed_m[v]
-    return suffix, none, must
+        closed = closed_m[v]
+        cover |= closed
+        suffix[v] = cover
+        if closed.bit_count() > wide:
+            wide = closed.bit_count()
+        widest[v] = wide
+    slack = None
+    if kind == KIND_WEAKLY_CONNECTED_DOMINATING:
+        slack = sum(map(int.bit_count, open_m[:n])) // 2 - n + 1
+    return suffix, [0] * (n + 1), must, widest, slack
 
 
 def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> bool:
@@ -313,23 +355,32 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
     super_dominating = kind == KIND_SUPER_DOMINATING
     weakly = kind == KIND_WEAKLY_CONNECTED_DOMINATING
     hooked = super_dominating or weakly
+    covering = kind in _COVER_CUT_KINDS
+    counting = covering or independent
     full = (1 << n) - 1
-    suffix, none, must = frame
+    suffix, none, must, widest, slack = frame
 
-    def rec(first: int, picked: int, sub: int, cover: int, need: int) -> bool:
-        if picked == k:
+    # ``togo`` picks are still to make, at ``first`` or above.
+    def rec(first: int, togo: int, sub: int, cover: int, need: int, lost: int) -> bool:
+        if not togo:
             return not _leaf_ok(kind, sub, full, open_m) or visit(sub)
-        tail = suffix if picked + 1 < k else none
-        for v in range(first, n - (k - picked) + 1):
+        left = togo - 1
+        tail = suffix if left else none
+        counted = left and counting
+        for v in range(first, n - left):
             # Below v every unpicked vertex is out for good: a needed one, one
-            # that can no longer be served, or a bridge between two of them
-            # (v - 1 and a lower one) rules out every larger v too.
+            # that can no longer be served, a bridge between two of them (v - 1
+            # and a lower one), or more lost edges than a spanning weak
+            # subgraph can spare (``lost`` counts the edges with both ends
+            # out) rules out every larger v too.
             if v > first and (need or hooked):
                 out = ((1 << v) - 1) & ~sub
+                if weakly:
+                    lost += (open_m[v - 1] & out).bit_count()
                 if (
                     need & out
                     or (super_dominating and not _served(out, open_m))
-                    or (weakly and table[v - 1] & out)
+                    or (weakly and (table[v - 1] & out or lost > slack))
                 ):
                     break
             if independent and (open_m[v] & sub):
@@ -337,6 +388,15 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
             new_cover = cover | closed_m[v]
             if must[v] & ~(new_cover | tail[v + 1]):
                 continue
+            if counted:
+                # The ``left`` picks still to come must cover what is left
+                # uncovered, at most widest[v + 1] vertices each, and (for the
+                # independent kinds) lie above v and outside N[S + v].
+                uncovered = full & ~new_cover
+                if covering and uncovered.bit_count() > left * widest[v + 1]:
+                    continue
+                if independent and (uncovered >> (v + 1)).bit_count() < left:
+                    continue
             bit = 1 << v
             new_need = need
             if convex:
@@ -349,11 +409,11 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
                     continue
             if new_need and (new_need | sub | bit).bit_count() > k:
                 continue
-            if not rec(v + 1, picked + 1, sub | bit, new_cover, new_need):
+            if not rec(v + 1, left, sub | bit, new_cover, new_need, lost):
                 return False
         return True
 
-    return rec(0, 0, 0, 0, forced_in)
+    return rec(0, k, 0, 0, forced_in, 0)
 
 
 def _first(kind, n, sizes, open_m, closed_m, table, forced_in=0, forced_out=0):
@@ -384,7 +444,7 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
         # The k largest degrees must sum to at least n + slope * k + offset.
         slope, offset = _DEGREE_BOUND.get(kind, (-1, 0))
         k = top = 0
-        for degree in sorted((m.bit_count() for m in open_m[:n]), reverse=True):
+        for degree in sorted(map(int.bit_count, open_m[:n]), reverse=True):
             k += 1
             top += degree
             if top >= n + slope * k + offset:
@@ -406,7 +466,8 @@ def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0
 def scan_max_independent(n: int, open_m):
     """Maximum independent set: ``(size, mask)``."""
     check_masks(n, open_m, name="open mask")
-    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, [0] * n, None)
+    closed_m = [m | 1 << v for v, m in enumerate(open_m[:n])]
+    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, closed_m, None)
 
 
 def enumerate_size(

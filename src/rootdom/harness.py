@@ -953,12 +953,15 @@ def _verdicts(theorem: TheoremId, config: CampaignConfig):
         yield verdict
 
 
-def run_theorem(theorem: TheoremId, config: CampaignConfig) -> dict:
+def run_theorem(theorem: TheoremId | str, config: CampaignConfig) -> dict:
     """All trials for one theorem; deterministic given the config.
 
-    ``trials`` counts the verdicts; ``errors`` counts the trials skipped
-    because an instance was past the budget.
+    ``theorem`` is a ``TheoremId`` or its id string; an unknown id raises
+    ``ValueError`` before any trial runs.  ``trials`` counts the verdicts;
+    ``errors`` counts the trials skipped because an instance was past the
+    budget.
     """
+    theorem = TheoremId(theorem)
     counts = {o: 0 for o in Outcome}
     skips = 0
     failures: list[dict] = []

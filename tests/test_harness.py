@@ -355,6 +355,17 @@ class TestCampaign:
         assert result["fail"] == 0
         assert result["must_hold"] is True
 
+    def test_theorem_given_by_its_id(self):
+        cfg = CampaignConfig(trials=4, seed=5)
+        assert run_theorem("D2", cfg) == run_theorem(T.D2, cfg)
+
+    def test_unknown_theorem_id_raises_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_verdicts", lambda *args: ran.append(args) or iter(()))
+        with pytest.raises(ValueError, match="'Z9' is not a valid TheoremId"):
+            run_theorem("Z9", CampaignConfig(trials=4))
+        assert ran == []
+
     def test_mini_campaign_deterministic(self):
         cfg = CampaignConfig(theorems=[T.D2, T.R4, T.S1, T.W3], trials=6, seed=11)
         a = run_campaign(cfg)

@@ -17,7 +17,7 @@ from rootdom.families import (
     star_graph,
     subdivided_star_graph,
 )
-from rootdom.graph import Graph, is_connected, is_connected_subset, is_convex_set
+from rootdom.graph import Graph, is_connected, is_connected_subset, is_convex_set, weakly_induced_subgraph
 from rootdom.naive import naive_value
 from rootdom.product import RootedGraph, rooted_product
 from rootdom.solvers import (
@@ -455,6 +455,47 @@ class TestWitnessValidity:
             assert is_dominating(g, res.witness) and is_connected_subset(g, res.witness)
             res = solve(g, PK.CONVEX)
             assert is_dominating(g, res.witness) and is_convex_set(g, res.witness)
+
+
+class TestPathsAndCyclesPastTheReferee:
+    """Paths and cycles of order 13-22, past the prune-free referee's order
+    12, where the counting cuts of both backends prune hardest: gamma = i =
+    ceil(n/3), alpha(P_n) = ceil(n/2), alpha(C_n) = floor(n/2), the weakly
+    connected domination number floor(n/2) and the Roman domination number
+    ceil(2n/3), each with a witness that meets its kind's predicate."""
+
+    @pytest.fixture(params=["python", "c"])
+    def backend(self, request, monkeypatch):
+        impl = request.getfixturevalue("fast") if request.param == "c" else _pykernels
+        for name in ("scan_min", "scan_max_independent", "roman_min"):
+            monkeypatch.setattr(solvers.kernels, name, getattr(impl, name))
+
+    @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+    def test_closed_forms(self, backend, cycle):
+        for n in range(13, 23):
+            g = cycle_graph(n) if cycle else path_graph(n)
+            expected = {
+                PK.DOMINATION: -(-n // 3),
+                PK.INDEPENDENT_DOMINATION: -(-n // 3),
+                PK.INDEPENDENCE: n // 2 if cycle else -(-n // 2),
+                PK.WEAKLY_CONNECTED: n // 2,
+                PK.ROMAN: -(-2 * n // 3),
+            }
+            for kind, size in expected.items():
+                res = solve(g, kind)
+                assert res.value == size, (n, kind)
+                witness = res.witness
+                if kind is PK.ROMAN:
+                    assert witness.is_valid(g) and witness.weight == size, n
+                    continue
+                assert len(witness) == size, (n, kind)
+                if kind is not PK.INDEPENDENCE:
+                    assert is_dominating(g, witness), (n, kind)
+                if kind in (PK.INDEPENDENCE, PK.INDEPENDENT_DOMINATION):
+                    assert is_independent(g, witness), (n, kind)
+                if kind is PK.WEAKLY_CONNECTED:
+                    weak = weakly_induced_subgraph(g, witness).graph
+                    assert weak.n == n and is_connected(weak), n
 
 
 class TestInvariantChains:
