@@ -40,6 +40,7 @@ enum {
 #define LOWBIT(x) ((x) & (~(x) + 1))
 #define BIT(v) ((u64)1 << (v))
 #define VERTEX(bit) __builtin_ctzll(bit)
+#define TOP(mask) (63 - __builtin_clzll(mask)) /* the highest vertex of a nonempty mask */
 #define POPCOUNT(x) __builtin_popcountll(x)
 
 static const u64 zeros[64]; /* a mask table that holds no vertex */
@@ -58,7 +59,10 @@ typedef struct {
 typedef struct {
     int kind, n, k;
     /* covering: the kinds of the cover cut (gamma, i, weakly); the room cut
-     * takes the independent kinds, the lost-edge cut the weakly kind. */
+     * takes the independent kinds, the lost-edge cut the weakly kind, and
+     * the dead-server cut the super kind, whose masks once and twice
+     * rec_scan carries as two arguments of its own, since 2n bits do not
+     * fit one word. */
     int independent, convex, super_dominating, weakly, covering;
     u64 full;
     /* table: the caller's interval masks (convex) or bridge masks (weakly);
@@ -196,25 +200,28 @@ static int weakly_connected(u64 sub, u64 full, const u64 *open_m)
     return reach == full;
 }
 
-/* Whether every w in `out` has a neighbour u outside `out` with N(u) & out a
- * subset of {w}: with out = full & ~sub, "sub is super dominating"; on a
- * partial set, the prune. */
-static int served(u64 out, const u64 *open_m)
+/* Whether every w in `out` has a server: a neighbour u outside `out` with
+ * N(u) & out = {w}.  once and twice are the vertices with at least one and at
+ * least two neighbours in `out`, so the servers are once & ~twice & ~out.
+ * With out = full & ~sub, "sub is super dominating"; on a partial set, the
+ * prune.  It runs from the highest out-vertex down, as _pykernels does. */
+static int served(u64 out, u64 once, u64 twice, const u64 *open_m)
 {
-    for (u64 rest = out; rest; rest &= rest - 1) {
-        u64 others = out & ~LOWBIT(rest);
-        u64 cand = open_m[VERTEX(rest)] & ~out;
-        while (cand && (open_m[VERTEX(cand)] & others))
-            cand &= cand - 1;
-        if (!cand)
+    u64 servers = once & ~(twice | out);
+    for (u64 rest = out; rest;) {
+        int w = TOP(rest);
+        if (!(open_m[w] & servers))
             return 0;
+        rest &= ~BIT(w);
     }
     return 1;
 }
 
-/* What no cut decides: whether the complete set `sub` is connected, weakly
- * connected or super dominating, as its kind asks. */
-static int leaf_ok(const scan *s, u64 sub)
+/* What no cut decides: whether the complete set `sub`, whose last pick is
+ * first - 1, is connected, weakly connected or super dominating, as its kind
+ * asks.  For super, once and twice count the vertices out below first; every
+ * vertex above is out too. */
+static int leaf_ok(const scan *s, u64 sub, int first, u64 once, u64 twice)
 {
     switch (s->kind) {
     case KIND_CONNECTED_DOMINATING:
@@ -222,33 +229,52 @@ static int leaf_ok(const scan *s, u64 sub)
     case KIND_WEAKLY_CONNECTED_DOMINATING:
         return weakly_connected(sub, s->full, s->open_m);
     case KIND_SUPER_DOMINATING:
-        return served(s->full & ~sub, s->open_m);
+        for (int v = first; v < s->n; v++) {
+            twice |= once & s->open_m[v];
+            once |= s->open_m[v];
+        }
+        return served(s->full & ~sub, once, twice, s->open_m);
     default:
         return 1;
     }
 }
 
 /* Visits the feasible completions of `sub` to s->k vertices that hold
- * `need`, in lex order; returns 0 once the scan stopped.  `lost` counts the
- * edges with both ends below `first` and out of `sub`. */
-static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need, int lost)
+ * `need`, in lex order; returns 0 once the scan stopped.  The decided-out
+ * hook counts the vertices below `first` and out of `sub`: `lost`, the edges
+ * with both ends out (weakly), and once and twice, the vertices with at least
+ * one and at least two neighbours out (super). */
+static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need, int lost, u64 once,
+                    u64 twice)
 {
     if (picked == s->k)
-        return !leaf_ok(s, sub) || visit(s, sub);
+        return !leaf_ok(s, sub, first, once, twice) || visit(s, sub);
     /* No vertex joins after the last pick, so its coverage test reads no suffix. */
     const u64 *tail = picked + 1 < s->k ? s->suffix : zeros;
     int left = s->covering || s->independent ? s->k - picked - 1 : 0;
     for (int v = first; v <= s->n - (s->k - picked); v++) {
-        /* Below v every unpicked vertex is out for good: a needed one, one
-         * that can no longer be served, a bridge between two of them (v - 1
-         * and a lower one), or more lost edges than a spanning weak subgraph
-         * can spare rules out every larger v too. */
+        /* Below v every unpicked vertex is out for good: a needed one, a
+         * bridge between two of them (v - 1 and a lower one), more lost edges
+         * than a spanning weak subgraph can spare, an out-vertex without a
+         * server, or more picks next to two out-vertices than the
+         * out-vertices leave spare rules out every larger v too. */
         u64 out = (BIT(v) - 1) & ~sub;
         if (v > first) {
-            if (s->weakly)
+            if (s->weakly) {
                 lost += POPCOUNT(s->open_m[v - 1] & out);
-            if ((need & out) || (s->bridges[v - 1] & out) || (s->weakly && lost > s->slack)
-                || (s->super_dominating && !served(out, s->open_m)))
+            } else if (s->super_dominating) {
+                /* A pick in twice serves no one, and each of the n - k
+                 * out-vertices needs a server of its own among the k picks. */
+                u64 gone = s->open_m[v - 1];
+                twice |= once & gone;
+                once |= gone;
+                int dead = POPCOUNT(sub & twice);
+                if (dead > 2 * s->k - s->n || !served(out, once, twice, s->open_m))
+                    break;
+                if (dead == 2 * s->k - s->n && (twice & BIT(v)))
+                    continue;
+            }
+            if ((need & out) || (s->bridges[v - 1] & out) || (s->weakly && lost > s->slack))
                 break;
         }
         if (s->independent && (s->open_m[v] & sub))
@@ -258,10 +284,11 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
             continue;
         if (left) {
             /* The picks still to come must cover what is left uncovered, at
-             * most widest[v + 1] vertices each, and (for the independent
+             * most widest[v + 1] vertices each (for weakly one fewer in all,
+             * as they must also meet N[sub + v]), and (for the independent
              * kinds) lie above v and outside N[sub + v]. */
             u64 uncovered = s->full & ~new_cover;
-            if (s->covering && POPCOUNT(uncovered) > left * s->widest[v + 1])
+            if (s->covering && POPCOUNT(uncovered) > left * s->widest[v + 1] - s->weakly)
                 continue;
             if (s->independent && POPCOUNT(uncovered >> (v + 1)) < left)
                 continue;
@@ -276,7 +303,7 @@ static int rec_scan(scan *s, int first, int picked, u64 sub, u64 cover, u64 need
         }
         if (POPCOUNT(new_need | sub | BIT(v)) > s->k)
             continue;
-        if (!rec_scan(s, v + 1, picked + 1, sub | BIT(v), new_cover, new_need, lost))
+        if (!rec_scan(s, v + 1, picked + 1, sub | BIT(v), new_cover, new_need, lost, once, twice))
             return 0;
     }
     return 1;
@@ -319,7 +346,8 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 
 {
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, table, forced_out, NULL, 0);
-    for (s.k = start(kind, n, open_m, forced_in); s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in, 0); s.k++)
+    for (s.k = start(kind, n, open_m, forced_in);
+         s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in, 0, 0, 0); s.k++)
         ;
     return s.found;
 }
@@ -333,7 +361,7 @@ u64 scan_max_independent(int n, const u64 *open_m)
     for (int v = 0; v < n; v++)
         closed_m[v] = open_m[v] | BIT(v);
     init_scan(&s, KIND_INDEPENDENT, n, open_m, closed_m, NULL, 0, NULL, 0);
-    for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0, 0); s.k--)
+    for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0, 0, 0, 0); s.k--)
         ;
     return s.found;
 }
@@ -347,7 +375,7 @@ int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
     scan s;
     init_scan(&s, kind, n, open_m, closed_m, table, forced_out, out, cap);
     s.k = k;
-    return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in, 0));
+    return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in, 0, 0, 0));
 }
 
 /* A complete 2-set: listed when its weight meets the bound, else kept when it

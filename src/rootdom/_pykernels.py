@@ -32,7 +32,7 @@ kinds read.  They also take a ``forced_in`` mask and visit only feasible
 sets that contain it.  The solvers pass the cut vertices for the
 connected and convex kinds: if a cut vertex v is left out, a connected set
 lies inside one component of G - v and the other components go
-undominated; convex sets are connected.  Eight cuts follow.
+undominated; convex sets are connected.  Nine cuts follow.
 
 * Start size.  ``start`` returns the largest of these lower bounds, with
   S_k the sum of the k largest degrees: |forced_in|; ceil(n/2) for super
@@ -49,10 +49,18 @@ undominated; convex sets are connected.  Eight cuts follow.
   included: the set holds ``forced_in`` and, for convex, the interval of
   every pair it holds, so it is convex.
 * Decided out.  Before the scan picks vertex v, every unpicked vertex
-  below v is out for good.  If one of them is needed, or (super) can no
-  longer be served, since more out-vertices serve fewer, the branch is cut
-  with every larger v.  These tests and the bridge and lost-edge tests
-  run on one decided-out set, in one hook.
+  below v is out for good.  If one of them is needed, or (super) has no
+  server left, the branch is cut with every larger v, since more
+  out-vertices serve fewer.  A server of an out-vertex w is a vertex u
+  outside the set with N(u) & out = {w}.  So the super scan carries two
+  masks down the recursion: ``once``, the vertices with at least one
+  neighbour out, and ``twice``, those with at least two.  When v - 1 goes
+  out they take two ORs, twice |= once & N(v - 1), then once |= N(v - 1);
+  the servers are once & ~twice & ~out, and the service test (``_served``)
+  asks only that each out-vertex have a neighbour among them.  The leaf
+  counts the vertices above the last pick into the same masks and asks
+  the same test.  These tests and the bridge, lost-edge and dead-server
+  tests run on one decided-out set, in one hook.
 * Bridges.  An edge with both ends out of a set S is no edge of its weak
   subgraph, and a weak subgraph without a bridge of G is disconnected.
   So for the weakly kind the caller passes each vertex's neighbours across
@@ -64,7 +72,7 @@ undominated; convex sets are connected.  Eight cuts follow.
 * Convex hull.  A pick whose new intervals hold a decided-out vertex is
   skipped.  A larger v may still fit, so this cut skips only v.
 
-Three more cuts are node-level forms of the counting bounds that
+Four more cuts are node-level forms of the counting bounds that
 ``start`` applies only at the root.  The first two read ``left``, the
 number of picks still to come after the pick v, and test only picks with
 ``left > 0``: at the last pick the coverage test below is exact.
@@ -74,7 +82,9 @@ number of picks still to come after the pick v, and test only picks with
   vertices above v that are not forced out (and at least 2:
   ``_scan_frame``'s ``widest[v + 1]``).  So a pick is skipped when more
   than ``left * D`` vertices lie outside N[S + v], the closed
-  neighbourhood of the picked set with v.
+  neighbourhood of the picked set with v.  For weakly the bound is
+  ``left * D - 1``: the closed neighbourhood of the picks still to come
+  must also meet N[S + v], or no edge of the weak subgraph joins the two.
 * Room (alpha, i).  The picks still to come lie above v, and an
   independent set holds no vertex of N[S + v] but its own.  So a pick is
   skipped when fewer than ``left`` vertices above v lie outside N[S + v].
@@ -86,9 +96,19 @@ number of picks still to come after the pick v, and test only picks with
   branch, with every larger v, once they exceed m - n + 1; the count only
   grows with v.  The bridge test stays, since one lost bridge already
   disconnects the weak subgraph.
+* Dead servers (super).  Each of the n - k out-vertices needs a server
+  of its own in the set, and a picked vertex in ``twice`` serves no one,
+  so at most 2k - n picks lie in ``twice`` (``start``'s ceil(n/2) is this
+  bound with none there).  ``twice`` only grows with v, so the
+  decided-out hook cuts the branch, with every larger v, once more picks
+  than that lie in it, and skips a pick v in ``twice`` that would make
+  one too many.  The hook runs only past a node's first vertex, so a
+  first pick that makes one too many is not skipped: each node below it
+  cuts every branch but its own first, and the leaf turns the last away.
 
-Connected, convex and super scans do without the counting cuts: there they
-prune little and cost more than they save.
+Connected and convex scans do without the counting cuts, and super scans
+have only their own: there the others prune little and cost more than they
+save.
 
 Each pick also passes two tests of its own.  Independence: for the
 independent kinds, a pick next to a picked vertex is skipped.  Coverage: a
@@ -276,35 +296,40 @@ def _weakly_connected(sub: int, full: int, open_m) -> bool:
     return reach == full
 
 
-def _served(out: int, open_m) -> bool:
-    """Whether every vertex w in ``out`` has a neighbour u outside ``out``
-    with N(u) & out a subset of {w}.  With ``out = full & ~sub`` this is
-    "sub is super dominating"; on a partial set it is the prune."""
+def _served(out: int, once: int, twice: int, open_m) -> bool:
+    """Whether every vertex w in ``out`` has a server: a neighbour u outside
+    ``out`` with N(u) & out = {w}.  ``once`` and ``twice`` are the vertices
+    with at least one and at least two neighbours in ``out``, so the servers
+    are ``once & ~twice & ~out``.  With ``out = full & ~sub`` this is "sub is
+    super dominating"; on a partial set it is the prune.  The test runs from
+    the highest out-vertex down: the scan puts vertices out in increasing
+    order, and the last one out is the likeliest to have no server."""
+    servers = once & ~(twice | out)
     rest = out
     while rest:
-        wb = rest & (-rest)
-        rest ^= wb
-        others = out ^ wb
-        cand = open_m[wb.bit_length() - 1] & ~out
-        while cand:
-            ub = cand & (-cand)
-            if not (open_m[ub.bit_length() - 1] & others):
-                break
-            cand ^= ub
-        if not cand:
+        w = rest.bit_length() - 1
+        if not open_m[w] & servers:
             return False
+        rest ^= 1 << w
     return True
 
 
-def _leaf_ok(kind: int, sub: int, full: int, open_m) -> bool:
-    """What no cut decides: whether the complete set ``sub`` is connected,
-    weakly connected or super dominating, as its kind asks."""
+def _leaf_ok(kind: int, sub: int, full: int, open_m, first: int, outs: int) -> bool:
+    """What no cut decides: whether the complete set ``sub``, whose last pick
+    is ``first - 1``, is connected, weakly connected or super dominating, as
+    its kind asks.  For super, ``outs`` is ``once | twice << n`` (see
+    ``_served``) of the vertices out below ``first``; every vertex from
+    ``first`` on is out too, and joins them here."""
     if kind == KIND_CONNECTED_DOMINATING:
         return connected_mask(sub, open_m)
     if kind == KIND_WEAKLY_CONNECTED_DOMINATING:
         return _weakly_connected(sub, full, open_m)
     if kind == KIND_SUPER_DOMINATING:
-        return _served(full & ~sub, open_m)
+        n = full.bit_length()
+        for v in range(first, n):
+            gone = open_m[v]
+            outs |= gone | (outs & gone) << n
+        return _served(full & ~sub, outs & full, outs >> n, open_m)
     return True
 
 
@@ -360,29 +385,45 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
     full = (1 << n) - 1
     suffix, none, must, widest, slack = frame
 
-    # ``togo`` picks are still to make, at ``first`` or above.
+    # The most picks that may lie in ``twice`` (the dead-server cut).
+    spare = 2 * k - n
+
+    # ``togo`` picks are still to make, at ``first`` or above.  ``lost``
+    # carries what the decided-out hook counts of the vertices out below
+    # ``first``: for weakly the edges with both ends out, for super the
+    # vertices with at least one and at least two neighbours out, as
+    # once | twice << n.
     def rec(first: int, togo: int, sub: int, cover: int, need: int, lost: int) -> bool:
         if not togo:
-            return not _leaf_ok(kind, sub, full, open_m) or visit(sub)
+            return not _leaf_ok(kind, sub, full, open_m, first, lost) or visit(sub)
         left = togo - 1
         tail = suffix if left else none
         counted = left and counting
         for v in range(first, n - left):
-            # Below v every unpicked vertex is out for good: a needed one, one
-            # that can no longer be served, a bridge between two of them (v - 1
-            # and a lower one), or more lost edges than a spanning weak
-            # subgraph can spare (``lost`` counts the edges with both ends
-            # out) rules out every larger v too.
+            # Below v every unpicked vertex is out for good: a needed one, a
+            # bridge between two of them (v - 1 and a lower one), more lost
+            # edges than a spanning weak subgraph can spare, an out-vertex
+            # without a server, or more picks next to two out-vertices than
+            # the out-vertices leave spare rules out every larger v too.
             if v > first and (need or hooked):
                 out = ((1 << v) - 1) & ~sub
+                if need & out:
+                    break
                 if weakly:
                     lost += (open_m[v - 1] & out).bit_count()
-                if (
-                    need & out
-                    or (super_dominating and not _served(out, open_m))
-                    or (weakly and (table[v - 1] & out or lost > slack))
-                ):
-                    break
+                    if table[v - 1] & out or lost > slack:
+                        break
+                elif super_dominating:
+                    # A pick in ``twice`` serves no one, and each of the n - k
+                    # out-vertices needs a server of its own among the k picks.
+                    gone = open_m[v - 1]
+                    lost |= gone | (lost & gone) << n
+                    twice = lost >> n
+                    dead = (sub & twice).bit_count()
+                    if dead > spare or not _served(out, lost & full, twice, open_m):
+                        break
+                    if dead == spare and twice >> v & 1:
+                        continue
             if independent and (open_m[v] & sub):
                 continue
             new_cover = cover | closed_m[v]
@@ -390,10 +431,11 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
                 continue
             if counted:
                 # The ``left`` picks still to come must cover what is left
-                # uncovered, at most widest[v + 1] vertices each, and (for the
-                # independent kinds) lie above v and outside N[S + v].
+                # uncovered, at most widest[v + 1] vertices each (for weakly
+                # one fewer in all, as they must also meet N[S + v]), and (for
+                # the independent kinds) lie above v and outside N[S + v].
                 uncovered = full & ~new_cover
-                if covering and uncovered.bit_count() > left * widest[v + 1]:
+                if covering and uncovered.bit_count() > left * widest[v + 1] - weakly:
                     continue
                 if independent and (uncovered >> (v + 1)).bit_count() < left:
                     continue

@@ -457,12 +457,46 @@ class TestWitnessValidity:
             assert is_dominating(g, res.witness) and is_convex_set(g, res.witness)
 
 
+def test_super_service_test_is_the_definition():
+    """The super scans' service test, ``_served`` on the vertices ``once``
+    and ``twice`` with at least one and at least two neighbours out, and the
+    super leaf, which counts the out-vertices from its last pick on into
+    those below it, both say whether the complement of the out-set is super
+    dominating, for every out-set of every labelled graph up to order 5."""
+
+    def counts(om, out):
+        once = twice = 0
+        for u, open_mask in enumerate(om):
+            meets = (open_mask & out).bit_count()
+            once |= (meets >= 1) << u
+            twice |= (meets >= 2) << u
+        return once, twice
+
+    kind = _pykernels.KIND_SUPER_DOMINATING
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for g in labelled_graphs(n):
+            om = g.open_masks()
+            for out in range(full + 1):
+                sub = full & ~out
+                expected = is_super_dominating(g, {v for v in range(n) if sub >> v & 1})
+                assert _pykernels._served(out, *counts(om, out), om) == expected, (g.edges(), out)
+                if sub:
+                    first = sub.bit_length()
+                    once, twice = counts(om, out & ((1 << first) - 1))
+                    leaf = _pykernels._leaf_ok(kind, sub, full, om, first, once | twice << n)
+                    assert leaf == expected, (g.edges(), out)
+
+
 class TestPathsAndCyclesPastTheReferee:
     """Paths and cycles of order 13-22, past the prune-free referee's order
     12, where the counting cuts of both backends prune hardest: gamma = i =
     ceil(n/3), alpha(P_n) = ceil(n/2), alpha(C_n) = floor(n/2), the weakly
-    connected domination number floor(n/2) and the Roman domination number
-    ceil(2n/3), each with a witness that meets its kind's predicate."""
+    connected domination number floor(n/2), the Roman domination number
+    ceil(2n/3) and the super domination number ceil(n/2) of P_n, and of C_n
+    ceil(n/2) for n = 0, 3 (mod 4) and ceil((n+1)/2) otherwise (Lemanska et
+    al., Super dominating sets in graphs, 2015), each with a witness that
+    meets its kind's predicate."""
 
     @pytest.fixture(params=["python", "c"])
     def backend(self, request, monkeypatch):
@@ -480,6 +514,7 @@ class TestPathsAndCyclesPastTheReferee:
                 PK.INDEPENDENCE: n // 2 if cycle else -(-n // 2),
                 PK.WEAKLY_CONNECTED: n // 2,
                 PK.ROMAN: -(-2 * n // 3),
+                PK.SUPER: -(-(n + 1) // 2) if cycle and n % 4 in (1, 2) else -(-n // 2),
             }
             for kind, size in expected.items():
                 res = solve(g, kind)
@@ -489,7 +524,9 @@ class TestPathsAndCyclesPastTheReferee:
                     assert witness.is_valid(g) and witness.weight == size, n
                     continue
                 assert len(witness) == size, (n, kind)
-                if kind is not PK.INDEPENDENCE:
+                if kind is PK.SUPER:
+                    assert is_super_dominating(g, witness), n
+                elif kind is not PK.INDEPENDENCE:
                     assert is_dominating(g, witness), (n, kind)
                 if kind in (PK.INDEPENDENCE, PK.INDEPENDENT_DOMINATION):
                     assert is_independent(g, witness), (n, kind)
