@@ -5,9 +5,10 @@ pure-Python install never loads ctypes.  Each wrapper checks its call with
 the ``_pykernels`` check of the kernel contract before C reads a buffer,
 since C trusts the order, the lengths and every mask value: it reads the
 buffers without bounds and indexes them by the bits of the masks.  It then
-converts the masks, calls C and unpacks the result.  So both backends give
-identical values and witnesses, and the identical error on a call that
-breaks the contract.
+converts the open masks (and a subset scan's table) to arrays, calls C,
+which derives the closed masks itself, and unpacks the result.  So both
+backends give identical values and witnesses, and the identical error on a
+call that breaks the contract.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ def load(path: str):
 
     lib = ctypes.CDLL(path)
     for name, restype, argtypes in (
-        ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, u64, u64)),
+        ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, u64, u64)),
         ("scan_max_independent", u64, (ctypes.c_int, ptr)),
         ("enumerate_size", ctypes.c_int,
-         (ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int, i64, u64, u64, ptr)),
+         (ctypes.c_int, ctypes.c_int, ptr, ptr, ctypes.c_int, i64, u64, u64, ptr)),
         ("roman_min", i64, (ctypes.c_int, ptr, u64, u64, ptr)),
         ("roman_enumerate", ctypes.c_int, (ctypes.c_int, ptr, i64, i64, u64, u64, ptr)),
         ("free_masks", None, (ptr,)),
@@ -62,44 +63,41 @@ def load(path: str):
         return found, bool(out.hit_cap)
 
     # In each wrapper every buffer stays bound to a local name until the C call returns.
-    def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0, forced_out: int = 0):
-        check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
-        om, cm, tb = array("Q", open_m), array("Q", closed_m), array("Q", table or ())
-        found = c_scan_min(
-            kind, n, om.buffer_info()[0], cm.buffer_info()[0], tb.buffer_info()[0], forced_in, forced_out
-        )
+    def scan_min(kind: int, n: int, open_m, table=None, forced_in: int = 0, forced_out: int = 0):
+        check_scan(kind, n, open_m, table, forced_in, forced_out)
+        om, tb = array("Q", open_m), array("Q", table or ())
+        found = c_scan_min(kind, n, om.buffer_info()[0], tb.buffer_info()[0], forced_in, forced_out)
         return None if found == not_found else (found.bit_count(), found)
 
     def scan_max_independent(n: int, open_m):
-        check_masks(n, open_m, name="open mask")
+        check_masks(n, open_m)
         om = array("Q", open_m)
         found = c_scan_max(n, om.buffer_info()[0])
         return found.bit_count(), found
 
     def enumerate_size(
-        kind: int, n: int, open_m, closed_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
+        kind: int, n: int, open_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
     ):
-        check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
+        check_scan(kind, n, open_m, table, forced_in, forced_out)
         check_listing("size", k, n, cap)
-        om, cm, tb, out = array("Q", open_m), array("Q", closed_m), array("Q", table or ()), MaskList()
+        om, tb, out = array("Q", open_m), array("Q", table or ()), MaskList()
         status = c_enumerate(
-            kind, n, om.buffer_info()[0], cm.buffer_info()[0], tb.buffer_info()[0], k, cap, forced_in, forced_out,
-            ctypes.byref(out),
+            kind, n, om.buffer_info()[0], tb.buffer_info()[0], k, cap, forced_in, forced_out, ctypes.byref(out)
         )
         return take(status, out)
 
-    def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
-        check_masks(n, closed_m, forced_in, forced_out)
-        cm, b2 = array("Q", closed_m), u64()
-        weight = c_roman_min(n, cm.buffer_info()[0], forced_in, forced_out, ctypes.byref(b2))
+    def roman_min(n: int, open_m, forced_in: int = 0, forced_out: int = 0):
+        check_masks(n, open_m, forced_in, forced_out)
+        om, b2 = array("Q", open_m), u64()
+        weight = c_roman_min(n, om.buffer_info()[0], forced_in, forced_out, ctypes.byref(b2))
         return weight, b2.value
 
-    def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
-        check_masks(n, closed_m, forced_in, forced_out)
+    def roman_enumerate(n: int, open_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
+        check_masks(n, open_m, forced_in, forced_out)
         check_listing("target weight", target_weight, 2 * n, cap)
-        cm, out = array("Q", closed_m), MaskList()
+        om, out = array("Q", open_m), MaskList()
         status = c_roman_enumerate(
-            n, cm.buffer_info()[0], target_weight, cap, forced_in, forced_out, ctypes.byref(out)
+            n, om.buffer_info()[0], target_weight, cap, forced_in, forced_out, ctypes.byref(out)
         )
         return take(status, out)
 

@@ -14,6 +14,9 @@
  *   its weight in 1..2n, no argument has wrapped in ctypes, no shift
  *   overflows, the all-ones word is never a vertex set (it is NOT_FOUND),
  *   and C reads every mask table without bounds.
+ * - Every entry takes the graph as its order and its open masks N(v);
+ *   init_scan builds the closed masks N[v] = N(v) | v into the scan, the
+ *   one place C does so.
  * - zeros is a mask table that holds no vertex: the bridge table of the
  *   kinds other than weakly and the suffix cover of the last pick.
  * - The listing kernels fill a mask_list whose masks C allocates; the
@@ -67,8 +70,9 @@ typedef struct {
     u64 full;
     /* table: the caller's interval masks (convex) or bridge masks (weakly);
      * bridges: the table for the weakly kind, else zeros. */
-    const u64 *open_m, *closed_m, *table, *bridges;
-    /* The vertices of `fixed` (init_scan) are never picked.  suffix[v]: the
+    const u64 *open_m, *table, *bridges;
+    /* closed_m[v]: the closed neighbourhood N[v], built from open_m.
+     * The vertices of `fixed` (init_scan) are never picked.  suffix[v]: the
      * union of the closed neighbourhoods of the other vertices in v..n-1.
      * must[v]: what must be covered once v is picked -- every vertex for a
      * dominating kind, none for KIND_INDEPENDENT, and for a fixed v the bit
@@ -77,7 +81,7 @@ typedef struct {
      * at least 2: the D of the cover cut and of the Roman weight bound.
      * slack: for the weakly kind, m - n + 1, the most edges a spanning weak
      * subgraph may lose. */
-    u64 suffix[64], must[64];
+    u64 closed_m[64], suffix[64], must[64];
     int widest[64], slack;
     /* Roman scans: the vertices rec_roman decides, in increasing order, then n. */
     int decide[64], ndecide;
@@ -90,8 +94,8 @@ typedef struct {
     int64_t bound, twos;
 } scan;
 
-static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *closed_m,
-                      const u64 *table, u64 fixed, mask_list *out, int64_t cap)
+static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *table, u64 fixed,
+                      mask_list *out, int64_t cap)
 {
     s->kind = kind;
     s->n = n;
@@ -103,15 +107,15 @@ static void init_scan(scan *s, int kind, int n, const u64 *open_m, const u64 *cl
     s->covering = kind == KIND_DOMINATING || kind == KIND_INDEPENDENT_DOMINATING || s->weakly;
     s->full = BIT(n) - 1;
     s->open_m = open_m;
-    s->closed_m = closed_m;
     s->table = table;
     s->bridges = s->weakly ? table : zeros;
     s->suffix[n] = 0;
     s->widest[n] = 2;
     int degrees = 0;
     for (int v = n - 1; v >= 0; v--) {
-        int is_fixed = (fixed >> v) & 1, size = is_fixed ? 0 : POPCOUNT(closed_m[v]);
-        s->suffix[v] = s->suffix[v + 1] | (is_fixed ? 0 : closed_m[v]);
+        u64 closed = s->closed_m[v] = open_m[v] | BIT(v);
+        int is_fixed = (fixed >> v) & 1, size = is_fixed ? 0 : POPCOUNT(closed);
+        s->suffix[v] = s->suffix[v + 1] | (is_fixed ? 0 : closed);
         s->widest[v] = size > s->widest[v + 1] ? size : s->widest[v + 1];
         s->must[v] = is_fixed ? BIT(n) : kind == KIND_INDEPENDENT ? 0 : s->full;
         if (s->weakly)
@@ -341,26 +345,21 @@ static int start(int kind, int n, const u64 *open_m, u64 forced_in)
 
 /* Minimum feasible subset holding forced_in and missing forced_out, or
  * NOT_FOUND; its size is its popcount. */
-u64 scan_min(int kind, int n, const u64 *open_m, const u64 *closed_m, const u64 *table,
-             u64 forced_in, u64 forced_out)
+u64 scan_min(int kind, int n, const u64 *open_m, const u64 *table, u64 forced_in, u64 forced_out)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, table, forced_out, NULL, 0);
+    init_scan(&s, kind, n, open_m, table, forced_out, NULL, 0);
     for (s.k = start(kind, n, open_m, forced_in);
          s.k <= n && rec_scan(&s, 0, 0, 0, 0, forced_in, 0, 0, 0); s.k++)
         ;
     return s.found;
 }
 
-/* Maximum independent set: a single vertex is one, so the scan finds a set.
- * The room cut reads the closed masks. */
+/* Maximum independent set: a single vertex is one, so the scan finds a set. */
 u64 scan_max_independent(int n, const u64 *open_m)
 {
     scan s;
-    u64 closed_m[64];
-    for (int v = 0; v < n; v++)
-        closed_m[v] = open_m[v] | BIT(v);
-    init_scan(&s, KIND_INDEPENDENT, n, open_m, closed_m, NULL, 0, NULL, 0);
+    init_scan(&s, KIND_INDEPENDENT, n, open_m, NULL, 0, NULL, 0);
     for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0, 0, 0, 0); s.k--)
         ;
     return s.found;
@@ -368,12 +367,11 @@ u64 scan_max_independent(int n, const u64 *open_m)
 
 /* All feasible subsets of size k that hold forced_in and miss forced_out, in
  * lex order; with cap 0 it stops at the first. */
-int enumerate_size(int kind, int n, const u64 *open_m, const u64 *closed_m,
-                   const u64 *table, int k, int64_t cap, u64 forced_in, u64 forced_out,
-                   mask_list *out)
+int enumerate_size(int kind, int n, const u64 *open_m, const u64 *table, int k, int64_t cap,
+                   u64 forced_in, u64 forced_out, mask_list *out)
 {
     scan s;
-    init_scan(&s, kind, n, open_m, closed_m, table, forced_out, out, cap);
+    init_scan(&s, kind, n, open_m, table, forced_out, out, cap);
     s.k = k;
     return finish(&s, rec_scan(&s, 0, 0, 0, 0, forced_in, 0, 0, 0));
 }
@@ -420,11 +418,11 @@ static int rec_roman(scan *s, int i, int64_t twos, u64 cover, u64 mask)
 
 /* Runs rec_roman over the 2-sets that hold forced_in and miss forced_out:
  * the forced vertices are decided before the scan starts. */
-static int roman_scan(scan *s, const u64 *closed_m, u64 forced_in)
+static int roman_scan(scan *s, u64 forced_in)
 {
     u64 cover = 0;
     for (u64 rest = forced_in; rest; rest &= rest - 1)
-        cover |= closed_m[VERTEX(rest)];
+        cover |= s->closed_m[VERTEX(rest)];
     return rec_roman(s, 0, POPCOUNT(forced_in), cover, forced_in);
 }
 
@@ -433,13 +431,13 @@ static int roman_scan(scan *s, const u64 *closed_m, u64 forced_in)
  * miss forced_out, with the 1-labels forced onto the vertices outside
  * N[B2].  Writes the B2 mask to *b2 and returns the weight.
  */
-int64_t roman_min(int n, const u64 *closed_m, u64 forced_in, u64 forced_out, u64 *b2)
+int64_t roman_min(int n, const u64 *open_m, u64 forced_in, u64 forced_out, u64 *b2)
 {
     scan s;
-    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, forced_in | forced_out, NULL, 0);
+    init_scan(&s, KIND_DOMINATING, n, open_m, NULL, forced_in | forced_out, NULL, 0);
     s.bound = 3 * (int64_t)n + 1;
     s.found = 0;
-    roman_scan(&s, closed_m, forced_in);
+    roman_scan(&s, forced_in);
     *b2 = s.found;
     return s.bound;
 }
@@ -447,13 +445,13 @@ int64_t roman_min(int n, const u64 *closed_m, u64 forced_in, u64 forced_out, u64
 /* All B2 masks that hold forced_in, miss forced_out and whose forced
  * completion has the target weight, in scan order; rootdom.solvers sorts
  * them. */
-int roman_enumerate(int n, const u64 *closed_m, int64_t target, int64_t cap, u64 forced_in,
+int roman_enumerate(int n, const u64 *open_m, int64_t target, int64_t cap, u64 forced_in,
                     u64 forced_out, mask_list *out)
 {
     scan s;
-    init_scan(&s, KIND_DOMINATING, n, NULL, closed_m, NULL, forced_in | forced_out, out, cap);
+    init_scan(&s, KIND_DOMINATING, n, open_m, NULL, forced_in | forced_out, out, cap);
     s.bound = target;
-    return finish(&s, roman_scan(&s, closed_m, forced_in));
+    return finish(&s, roman_scan(&s, forced_in));
 }
 
 void free_masks(u64 *masks)

@@ -4,21 +4,25 @@ This module also holds what both backends share: the kind codes,
 ``MAX_ORDER`` and the checks of the kernel contract below.  ``graph``
 imports ``connected_mask`` from it, so it is loaded on either backend.
 
-Contract.  Every entry of both backends first checks its call, with
+Contract.  Every entry of both backends takes the graph as its order n and
+its n open neighbourhood masks N(v), and first checks its call, with
 ``check_scan`` for the subset scans, ``check_masks`` for the Roman scans
 and ``scan_max_independent``, and ``check_listing`` for the two listings,
 so a call that breaks the contract raises the same ``ValueError``, with the
 same message, on either backend.  A call keeps it when its kind code is one
 of the seven below; the order n is in 1..``MAX_ORDER``; it passes at least
-n open and n closed masks, and a table of at least the n * n interval masks
-for convex and the n bridge masks for weakly; every mask in these, and both
-forced masks, are sets of vertices 0..n-1; its forced masks are disjoint;
-and a listing asks for a size in 1..n (``enumerate_size``) or a target
-weight in 1..2n (``roman_enumerate``), with a cap in 0..``MAX_CAP``.  Each
-mask sequence is checked once, whole, by its least and its largest mask.
-No solver call breaks the contract, so no kernel has a branch for the
-empty graph, the empty set, overlapping forced masks or a neighbour
-outside the graph.
+n open masks, and a table of at least the n * n interval masks for convex
+and the n bridge masks for weakly; every mask in these, and both forced
+masks, are sets of vertices 0..n-1; its forced masks are disjoint; and a
+listing asks for a size in 1..n (``enumerate_size``) or a target weight in
+1..2n (``roman_enumerate``), with a cap in 0..``MAX_CAP``.  The open masks
+and the table are each checked once, whole, by their least and their
+largest mask.  No solver call breaks the contract, so no kernel has a
+branch for the empty graph, the empty set, overlapping forced masks or a
+neighbour outside the graph.  The closed neighbourhoods N[v] = N(v) + v
+that the cuts read follow from the open masks: each backend builds them
+once per call, in its one scan frame (``_scan_frame`` here, ``init_scan``
+in C).
 
 All functions operate on per-vertex neighborhood bitmasks.  Subset scans run
 in cardinality order, enumerating each cardinality in lexicographic order of
@@ -88,7 +92,6 @@ number of picks still to come after the pick v, and test only picks with
 * Room (alpha, i).  The picks still to come lie above v, and an
   independent set holds no vertex of N[S + v] but its own.  So a pick is
   skipped when fewer than ``left`` vertices above v lie outside N[S + v].
-  ``scan_max_independent`` builds the closed masks this reads.
 * Lost edges (weakly).  The weak subgraph of S loses every edge with both
   ends out of S, and as a connected spanning subgraph it keeps at least
   n - 1 of the m edges.  The decided-out hook counts the edges with both
@@ -208,27 +211,25 @@ def _check_sequence(masks, size: int, n: int, name: str) -> None:
         check_mask(n, next(m for m in masks if not 0 <= m < 1 << n), name)
 
 
-def check_masks(n: int, masks, forced_in: int = 0, forced_out: int = 0, name: str = "closed mask") -> None:
-    """The contract of a Roman scan, on its closed masks, and of
-    ``scan_max_independent``, on its open masks: an order in
-    1..``MAX_ORDER``, n masks of vertices 0..n-1, and disjoint forced masks
-    of vertices 0..n-1."""
+def check_masks(n: int, open_m, forced_in: int = 0, forced_out: int = 0) -> None:
+    """The contract of a Roman scan and of ``scan_max_independent``: an
+    order in 1..``MAX_ORDER``, n open masks of vertices 0..n-1, and disjoint
+    forced masks of vertices 0..n-1."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"the kernels take orders 1..{MAX_ORDER}, got {n}")
-    _check_sequence(masks, n, n, name)
+    _check_sequence(open_m, n, n, "open mask")
     check_mask(n, forced_in, "forced_in")
     check_mask(n, forced_out, "forced_out")
     if forced_in & forced_out:
         raise ValueError(f"forced_in {forced_in:#x} and forced_out {forced_out:#x} overlap")
 
 
-def check_scan(kind: int, n: int, open_m, closed_m, table, forced_in: int = 0, forced_out: int = 0) -> None:
-    """The contract of a subset scan: ``check_masks`` on the closed masks, a
-    known kind code (checked first), n open masks, and the kind's table, or
-    any table given to a kind that reads none, all of vertices 0..n-1."""
+def check_scan(kind: int, n: int, open_m, table, forced_in: int = 0, forced_out: int = 0) -> None:
+    """The contract of a subset scan: a known kind code (checked first),
+    ``check_masks``, and the kind's table, or any table given to a kind that
+    reads none, of vertices 0..n-1."""
     check_kind(kind)
-    check_masks(n, closed_m, forced_in, forced_out)
-    _check_sequence(open_m, n, n, "open mask")
+    check_masks(n, open_m, forced_in, forced_out)
     size = n * n if kind == KIND_CONVEX_DOMINATING else n if kind == KIND_WEAKLY_CONNECTED_DOMINATING else 0
     if size or table:
         _check_sequence(table, size, n, "table entry")
@@ -333,44 +334,51 @@ def _leaf_ok(kind: int, sub: int, full: int, open_m, first: int, outs: int) -> b
     return True
 
 
-def _scan_frame(kind: int, n: int, open_m, closed_m, forced_out: int):
-    """The per-vertex tables of a subset scan that never picks ``forced_out``.
-    ``suffix[v]`` is the union of the closed neighbourhoods of the vertices
-    at or above v that are not forced out, and ``none`` the all-zero table
-    the last pick reads instead, since no vertex joins after it.
-    ``must[v]`` is what must be covered once v is picked: every vertex for a
-    dominating kind, nothing for ``KIND_INDEPENDENT``, and for a forced-out
-    v the bit n, which no cover holds, so the coverage test turns v away at
-    no extra cost.  ``widest[v]`` is the size of the largest of those closed
-    neighbourhoods, and at least 2, the D of the cover cut; for the weakly
-    kind, ``slack`` is m - n + 1, the most edges a spanning weak subgraph
-    can lose (see the module docstring)."""
+def _scan_frame(kind: int, n: int, open_m, fixed: int):
+    """The per-vertex tables of a scan that never picks a vertex of ``fixed``
+    (a subset scan's forced-out vertices, a Roman scan's forced ones).
+    ``closed[v]`` is the closed neighbourhood N[v], built here from the open
+    masks, the one place a kernel does so.  ``suffix[v]`` is the union of the
+    closed neighbourhoods of the vertices at or above v that are not in
+    ``fixed``, and ``none`` the all-zero table the last pick reads instead,
+    since no vertex joins after it.  ``must[v]`` is what must be covered once
+    v is picked: every vertex for a dominating kind, nothing for
+    ``KIND_INDEPENDENT``, and for a v in ``fixed`` the bit n, which no cover
+    holds, so the coverage test turns v away at no extra cost.  ``widest[v]``
+    is the size of the largest of those closed neighbourhoods, and at least
+    2, the D of the cover cut and of the Roman weight bound; for the weakly
+    kind, ``slack`` is m - n + 1, the most edges a spanning weak subgraph can
+    lose (see the module docstring)."""
+    closed = [m | 1 << v for v, m in enumerate(open_m[:n])]
     full = (1 << n) - 1 if kind != KIND_INDEPENDENT else 0
     must = [full] * n
-    if forced_out:
-        closed_m = list(closed_m[:n])
+    # joins[v]: what a pick of v may add to the cover; none for a fixed v,
+    # which the scan never picks.
+    joins = closed
+    if fixed:
+        joins = closed[:]
         for v in range(n):
-            if forced_out >> v & 1:
+            if fixed >> v & 1:
                 must[v] = 1 << n
-                closed_m[v] = 0
+                joins[v] = 0
     suffix = [0] * (n + 1)
     widest = [2] * (n + 1)
     cover = 0
     wide = 2
     for v in range(n - 1, -1, -1):
-        closed = closed_m[v]
-        cover |= closed
+        join = joins[v]
+        cover |= join
         suffix[v] = cover
-        if closed.bit_count() > wide:
-            wide = closed.bit_count()
+        if join.bit_count() > wide:
+            wide = join.bit_count()
         widest[v] = wide
     slack = None
     if kind == KIND_WEAKLY_CONNECTED_DOMINATING:
         slack = sum(map(int.bit_count, open_m[:n])) // 2 - n + 1
-    return suffix, [0] * (n + 1), must, widest, slack
+    return closed, suffix, [0] * (n + 1), must, widest, slack
 
 
-def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> bool:
+def _scan_k(kind, n, k, open_m, table, forced_in, frame, visit) -> bool:
     """Calls ``visit`` on each feasible subset of size k that contains
     ``forced_in`` and misses the forced-out vertices of ``frame`` (see
     ``_scan_frame``), in lex order, until it returns False; returns whether
@@ -383,7 +391,7 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
     covering = kind in _COVER_CUT_KINDS
     counting = covering or independent
     full = (1 << n) - 1
-    suffix, none, must, widest, slack = frame
+    closed, suffix, none, must, widest, slack = frame
 
     # The most picks that may lie in ``twice`` (the dead-server cut).
     spare = 2 * k - n
@@ -426,7 +434,7 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
                         continue
             if independent and (open_m[v] & sub):
                 continue
-            new_cover = cover | closed_m[v]
+            new_cover = cover | closed[v]
             if must[v] & ~(new_cover | tail[v + 1]):
                 continue
             if counted:
@@ -458,7 +466,7 @@ def _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, visit) -> boo
     return rec(0, k, 0, 0, forced_in, 0)
 
 
-def _first(kind, n, sizes, open_m, closed_m, table, forced_in=0, forced_out=0):
+def _first(kind, n, sizes, open_m, table, forced_in=0, forced_out=0):
     """``(k, mask)`` of the lex-first feasible subset containing ``forced_in``
     and missing ``forced_out`` of the first size in ``sizes`` that has one,
     or None."""
@@ -468,9 +476,9 @@ def _first(kind, n, sizes, open_m, closed_m, table, forced_in=0, forced_out=0):
         found.append(sub)
         return False
 
-    frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
+    frame = _scan_frame(kind, n, open_m, forced_out)
     for k in sizes:
-        if not _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, stop):
+        if not _scan_k(kind, n, k, open_m, table, forced_in, frame, stop):
             return k, found[0]
     return None
 
@@ -497,28 +505,25 @@ def start(kind: int, n: int, open_m, forced_in: int) -> int:
     return smallest
 
 
-def scan_min(kind: int, n: int, open_m, closed_m, table=None, forced_in: int = 0, forced_out: int = 0):
+def scan_min(kind: int, n: int, open_m, table=None, forced_in: int = 0, forced_out: int = 0):
     """Minimum feasible subset containing ``forced_in`` and missing
     ``forced_out``: ``(size, mask)``, or None when there is none."""
-    check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
+    check_scan(kind, n, open_m, table, forced_in, forced_out)
     sizes = range(start(kind, n, open_m, forced_in), n + 1)
-    return _first(kind, n, sizes, open_m, closed_m, table, forced_in, forced_out)
+    return _first(kind, n, sizes, open_m, table, forced_in, forced_out)
 
 
 def scan_max_independent(n: int, open_m):
     """Maximum independent set: ``(size, mask)``."""
-    check_masks(n, open_m, name="open mask")
-    closed_m = [m | 1 << v for v, m in enumerate(open_m[:n])]
-    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, closed_m, None)
+    check_masks(n, open_m)
+    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, None)
 
 
-def enumerate_size(
-    kind: int, n: int, open_m, closed_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0
-):
+def enumerate_size(kind: int, n: int, open_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0):
     """All feasible subsets of size k that contain ``forced_in`` and miss
     ``forced_out``, in lex order: ``(masks, hit_cap)``.  With ``cap == 0``
     this is an existence test: it stops at the first such subset."""
-    check_scan(kind, n, open_m, closed_m, table, forced_in, forced_out)
+    check_scan(kind, n, open_m, table, forced_in, forced_out)
     check_listing("size", k, n, cap)
     out: list[int] = []
 
@@ -526,57 +531,50 @@ def enumerate_size(
         out.append(sub)
         return len(out) <= cap
 
-    frame = _scan_frame(kind, n, open_m, closed_m, forced_out)
-    completed = _scan_k(kind, n, k, open_m, closed_m, table, forced_in, frame, collect)
+    frame = _scan_frame(kind, n, open_m, forced_out)
+    completed = _scan_k(kind, n, k, open_m, table, forced_in, frame, collect)
     return out, not completed
 
 
-def _roman_scan(n: int, closed_m, bound: list[int], leaf, forced_in: int = 0, forced_out: int = 0) -> bool:
+def _roman_scan(n: int, open_m, bound: list[int], leaf, forced_in: int = 0, forced_out: int = 0) -> bool:
     """Decides each vertex out of, then into, the 2-set B2, skipping every
     branch whose weight must exceed ``bound[0]``.  The vertices of
     ``forced_in`` start in B2 and those of ``forced_out`` stay out, so the
-    recursion runs over the list of the other, free vertices.  Calls
-    ``leaf(weight, twos, b2_mask)`` on each complete B2 until it returns
-    False; returns whether the scan ran to the end.  The lowest free vertex
-    is decided first, so 2-sets of one size arrive in reverse lexicographic
-    order."""
-    full = (1 << n) - 1
+    recursion runs over the list of the other, free vertices, with the
+    frame of ``_scan_frame`` over them.  Calls ``leaf(weight, twos,
+    b2_mask)`` on each complete B2 until it returns False; returns whether
+    the scan ran to the end.  The lowest free vertex is decided first, so
+    2-sets of one size arrive in reverse lexicographic order."""
     fixed = forced_in | forced_out
+    closed, suffix, _, _, widest, _ = _scan_frame(KIND_DOMINATING, n, open_m, fixed)
     free = [v for v in range(n) if not fixed >> v & 1]
-    closed = [closed_m[v] for v in free]
-    bits = [1 << v for v in free]
     last = len(free)
-    # suffix[i]: the union of the closed neighbourhoods of free[i:];
-    # widest[i]: the size of the largest of them, and at least 2.
-    suffix = [0] * (last + 1)
-    widest = [2] * (last + 1)
-    for i in range(last - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | closed[i]
-        widest[i] = max(widest[i + 1], closed[i].bit_count())
 
     def rec(i: int, twos: int, uncovered: int, mask: int) -> bool:
         # The weight with every uncovered vertex labelled 1: exact once every
         # vertex is decided.  Before that, the ``inside`` ones, which a free
-        # vertex may still cover, cost at least 2 / widest[i] each as part of
-        # new 2-labels, ceil(2 * inside / widest[i]) together, and the lower
+        # vertex may still cover, cost at least 2 / widest[v] each as part of
+        # new 2-labels, ceil(2 * inside / widest[v]) together, and the lower
         # bound this gives can exceed ``bound[0]`` only where weight does.
         weight = 2 * twos + uncovered.bit_count()
         if i == last:
             return weight > bound[0] or leaf(weight, twos, mask)
+        v = free[i]
         if weight > bound[0]:
-            inside = (uncovered & suffix[i]).bit_count()
-            if weight - inside - (-2 * inside // widest[i]) > bound[0]:
+            inside = (uncovered & suffix[v]).bit_count()
+            if weight - inside - (-2 * inside // widest[v]) > bound[0]:
                 return True
-        return rec(i + 1, twos, uncovered, mask) and rec(i + 1, twos + 1, uncovered & ~closed[i], mask | bits[i])
+        i += 1
+        return rec(i, twos, uncovered, mask) and rec(i, twos + 1, uncovered & ~closed[v], mask | 1 << v)
 
     cover = 0
     for v in range(n):
         if forced_in >> v & 1:
-            cover |= closed_m[v]
-    return rec(0, forced_in.bit_count(), full & ~cover, forced_in)
+            cover |= closed[v]
+    return rec(0, forced_in.bit_count(), ((1 << n) - 1) & ~cover, forced_in)
 
 
-def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
+def roman_min(n: int, open_m, forced_in: int = 0, forced_out: int = 0):
     """Minimum Roman weight over the 2-label sets B2 that contain
     ``forced_in`` and miss ``forced_out``, with B1 forced.
 
@@ -587,7 +585,7 @@ def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
     broken by fewest 2-labels, then lexicographically smallest B2: a tie
     goes to the last candidate, which the scan order makes the smallest.
     """
-    check_masks(n, closed_m, forced_in, forced_out)
+    check_masks(n, open_m, forced_in, forced_out)
     bound = [3 * n + 1]
     best = [(3 * n + 1, 0), 0]
 
@@ -597,16 +595,16 @@ def roman_min(n: int, closed_m, forced_in: int = 0, forced_out: int = 0):
             bound[0] = weight
         return True
 
-    _roman_scan(n, closed_m, bound, keep, forced_in, forced_out)
+    _roman_scan(n, open_m, bound, keep, forced_in, forced_out)
     return bound[0], best[1]
 
 
-def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
+def roman_enumerate(n: int, open_m, target_weight: int, cap: int, forced_in: int = 0, forced_out: int = 0):
     """All B2 masks that contain ``forced_in``, miss ``forced_out`` and whose
     forced completion has the target weight, in scan order: ``(masks,
     hit_cap)``.  ``solvers.enumerate_optimal`` sorts them.  With ``cap == 0``
     this is an existence test."""
-    check_masks(n, closed_m, forced_in, forced_out)
+    check_masks(n, open_m, forced_in, forced_out)
     check_listing("target weight", target_weight, 2 * n, cap)
     out: list[int] = []
 
@@ -615,5 +613,5 @@ def roman_enumerate(n: int, closed_m, target_weight: int, cap: int, forced_in: i
             out.append(mask)
         return len(out) <= cap
 
-    completed = _roman_scan(n, closed_m, [target_weight], collect, forced_in, forced_out)
+    completed = _roman_scan(n, open_m, [target_weight], collect, forced_in, forced_out)
     return out, not completed

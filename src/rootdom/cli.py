@@ -283,8 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, InfeasibleParameterError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, InfeasibleParameterError, BudgetExceededError) as exc:
+        # The interpreter's own MemoryError carries no message.
+        message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -296,9 +296,10 @@ def _require_connected(graph: Graph, kind: ParameterKind) -> None:
 
 def _scan_args(graph: Graph, kind: ParameterKind, forced_in: int = 0) -> tuple[tuple, int]:
     """The kernel arguments every subset scan of ``kind`` starts with (kind
-    code, order, open and closed masks, and the kind's table: the interval
-    masks for convex, the bridges for weakly), and ``forced_in`` with the cut
-    vertices added for connected and convex."""
+    code, order, open masks, and the kind's table: the interval masks for
+    convex, the bridges for weakly), and ``forced_in`` with the cut vertices
+    added for connected and convex.  The kernels derive the closed masks
+    themselves, so a scan builds none of ``graph``'s."""
     table = None
     if kind is ParameterKind.CONVEX:
         table = graph.interval_masks()
@@ -306,7 +307,7 @@ def _scan_args(graph: Graph, kind: ParameterKind, forced_in: int = 0) -> tuple[t
         table = graph.bridges()
     if kind in _CUT_VERTICES_FORCED:
         forced_in |= graph.cut_vertices()
-    return (_KIND_CODE[kind], graph.n, graph.open_masks(), graph.closed_masks(), table), forced_in
+    return (_KIND_CODE[kind], graph.n, graph.open_masks(), table), forced_in
 
 
 def _require_scan(n: int, task: str) -> None:
@@ -337,7 +338,7 @@ def _minimum(
     the least 2-set) that holds ``forced_in`` and misses ``forced_out``, or
     None if no set does."""
     if kind is ParameterKind.ROMAN:
-        return kernels.roman_min(graph.n, graph.closed_masks(), forced_in, forced_out)
+        return kernels.roman_min(graph.n, graph.open_masks(), forced_in, forced_out)
     args, forced_in = _scan_args(graph, kind, forced_in)
     return kernels.scan_min(*args, forced_in, forced_out)
 
@@ -351,9 +352,7 @@ def _listing(
     says so by being empty or not; past a positive ``cap`` it raises
     ``EnumerationCapError``."""
     if kind is ParameterKind.ROMAN:
-        masks, hit_cap = kernels.roman_enumerate(
-            graph.n, graph.closed_masks(), target, cap, forced_in, forced_out
-        )
+        masks, hit_cap = kernels.roman_enumerate(graph.n, graph.open_masks(), target, cap, forced_in, forced_out)
         listed = "optimal Roman assignments"
     else:
         args, forced_in = _scan_args(graph, kind, forced_in)

@@ -21,6 +21,23 @@ def p4_file(tmp_path):
     return str(path)
 
 
+def _main_in_256_mb(argv):
+    """``main(argv)`` in a child process capped at 256 MB of address space:
+    enough for the interpreter and rootdom, and the cap is met within a
+    second by an allocation that would need gigabytes."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from rootdom.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(rootdom.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def _strip_meta(path):
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
@@ -105,21 +122,11 @@ class TestSolve:
     @pytest.mark.parametrize("param", ["gamma", "i"])
     def test_an_order_no_method_solves_exits_before_allocating(self, tmp_path, param):
         # 10^8 vertices and no edges: not a tree, so past the scan budget no
-        # method answers.  Building the graph would take gigabytes; under a
-        # 512 MB address-space cap that raises MemoryError instead of exiting 2.
+        # method answers.  Building the graph would take gigabytes, and under
+        # the address-space cap it would end in "out of memory", not this.
         path = tmp_path / "huge.el"
         path.write_text("100000000 0\n", encoding="utf-8")
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from rootdom.cli import main\n"
-            f"sys.exit(main(['solve', '--param', {param!r}, {str(path)!r}]))\n"
-        )
-        src = str(Path(rootdom.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = _main_in_256_mb(["solve", "--param", param, str(path)])
         assert done.returncode == 2, done.stderr
         assert done.stdout == ""
         assert done.stderr.startswith("error: solve needs the subset scan, and order 100000000 exceeds")
@@ -250,6 +257,14 @@ class TestProduct:
         c3.write_text(format_edge_list(cycle_graph(3)), encoding="utf-8")
         assert main(["product", p4_file, str(c3), "--root", "7"]) == 2
 
+    def test_out_of_memory_exits_two(self, tmp_path, p4_file):
+        # A base of 10^8 vertices takes gigabytes; under the address-space cap
+        # building it raises MemoryError, which ends in a one-line message.
+        huge = tmp_path / "huge.el"
+        huge.write_text("100000000 0\n", encoding="utf-8")
+        done = _main_in_256_mb(["product", str(huge), p4_file, "--root", "0"])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
 
 class TestVerify:
     def test_clean_theorem(self, tmp_path, capsys):
@@ -265,6 +280,12 @@ class TestVerify:
         out = tmp_path / "d2.json"
         assert main(["--quiet", "verify", "--theorem", "D2", "--out", str(out)]) == 0
         assert _strip_meta(out) == run_campaign(CampaignConfig(theorems=[TheoremId.D2]))
+
+    def test_a_witness_too_large_for_memory_exits_two(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"theorem": "R2", "g": {"n": 100_000_000, "edges": []}}), encoding="utf-8")
+        done = _main_in_256_mb(["verify", "--witness", str(path)])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
     def test_failing_paper_claim_still_exits_zero(self, tmp_path):
         out = tmp_path / "s1.json"

@@ -72,7 +72,7 @@ def _holding(masks, forced_in, forced_out):
 
 
 def _graph(n, masks):
-    """The graph whose open (or closed) neighbourhood masks are ``masks``."""
+    """The graph whose open neighbourhood masks are ``masks``."""
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1])
 
 
@@ -103,14 +103,14 @@ class Referee:
             self._sets[key] = [m for m in naive_sets(_graph(n, open_m), KIND_NAME[code], held, missed) if m]
         return self._sets[key]
 
-    def weights(self, n, closed_m):
-        if closed_m not in self._weights:
-            self._weights[closed_m] = naive_roman_weights(_graph(n, closed_m))
-        return self._weights[closed_m]
+    def weights(self, n, open_m):
+        if open_m not in self._weights:
+            self._weights[open_m] = naive_roman_weights(_graph(n, open_m))
+        return self._weights[open_m]
 
-    def scan_min(self, code, n, open_m, closed_m, table, forced_in, forced_out):
+    def scan_min(self, code, n, open_m, table, forced_in, forced_out):
         held = self.sets(code, n, open_m, forced_in, forced_out)
-        args = (code, n, open_m, closed_m, table, forced_in, forced_out)
+        args = (code, n, open_m, table, forced_in, forced_out)
         return self._agree("scan_min", args, (held[0].bit_count(), held[0]) if held else None)
 
     def scan_max_independent(self, n, open_m):
@@ -118,26 +118,26 @@ class Referee:
         size = sets[-1].bit_count()
         return self._agree("scan_max_independent", (n, open_m), (size, next(m for m in sets if m.bit_count() == size)))
 
-    def enumerate_size(self, code, n, open_m, closed_m, table, size, cap, forced_in, forced_out):
+    def enumerate_size(self, code, n, open_m, table, size, cap, forced_in, forced_out):
         listed = [m for m in self.sets(code, n, open_m, forced_in, forced_out) if m.bit_count() == size]
-        args = (code, n, open_m, closed_m, table, size, cap, forced_in, forced_out)
+        args = (code, n, open_m, table, size, cap, forced_in, forced_out)
         return self._agree("enumerate_size", args, (listed[: cap + 1], len(listed) > cap))
 
-    def roman_min(self, n, closed_m, forced_in, forced_out):
-        weights = self.weights(n, closed_m)
+    def roman_min(self, n, open_m, forced_in, forced_out):
+        weights = self.weights(n, open_m)
         held = _holding(_by_tie(n), forced_in, forced_out)
         least = min(weights[b2] for b2 in held)
         # Listed in full at that weight and one above (up to 2n, the largest).
         for weight in range(least, min(least + 1, 2 * n) + 1):
             count = sum(weights[b2] == weight for b2 in held)
-            self.roman_enumerate(n, closed_m, weight, count, forced_in, forced_out)
+            self.roman_enumerate(n, open_m, weight, count, forced_in, forced_out)
         first = next(b2 for b2 in held if weights[b2] == least)
-        return self._agree("roman_min", (n, closed_m, forced_in, forced_out), (least, first))
+        return self._agree("roman_min", (n, open_m, forced_in, forced_out), (least, first))
 
-    def roman_enumerate(self, n, closed_m, weight, cap, forced_in, forced_out):
-        weights = self.weights(n, closed_m)
+    def roman_enumerate(self, n, open_m, weight, cap, forced_in, forced_out):
+        weights = self.weights(n, open_m)
         listed = [b2 for b2 in _holding(_by_scan(n), forced_in, forced_out) if weights[b2] == weight]
-        args = (n, closed_m, weight, cap, forced_in, forced_out)
+        args = (n, open_m, weight, cap, forced_in, forced_out)
         return self._agree("roman_enumerate", args, (listed[: cap + 1], len(listed) > cap))
 
 
@@ -188,7 +188,7 @@ def _explicit_calls(referee, graph, kind, rng):
         forced_in |= (draw == 0) << v
         forced_out |= (draw == 1) << v
     if kind is ParameterKind.ROMAN:
-        referee.roman_min(graph.n, graph.closed_masks(), forced_in, forced_out)
+        referee.roman_min(graph.n, graph.open_masks(), forced_in, forced_out)
         return
     args, cut = _scan_args(graph, kind)
     forced_in |= cut
@@ -207,7 +207,7 @@ def _optima(graph, kind, referee):
     """Every optimum of ``kind`` by naive, as the solvers give it, in order;
     empty where naive lists no set."""
     if kind is ParameterKind.ROMAN:
-        weights = referee.weights(graph.n, graph.closed_masks())
+        weights = referee.weights(graph.n, graph.open_masks())
         best = min(weights)
         optima = [_lex(b2) for b2 in _by_tie(graph.n) if weights[b2] == best]
         full = frozenset(range(graph.n))

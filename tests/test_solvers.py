@@ -386,32 +386,36 @@ class TestValue:
 class TestScanStartBound:
     """The kernels' start size is a lower bound for every kind: no feasible set
     is smaller.  ``scan_min`` itself starts there, so the check asks
-    ``enumerate_size``, which takes its size from the caller, about each
-    smaller size."""
+    ``enumerate_size``, which takes its size from the caller, about the size
+    just below it."""
 
-    KIND_CODES = range(_pykernels.KIND_DOMINATING, _pykernels.KIND_SUPER_DOMINATING + 1)
     #: A set of these kinds stays feasible when any vertex joins it, so when
     #: no set of one size is feasible no smaller one is: the size just below
-    #: the start decides.  Independent and convex sets are not closed upward.
-    UPWARD_CLOSED = {
+    #: the start decides.
+    UPWARD_CLOSED = (
         _pykernels.KIND_DOMINATING,
         _pykernels.KIND_CONNECTED_DOMINATING,
         _pykernels.KIND_WEAKLY_CONNECTED_DOMINATING,
         _pykernels.KIND_SUPER_DOMINATING,
+    )
+    #: Every independent dominating set is dominating, and every convex
+    #: dominating set is connected dominating, so where each of these kinds
+    #: starts with the kind it names, the bound of that kind covers it.
+    STARTS_WITH = {
+        _pykernels.KIND_INDEPENDENT_DOMINATING: _pykernels.KIND_DOMINATING,
+        _pykernels.KIND_CONVEX_DOMINATING: _pykernels.KIND_CONNECTED_DOMINATING,
     }
 
     @classmethod
     def _check(cls, g):
-        om, cm = g.open_masks(), g.closed_masks()
-        for kind in cls.KIND_CODES:
-            if kind == _pykernels.KIND_CONVEX_DOMINATING and not is_connected(g):
-                continue
-            table = kind_table(g, kind)
-            smallest = min(_pykernels.start(kind, g.n, om, 0), g.n + 1)
-            first = smallest - 1 if kind in cls.UPWARD_CLOSED else 1
-            for k in range(max(first, 1), smallest):
-                found, _ = _pykernels.enumerate_size(kind, g.n, om, cm, table, k, 0)
-                assert not found, (kind, k, smallest, g.edges())
+        om = g.open_masks()
+        for kind, wider in cls.STARTS_WITH.items():
+            assert _pykernels.start(kind, g.n, om, 0) == _pykernels.start(wider, g.n, om, 0), g.edges()
+        for kind in cls.UPWARD_CLOSED:
+            k = min(_pykernels.start(kind, g.n, om, 0), g.n + 1) - 1
+            if k:
+                found, _ = _pykernels.enumerate_size(kind, g.n, om, kind_table(g, kind), k, 0)
+                assert not found, (kind, k, g.edges())
 
     def test_every_labelled_graph_up_to_order_6(self):
         for n in range(1, 7):
@@ -433,6 +437,19 @@ class TestScanStartBound:
             inner = sum(1 for v in range(n) if t.degree(v) > 1)
             assert _pykernels.start(code, n, t.open_masks(), 0) == inner == value(t, PK.CONNECTED)
             assert _pykernels.start(code, n, cycle_graph(n).open_masks(), 0) == n - 2
+
+
+@pytest.mark.parametrize("kind", [kind for kind in PK if kind is not PK.ROMAN], ids=lambda kind: kind.name)
+def test_a_set_kind_scan_builds_no_closed_masks(kind):
+    # The kernels take open masks only and derive the closed ones in their
+    # scan frame, so solving, listing and classifying a set kind on a graph
+    # that is no tree never build the graph's closed masks.
+    for g in (cycle_graph(7), Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])):
+        solve(g, kind)
+        enumerate_optimal(g, kind)
+        for root in (0, 2):
+            classify_root(RootedGraph(g, root), kind)
+        assert g._closed_masks is None, g.edges()
 
 
 class TestWitnessValidity:
