@@ -15,6 +15,11 @@ airtight proofs, whose failure makes a campaign exit nonzero; the remaining
 claims get reported rather than asserted, and a failing instance is a
 first-class finding, not a crash.
 
+The vertex-deletion lemmas R2, R3, I1 and I4 share one check,
+``_deletion_check``: it lists G's optima once with ``enumerate_optimal``,
+reads G's value off that listing, and solves only the graphs G - v it
+tests.
+
 A FAIL verdict always carries a standalone witness payload (edge lists plus
 every computed value) from which ``check_witness`` reproduces the verdict
 deterministically.
@@ -188,56 +193,56 @@ def _check_R1(G, H):
     return ok_g and ok_h and ok_p, {"g": vals_g, "h": vals_h, "product": vals_p}
 
 
-def _check_R2(G, H):
+def _deletion_check(G, kind: PK, cases, reason: str | None = None):
+    """One vertex-deletion lemma (R2, R3, I1, I4) on G of order >= 2.
+
+    G's optima of ``kind`` are listed once, and G's value is read off that
+    listing.  ``cases(optima, value)`` maps each tested vertex v to its
+    ``(fields, low, high)`` cases: the lemma bounds the value of G - v to
+    [low, high], and a violation records v, ``fields`` and that value.  With
+    no tested vertex the lemma does not apply, for ``reason``.  The values
+    list the tested vertices, or, with no ``reason`` (R2, which tests every
+    vertex), count the optima.
+    """
     if G.n < 2:
         return None, {"reason": "needs order >= 2"}
-    roman_g = solvers.value(G, PK.ROMAN)
-    assignments = enumerate_optimal(G, PK.ROMAN)
-    cases = []
-    ok = True
-    for v in range(G.n):
-        roman_del = solvers.value(delete_vertices(G, {v}).graph, PK.ROMAN)
-        for label in sorted({fn.label(v) for fn in assignments}):
-            if label == 0:
-                holds = roman_g - 1 <= roman_del <= roman_g
-            elif label == 1:
-                holds = roman_del == roman_g - 1
-            else:
-                holds = roman_g - 1 <= roman_del <= roman_g + G.degree(v) - 2
-            if not holds:
-                ok = False
-                cases.append({"v": v, "label": label, "roman_deleted": roman_del})
-    values = {
-        "roman": roman_g,
-        "assignments": len(assignments),
-        "violations": cases,
-    }
-    return ok, values
-
-
-def _deletion_check(G, kind: PK, targets: list[int], reason: str, holds):
-    """Test ``holds(value of G, value of G - v)`` for each target vertex v;
-    not applicable, for ``reason``, when there is no target."""
-    if not targets:
+    optima = enumerate_optimal(G, kind)
+    base = optima[0].weight if kind is PK.ROMAN else len(optima[0])
+    tests = cases(optima, base)
+    if not tests:
         return None, {"reason": reason}
-    base = solvers.value(G, kind)
     bad = []
-    for v in targets:
+    for v, bounds in tests.items():
         deleted = solvers.value(delete_vertices(G, {v}).graph, kind)
-        if not holds(base, deleted):
-            bad.append({"v": v, f"{kind.value}_deleted": deleted})
-    return not bad, {kind.value: base, "tested_vertices": targets, "violations": bad}
+        bad += [
+            {"v": v, **fields, f"{kind.value}_deleted": deleted}
+            for fields, low, high in bounds
+            if not low <= deleted <= high
+        ]
+    summary = {"tested_vertices": list(tests)} if reason else {"assignments": len(optima)}
+    return not bad, {kind.value: base, **summary, "violations": bad}
+
+
+def _check_R2(G, H):
+    # Each label v takes in some optimum bounds gamma_R(G - v) from below by
+    # gamma_R - 1, and from above by gamma_R (label 0), gamma_R - 1 (label 1)
+    # or gamma_R + deg(v) - 2 (label 2).
+    return _deletion_check(G, PK.ROMAN, lambda fns, roman: {
+        v: [
+            ({"label": label}, roman - 1, (roman, roman - 1, roman + G.degree(v) - 2)[label])
+            for label in sorted({fn.label(v) for fn in fns})
+        ]
+        for v in range(G.n)
+    })
 
 
 def _check_R3(G, H):
-    if G.n < 2:
-        return None, {"reason": "needs order >= 2"}
-    assignments = enumerate_optimal(G, PK.ROMAN)
     return _deletion_check(
         G, PK.ROMAN,
-        [v for v in range(G.n) if all(fn.label(v) == 0 for fn in assignments)],
+        lambda fns, roman: {
+            v: [({}, roman, roman)] for v in range(G.n) if all(fn.label(v) == 0 for fn in fns)
+        },
         "no vertex is 0-labeled in every assignment",
-        lambda roman, roman_del: roman_del == roman,
     )
 
 
@@ -296,14 +301,10 @@ def _check_R6(G, H):
 
 
 def _check_I1(G, H):
-    if G.n < 2:
-        return None, {"reason": "needs order >= 2"}
-    alpha_sets = enumerate_optimal(G, PK.INDEPENDENCE)
     return _deletion_check(
         G, PK.INDEPENDENCE,
-        sorted(set.intersection(*(set(s) for s in alpha_sets))),
+        lambda sets, alpha: {v: [({}, 0, alpha - 1)] for v in sorted(frozenset.intersection(*sets))},
         "no vertex lies in every maximum independent set",
-        lambda alpha, alpha_del: alpha >= alpha_del + 1,
     )
 
 
@@ -350,14 +351,10 @@ def _check_I3(G, H):
 
 
 def _check_I4(G, H):
-    if G.n < 2:
-        return None, {"reason": "needs order >= 2"}
-    member_union = set().union(*enumerate_optimal(G, PK.INDEPENDENT_DOMINATION))
     return _deletion_check(
         G, PK.INDEPENDENT_DOMINATION,
-        [v for v in range(G.n) if v not in member_union],
+        lambda sets, i: {v: [({}, i, i)] for v in range(G.n) if not any(v in s for s in sets)},
         "every vertex lies in some minimum independent dominating set",
-        lambda i, i_del: i_del == i,
     )
 
 

@@ -14,12 +14,15 @@ backends on each call that these, ``classify_root()`` and
 
 The set-level predicates are the public ones the witness checks use:
 ``solvers.is_dominating``, ``is_independent`` and ``is_super_dominating``.
-Three stay local.  Connectivity is a search over ``graph.neighbors``,
-because ``graph.is_connected_subset`` runs the kernels' own bitmask BFS on
-the neighbourhood masks the kernels read, which the referee must not share.
-Convexity reads distances from a local Floyd-Warshall, because the convex
-kernel's interval masks come from the graph's BFS distance table.  Weak
-connectivity is a direct search over N[S], because the public form
+Three are the referee's own.  Connectivity is a search over
+``graph.neighbors``, because ``graph.is_connected_subset`` runs the
+kernels' own bitmask BFS on the neighbourhood masks the kernels read, which
+the referee must not share.  Convexity (``naive_convex``) reads distances
+from a Floyd-Warshall (``naive_distances``), because the convex kernel's
+interval masks come from the graph's BFS distance table; the tests also
+hold ``is_convex_set`` and the ``Graph`` tables ``distances``,
+``cut_vertices`` and ``bridges`` to these two.  Weak connectivity is a
+direct search over N[S], because the public form
 (``weakly_induced_subgraph`` plus ``is_connected``) builds a ``Graph`` for
 every subset.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .graph import Graph
+from .graph import UNREACHABLE, Graph
 from .solvers import is_dominating, is_independent, is_super_dominating
 
 _FAR = 1 << 30
@@ -39,7 +42,9 @@ def _all_subsets(vertices):
         yield from combinations(vertices, k)
 
 
-def _floyd_warshall(graph: Graph) -> list[list[int]]:
+def naive_distances(graph: Graph) -> list[list[int]]:
+    """All-pairs distances by Floyd-Warshall; ``UNREACHABLE`` across
+    components, as in ``Graph.distances``."""
     n = graph.n
     dist = [[0 if u == v else _FAR for v in range(n)] for u in range(n)]
     for u, v in graph.edges():
@@ -55,10 +60,12 @@ def _floyd_warshall(graph: Graph) -> list[list[int]]:
                 alt = via + dk[v]
                 if alt < du[v]:
                     du[v] = alt
-    return dist
+    return [[d if d < _FAR else UNREACHABLE for d in row] for row in dist]
 
 
-def _convex(graph: Graph, sub: set[int], dist: list[list[int]]) -> bool:
+def naive_convex(graph: Graph, sub: set[int], dist: list[list[int]]) -> bool:
+    """Whether no vertex outside ``sub`` lies on a shortest path between two
+    members, in a connected ``graph`` whose ``naive_distances`` are ``dist``."""
     members = sorted(sub)
     for i, u in enumerate(members):
         for w in members[i + 1 :]:
@@ -112,9 +119,9 @@ def _accepts(graph: Graph, kind: str):
         return lambda s: is_dominating(graph, s) and bool(s) and _connected(graph, s)
     if kind == "convex":
         # Convexity is only defined on connected hosts.
-        dist = _floyd_warshall(graph)
-        connected = all(d < _FAR for row in dist for d in row)
-        return lambda s: connected and is_dominating(graph, s) and _convex(graph, s, dist)
+        dist = naive_distances(graph)
+        connected = all(UNREACHABLE not in row for row in dist)
+        return lambda s: connected and is_dominating(graph, s) and naive_convex(graph, s, dist)
     if kind == "weakly":
         return lambda s: is_dominating(graph, s) and bool(s) and _weakly_connected(graph, s)
     if kind == "super":

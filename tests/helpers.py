@@ -41,21 +41,6 @@ def ladder_graph(rungs: int) -> Graph:
     return Graph(2 * rungs, edges)
 
 
-def min_plus_distances(graph: Graph) -> list[list[int]]:
-    """All-pairs distances by repeated min-plus squaring; -1 for unreachable."""
-    n = graph.n
-    big = 1 << 20
-    dist = [[0 if u == v else big for v in range(n)] for u in range(n)]
-    for u, v in graph.edges():
-        dist[u][v] = dist[v][u] = 1
-    length = 1
-    while length < n:
-        nxt = [[min(dist[u][k] + dist[k][v] for k in range(n)) for v in range(n)] for u in range(n)]
-        dist = [[min(dist[u][v], nxt[u][v]) for v in range(n)] for u in range(n)]
-        length *= 2
-    return [[d if d < big else -1 for d in row] for row in dist]
-
-
 def tree_shape(tree: Graph) -> str:
     """Isomorphism-invariant code of a tree: the AHU encoding from its centre."""
     degree = [tree.degree(v) for v in range(tree.n)]

@@ -12,7 +12,8 @@ from itertools import combinations
 
 from helpers import labelled_graphs, random_gnp
 from rootdom.families import cycle_graph, path_graph
-from rootdom.graph import Graph
+from rootdom.graph import UNREACHABLE, Graph
+from rootdom.naive import naive_distances
 
 
 def _bridges(graph):
@@ -34,17 +35,6 @@ def test_two_triangles_joined_by_one_edge_have_that_bridge():
     assert _bridges(Graph(6, edges)) == {(2, 3)}
 
 
-def _apart(graph, u, v):
-    """Whether no path joins u and v."""
-    seen, todo = {u}, [u]
-    while todo:
-        for w in graph.neighbors(todo.pop()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return v not in seen
-
-
 def _check_table(graph):
     n, table = graph.n, graph.bridges()
     assert len(table) == n
@@ -54,7 +44,7 @@ def _check_table(graph):
         assert not table[u] & ~graph.open_masks()[u]
     for u, v in graph.edges():
         rest = Graph(n, [e for e in graph.edges() if e != (u, v)])
-        assert bool(table[u] >> v & 1) == _apart(rest, u, v), graph.edges()
+        assert bool(table[u] >> v & 1) == (naive_distances(rest)[u][v] == UNREACHABLE), graph.edges()
 
 
 def test_the_table_is_symmetric_and_lists_the_edges_whose_loss_disconnects_their_ends():

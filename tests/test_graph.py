@@ -1,10 +1,11 @@
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labelled_graphs, min_plus_distances, random_gnp
+from helpers import labelled_graphs, random_gnp
 from rootdom import naive
 from rootdom.families import cycle_graph, path_graph, random_tree, star_graph
 from rootdom.graph import (
@@ -117,8 +118,8 @@ class TestDistances:
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs())
-    def test_bfs_matches_min_plus_squaring(self, g):
-        assert [list(row) for row in g.distances()] == min_plus_distances(g)
+    def test_bfs_matches_floyd_warshall(self, g):
+        assert [list(row) for row in g.distances()] == naive.naive_distances(g)
 
 
 class TestConnectivity:
@@ -146,23 +147,23 @@ class TestConnectivity:
             assert g._dist is None
 
 
-def _components(graph, removed=frozenset()):
-    """Number of components of G - removed, by repeated set-based search."""
-    left = set(range(graph.n)) - set(removed)
-    count = 0
-    while left:
-        todo = [left.pop()]
-        while todo:
-            reached = graph.neighbors(todo.pop()) & left
-            left -= reached
-            todo.extend(reached)
-        count += 1
-    return count
+@cache
+def _component_count(n, edges):
+    """Components of a graph, one per distinct reachability row of its naive
+    distances.  Cached: each G - v of an order-6 graph is one of the 1024
+    labelled graphs of order 5."""
+    return len({tuple(d != UNREACHABLE for d in row) for row in naive.naive_distances(Graph(n, edges))})
 
 
 def _brute_cut_vertices(graph):
-    base = _components(graph)
-    return sum(1 << v for v in range(graph.n) if _components(graph, {v}) > base)
+    """The vertices whose removal leaves more components."""
+    edges = graph.edges()
+
+    def without(v):  # the edges of G - v, its vertices renumbered 0..n-2
+        return tuple((a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b))
+
+    base = _component_count(graph.n, tuple(edges))
+    return sum(1 << v for v in range(graph.n) if _component_count(graph.n - 1, without(v)) > base)
 
 
 class TestCutVertices:
@@ -234,6 +235,19 @@ class TestSubsets:
         assert not is_convex_set(c6, {0, 1, 2, 3})
         assert is_convex_set(c6, {2})
         assert is_convex_set(c6, set())
+
+    def test_convex_matches_the_referee_on_every_connected_graph_up_to_order_5(self):
+        connected = 0
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                dist = naive.naive_distances(g)
+                if any(UNREACHABLE in row for row in dist):
+                    continue
+                connected += 1
+                for mask in range(1, 1 << n):
+                    members = {v for v in range(n) if mask >> v & 1}
+                    assert is_convex_set(g, members) == naive.naive_convex(g, members, dist), (g.edges(), members)
+        assert connected == 1 + 1 + 4 + 38 + 728
 
     def test_convex_needs_connected_host(self):
         with pytest.raises(ValueError, match="connected"):

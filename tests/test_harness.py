@@ -144,6 +144,11 @@ class TestIndependenceChecks:
         assert v.outcome is Outcome.PASS
         assert v.values["tested_vertices"] == [1, 2, 3]
 
+    def test_unused_vertex_deletion_not_applicable(self):
+        v = check(T.I4, cycle_graph(5))
+        assert v.outcome is Outcome.NOT_APPLICABLE
+        assert v.values == {"reason": "every vertex lies in some minimum independent dominating set"}
+
     def test_sandwich_bounds(self):
         v = check(T.I5, path_graph(4), RootedGraph(cycle_graph(3), 0))
         assert v.outcome is Outcome.PASS
@@ -216,6 +221,30 @@ class TestIndependenceChecks:
             )
             original = check(T.I6, G, rooted)
             assert (copy.outcome, copy.values) == (original.outcome, original.values)
+
+
+@pytest.mark.parametrize("theorem", [T.R2, T.R3, T.I1, T.I4])
+@pytest.mark.parametrize(
+    "G", [path_graph(3), path_graph(4), cycle_graph(5), star_graph(3).graph], ids=["P3", "P4", "C5", "K13"]
+)
+def test_a_deletion_check_solves_G_only_inside_its_listing(theorem, G, monkeypatch):
+    # enumerate_optimal reads its target value with one solvers.value call,
+    # and the check reads G's own value off the listing, so G is solved once
+    # whether or not the lemma applies.
+    real = solvers.value
+    on_g = []
+
+    def counted(graph, kind):
+        if graph == G:
+            on_g.append(kind)
+        return real(graph, kind)
+
+    monkeypatch.setattr(solvers, "value", counted)
+    listings = []
+    real_listing = harness.enumerate_optimal
+    monkeypatch.setattr(harness, "enumerate_optimal", lambda g, kind: listings.append(g) or real_listing(g, kind))
+    check(theorem, G)
+    assert len(on_g) == 1 and listings == [G]
 
 
 class TestConnectedConvexChecks:
