@@ -5,10 +5,11 @@ pure-Python install never loads ctypes.  Each wrapper checks its call with
 the ``_pykernels`` check of the kernel contract before C reads a buffer,
 since C trusts the order, the lengths and every mask value: it reads the
 buffers without bounds and indexes them by the bits of the masks.  It then
-converts the open masks (and a subset scan's table) to arrays, calls C,
-which derives the closed masks itself, and unpacks the result.  So both
-backends give identical values and witnesses, and the identical error on a
-call that breaks the contract.
+converts the open masks (and a subset scan's table) to arrays, calls C
+with them and the two forced masks that every entry takes, and unpacks the
+result: a minimum or maximum that C reports as ``NOT_FOUND`` is None.  C
+derives the closed masks itself.  So both backends give identical values
+and witnesses, and the identical error on a call that breaks the contract.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def load(path: str):
     lib = ctypes.CDLL(path)
     for name, restype, argtypes in (
         ("scan_min", u64, (ctypes.c_int, ctypes.c_int, ptr, ptr, u64, u64)),
-        ("scan_max_independent", u64, (ctypes.c_int, ptr)),
+        ("scan_max_independent", u64, (ctypes.c_int, ptr, u64, u64)),
         ("enumerate_size", ctypes.c_int,
          (ctypes.c_int, ctypes.c_int, ptr, ptr, ctypes.c_int, i64, u64, u64, ptr)),
         ("roman_min", i64, (ctypes.c_int, ptr, u64, u64, ptr)),
@@ -69,11 +70,11 @@ def load(path: str):
         found = c_scan_min(kind, n, om.buffer_info()[0], tb.buffer_info()[0], forced_in, forced_out)
         return None if found == not_found else (found.bit_count(), found)
 
-    def scan_max_independent(n: int, open_m):
-        check_masks(n, open_m)
+    def scan_max_independent(n: int, open_m, forced_in: int = 0, forced_out: int = 0):
+        check_masks(n, open_m, forced_in, forced_out)
         om = array("Q", open_m)
-        found = c_scan_max(n, om.buffer_info()[0])
-        return found.bit_count(), found
+        found = c_scan_max(n, om.buffer_info()[0], forced_in, forced_out)
+        return None if found == not_found else (found.bit_count(), found)
 
     def enumerate_size(
         kind: int, n: int, open_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0

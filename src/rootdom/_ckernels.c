@@ -14,9 +14,10 @@
  *   its weight in 1..2n, no argument has wrapped in ctypes, no shift
  *   overflows, the all-ones word is never a vertex set (it is NOT_FOUND),
  *   and C reads every mask table without bounds.
- * - Every entry takes the graph as its order and its open masks N(v);
+ * - Every entry takes the graph as its order and its open masks N(v), and
+ *   the forced masks forced_in and forced_out of the _pykernels contract;
  *   init_scan builds the closed masks N[v] = N(v) | v into the scan, the
- *   one place C does so.
+ *   one place C does so, and marks the vertices no scan may pick.
  * - zeros is a mask table that holds no vertex: the bridge table of the
  *   kinds other than weakly and the suffix cover of the last pick.
  * - The listing kernels fill a mask_list whose masks C allocates; the
@@ -355,12 +356,13 @@ u64 scan_min(int kind, int n, const u64 *open_m, const u64 *table, u64 forced_in
     return s.found;
 }
 
-/* Maximum independent set: a single vertex is one, so the scan finds a set. */
-u64 scan_max_independent(int n, const u64 *open_m)
+/* Maximum independent set holding forced_in and missing forced_out, or
+ * NOT_FOUND; its size is its popcount. */
+u64 scan_max_independent(int n, const u64 *open_m, u64 forced_in, u64 forced_out)
 {
     scan s;
-    init_scan(&s, KIND_INDEPENDENT, n, open_m, NULL, 0, NULL, 0);
-    for (s.k = n; rec_scan(&s, 0, 0, 0, 0, 0, 0, 0, 0); s.k--)
+    init_scan(&s, KIND_INDEPENDENT, n, open_m, NULL, forced_out, NULL, 0);
+    for (s.k = n; s.k > 0 && rec_scan(&s, 0, 0, 0, 0, forced_in, 0, 0, 0); s.k--)
         ;
     return s.found;
 }

@@ -5,10 +5,14 @@ This module also holds what both backends share: the kind codes,
 imports ``connected_mask`` from it, so it is loaded on either backend.
 
 Contract.  Every entry of both backends takes the graph as its order n and
-its n open neighbourhood masks N(v), and first checks its call, with
-``check_scan`` for the subset scans, ``check_masks`` for the Roman scans
-and ``scan_max_independent``, and ``check_listing`` for the two listings,
-so a call that breaks the contract raises the same ``ValueError``, with the
+its n open neighbourhood masks N(v), and two forced masks, ``forced_in``
+and ``forced_out`` (default empty), and answers over the sets that hold
+``forced_in`` and miss ``forced_out``: the nonempty feasible sets of a
+subset scan, the 2-sets of a Roman scan.  A minimum or maximum is None
+when no such set exists; a listing is then empty.  Each entry first checks its call, with ``check_scan`` for the
+subset scans, ``check_masks`` for the Roman scans and
+``scan_max_independent``, and ``check_listing`` for the two listings, so a
+call that breaks the contract raises the same ``ValueError``, with the
 same message, on either backend.  A call keeps it when its kind code is one
 of the seven below; the order n is in 1..``MAX_ORDER``; it passes at least
 n open masks, and a table of at least the n * n interval masks for convex
@@ -32,8 +36,7 @@ lexicographically smallest optimum.
 ``scan_min`` and ``enumerate_size`` take a ``table`` of the graph's
 structure: the n * n geodesic interval masks (entry ``u * n + w``) for the
 convex kind, the n bridge masks for the weakly kind, and nothing the other
-kinds read.  They also take a ``forced_in`` mask and visit only feasible
-sets that contain it.  The solvers pass the cut vertices for the
+kinds read.  Into ``forced_in`` the solvers put the cut vertices for the
 connected and convex kinds: if a cut vertex v is left out, a connected set
 lies inside one component of G - v and the other components go
 undominated; convex sets are connected.  Nine cuts follow.
@@ -128,13 +131,13 @@ connectivity and super service.  Every cut drops only subsets that are not
 feasible, so the feasible subsets are visited in the same order as without
 them, and values, witnesses and enumerations are unchanged.
 
-``scan_min`` and ``enumerate_size`` also take a ``forced_out`` mask and
-visit only the feasible sets that miss it; root classification asks
-``enumerate_size`` for one such set (``cap == 0``), and the root-state
-tables of ``solvers.product_value`` ask ``scan_min`` for the least one.  A
-forced-out vertex is never picked: the coverage test reads a per-vertex
-table ``must`` (what must be covered once the vertex is picked), and a
-forced-out vertex's entry is the bit n, which no cover holds.  So a scan
+Root classification asks ``enumerate_size`` for one set that holds or
+misses the root (``cap == 0``), and the root-state tables of
+``solvers.product_value`` ask ``scan_min`` for the least such set and
+``scan_max_independent`` for the largest.  A subset scan never picks a
+forced-out vertex: the coverage test reads a per-vertex table ``must``
+(what must be covered once the vertex is picked), and a forced-out
+vertex's entry is the bit n, which no cover holds.  So a scan
 without forced-out vertices runs no extra test per candidate.  The closed
 neighbourhoods of forced-out vertices also leave the suffix cover, which
 makes the coverage cut stronger.  The cut stays sound: a completion of the
@@ -513,10 +516,11 @@ def scan_min(kind: int, n: int, open_m, table=None, forced_in: int = 0, forced_o
     return _first(kind, n, sizes, open_m, table, forced_in, forced_out)
 
 
-def scan_max_independent(n: int, open_m):
-    """Maximum independent set: ``(size, mask)``."""
-    check_masks(n, open_m)
-    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, None)
+def scan_max_independent(n: int, open_m, forced_in: int = 0, forced_out: int = 0):
+    """Maximum independent set containing ``forced_in`` and missing
+    ``forced_out``: ``(size, mask)``, or None when there is none."""
+    check_masks(n, open_m, forced_in, forced_out)
+    return _first(KIND_INDEPENDENT, n, range(n, 0, -1), open_m, None, forced_in, forced_out)
 
 
 def enumerate_size(kind: int, n: int, open_m, table, k: int, cap: int, forced_in: int = 0, forced_out: int = 0):

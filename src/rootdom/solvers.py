@@ -27,12 +27,12 @@ Three entry points:
 * ``product_value()`` returns the value on a rooted product G o H, and the
   theorem harness reads every product side through it.  It builds no
   product, and joins two tables the same way for every kind:
-  ``_root_costs()`` prices one copy of H by the state of its root, from
-  scans of H with forced masks (for super, of H plus a small gadget), and
-  ``_base_table()`` lists count tuples of G, how many copies take each
-  state; the value is the best dot product of the two.  The scan budget
-  then applies to each factor, not to the product; a factor past it gets
-  ``value()`` of the built product.
+  ``_root_costs()`` prices one copy of H by the state of its root, each
+  state from one scan of H or of H - r with forced masks (for super's
+  ``og``, of H plus a pendant vertex), and ``_base_table()`` lists count
+  tuples of G, how many copies take each state; the value is the best dot
+  product of the two.  The scan budget then applies to each factor, not to
+  the product; a factor past it gets ``value()`` of the built product.
 
 ``induced_independent_domination()`` tabulates i(G[U]) for every vertex
 mask U of G in one pass over the independent sets of G, for the harness's
@@ -47,13 +47,13 @@ For Roman it reads one root label off ``solve()``'s witness and asks one
 scan per missing label, with 2-set masks.  It lists no optimum, so unlike
 ``enumerate_optimal`` it never raises ``EnumerationCapError``.
 
-One seam leads to the kernels.  ``_minimum()`` is the one caller of the
-two minimum kernels that take forced masks (``scan_min``, ``roman_min``),
-for ``solve()`` and for ``_least()``, which reads the root costs of
-``product_value()``; ``solve()`` calls ``scan_max_independent`` for alpha.
-``_listing()`` is the one caller of the two listing kernels
-(``enumerate_size``, ``roman_enumerate``), for enumeration and for every
-existence scan.  Each subset scan takes its arguments from
+One seam leads to the kernels, each of which takes forced masks.
+``_minimum()`` is the one caller of the three optimum kernels
+(``scan_min``, ``scan_max_independent`` for alpha, ``roman_min``), for
+``solve()`` and for ``_cost()``, which reads the root costs of
+``product_value()``.  ``_listing()`` is the one caller of the two listing
+kernels (``enumerate_size``, ``roman_enumerate``), for enumeration and for
+every existence scan.  Each subset scan takes its arguments from
 ``_scan_args()``, the one place a kind's structure reaches the kernels:
 the cut vertices forced in for connected and convex, and the table
 ``Graph`` computes, the interval masks for convex and the bridges for
@@ -334,11 +334,13 @@ def require_solvable(n: int, edges: list[tuple[int, int]], kind: ParameterKind) 
 def _minimum(
     graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: int = 0
 ) -> tuple[int, int] | None:
-    """The kernel's ``(value, mask)`` of the least set of ``kind`` (for Roman,
-    the least 2-set) that holds ``forced_in`` and misses ``forced_out``, or
-    None if no set does."""
+    """The kernel's ``(value, mask)`` of the optimum of ``kind`` (for alpha
+    the largest set, for Roman the least 2-set, else the least set) that
+    holds ``forced_in`` and misses ``forced_out``, or None if no set does."""
     if kind is ParameterKind.ROMAN:
         return kernels.roman_min(graph.n, graph.open_masks(), forced_in, forced_out)
+    if kind is ParameterKind.INDEPENDENCE:
+        return kernels.scan_max_independent(graph.n, graph.open_masks(), forced_in, forced_out)
     args, forced_in = _scan_args(graph, kind, forced_in)
     return kernels.scan_min(*args, forced_in, forced_out)
 
@@ -379,10 +381,7 @@ def solve(graph: Graph, kind: ParameterKind) -> SolveResult:
             return SolveResult(kind, *_solve_tree(graph, kind))
         _require_scan(graph.n, "solve")
 
-    if kind is ParameterKind.INDEPENDENCE:
-        found = kernels.scan_max_independent(graph.n, graph.open_masks())
-    else:
-        found = _minimum(graph, kind)
+    found = _minimum(graph, kind)
     if found is None:
         raise InfeasibleParameterError(f"no {kind.value} dominating set exists")
     size, mask = found
@@ -441,9 +440,10 @@ def induced_independent_domination(graph: Graph) -> list[int]:
 # -- rooted products -----------------------------------------------------------
 
 
-def _least(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: int = 0) -> int:
-    """The least value of ``kind`` over the sets (for Roman, the 2-sets) that
-    hold ``forced_in`` and miss ``forced_out``; ``_INFEASIBLE`` if none does."""
+def _cost(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: int = 0) -> int:
+    """The value of ``_minimum``'s optimum of ``kind`` over the sets (for
+    Roman, the 2-sets) that hold ``forced_in`` and miss ``forced_out``;
+    ``_INFEASIBLE`` if none does."""
     found = _minimum(graph, kind, forced_in, forced_out)
     return _INFEASIBLE if found is None else found[0]
 
@@ -451,38 +451,39 @@ def _least(graph: Graph, kind: ParameterKind, forced_in: int = 0, forced_out: in
 def _root_costs(rooted: RootedGraph, kind: ParameterKind) -> tuple[int, ...]:
     """What one copy of H adds to a value of ``kind`` on G o H, by the state
     of its root r, in the order of ``_base_table``'s counts (``_INFEASIBLE``
-    where no set attains the state):
+    where no set attains the state).  Each state is one kernel scan of H,
+    of H - r or, for super's ``og``, of H plus a pendant:
 
     * gamma, i, Roman: r in (Roman: in B2); r out and dominated from G
       (Roman: next to a 2), the copy then being H - r; r out, left to its copy.
-    * alpha: r in, taking N[r] with it; r out, leaving H - r either way.
+    * alpha: the largest independent set of H holding r; the largest
+      missing r, for both states of a root out.
     * connected and convex: r in.  Weakly: r in, r out.
-    * super: see ``_super_profile``.  ``busy`` and ``og`` scan H plus a
-      gadget, less its one member: a path r-p-q with p out and q in, so q
-      serves p and r serves nobody; a pendant q in at r out, so q serves r.
+    * super: see ``_super_profile``.  ``busy`` is 1 + gamma_sp(H - r): with
+      r in D, r serves nobody in its copy, and a member u != r serves x in H
+      (N_H(u) <= D + x) exactly when it serves x in H - r, as r is in D.
+      ``og`` is gamma_sp of H plus a pendant q at r, with q in and r out,
+      less q, which serves r.
     """
     graph, root = rooted.graph, rooted.root
     bit = 1 << root
     if kind in _CUT_VERTICES_FORCED:
-        return (_least(graph, kind, forced_in=bit),)
+        return (_cost(graph, kind, forced_in=bit),)
     if kind is ParameterKind.WEAKLY_CONNECTED:
-        return _least(graph, kind, forced_in=bit), _least(graph, kind, forced_out=bit)
-    if kind is ParameterKind.SUPER:
-        n, edges = graph.n, graph.edges()
-        hserve = _least(graph, kind, forced_in=bit)
-        own = _least(graph, kind, forced_out=bit)
-        free = _least(graph, kind, forced_in=graph.closed_masks()[root])
-        path = Graph(n + 2, edges + [(root, n), (n, n + 1)])
-        busy = _least(path, kind, forced_in=bit | 1 << (n + 1), forced_out=1 << n) - 1
-        pendant = Graph(n + 1, edges + [(root, n)])
-        og = _least(pendant, kind, forced_in=1 << n, forced_out=bit) - 1
-        return hserve, busy, min(own, og + free - busy), own
-    near = value(delete_vertices(graph, {root}).graph, kind)
+        return _cost(graph, kind, forced_in=bit), _cost(graph, kind, forced_out=bit)
     if kind is ParameterKind.INDEPENDENCE:
-        closed = graph.closed_neighborhood(root)
-        rest = value(delete_vertices(graph, closed).graph, kind) if len(closed) < graph.n else 0
-        return 1 + rest, near, near
-    return _least(graph, kind, forced_in=bit), near, _least(graph, kind, forced_out=bit)
+        out = _cost(graph, kind, forced_out=bit)
+        return _cost(graph, kind, forced_in=bit), out, out
+    near = _cost(delete_vertices(graph, {root}).graph, kind)
+    if kind is ParameterKind.SUPER:
+        n, busy = graph.n, 1 + near
+        hserve = _cost(graph, kind, forced_in=bit)
+        own = _cost(graph, kind, forced_out=bit)
+        free = _cost(graph, kind, forced_in=graph.closed_masks()[root])
+        pendant = Graph(n + 1, graph.edges() + [(root, n)])
+        og = _cost(pendant, kind, forced_in=1 << n, forced_out=bit) - 1
+        return hserve, busy, min(own, og + free - busy), own
+    return _cost(graph, kind, forced_in=bit), near, _cost(graph, kind, forced_out=bit)
 
 
 def _unions(masks) -> list[int]:
@@ -527,7 +528,11 @@ def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
     * a member v of S with a G-neighbour outside S: r serves nothing in its
       copy, so the copy's other members serve it ("busy"), unless v serves
       w, its only outside G-neighbour, which takes all of N_H[r] into D
-      ("free"; busy <= free, since such an r serves nobody in H either);
+      ("free"; busy <= free, since such an r serves nobody in H either).
+      busy = 1 + gamma_sp(H - r): with r in D, a member u != r serves x in
+      H, N_H(u) <= D + x, exactly when N_{H-r}(u) <= (D - r) + x, so the
+      copy less r is a super dominating set of H - r, and r joins any such
+      set to make a copy;
     * a vertex w outside S: its copy serves r ("self"), or a member of S
       serves it and the copy serves the rest with r out ("og").
 
@@ -586,14 +591,14 @@ def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
 
     A base of order 1 raises the product's ``ValueError``, and a
     disconnected factor its ``InfeasibleParameterError`` for connected,
-    convex and weakly.  The scan budget bounds each factor (H with the super
-    gadgets' two vertices), not the product; a factor past it gets
+    convex and weakly.  The scan budget bounds each factor (for super, H
+    plus its pendant vertex), not the product; a factor past it gets
     ``value()`` of the built product, which answers trees with the tree DP
     and raises ``BudgetExceededError`` otherwise.
     """
     if G.n < 2:
         raise ValueError("the base factor must have at least two vertices")
-    h_scan = rooted.n + 2 if kind is ParameterKind.SUPER else rooted.n
+    h_scan = rooted.n + 1 if kind is ParameterKind.SUPER else rooted.n
     if max(G.n, h_scan) > scan_budget():
         return value(rooted_product(G, rooted).product, kind)
     _require_connected(G, kind)

@@ -180,6 +180,31 @@ def test_forced_out_on_products_identical(fast):
     assert stopped  # some scans stopped early
 
 
+def test_max_independent_with_forced_masks_on_products_identical(fast):
+    # The largest independent set that holds forced_in and misses
+    # forced_out: the first set that enumerate_size lists at the largest size
+    # that has one, or None, as when forced_in is a closed neighbourhood.
+    kind = slow.KIND_INDEPENDENT
+    rng = random.Random(15)
+    found = missing = 0
+    for g in _products():
+        om, cm = g.open_masks(), g.closed_masks()
+        assert fast.scan_max_independent(g.n, om, 0, 0) == slow.scan_max_independent(g.n, om)
+        for _ in range(3):
+            out = 1 << rng.randrange(g.n)
+            forced_in = rng.choice((0, 1 << rng.randrange(g.n), cm[rng.randrange(g.n)])) & ~out
+            first = next(
+                ((k, listed[0]) for k in range(g.n, 0, -1)
+                 for listed in [slow.enumerate_size(kind, g.n, om, None, k, 0, forced_in, out)[0]] if listed),
+                None,
+            )
+            assert fast.scan_max_independent(g.n, om, forced_in, out) == first
+            assert slow.scan_max_independent(g.n, om, forced_in, out) == first
+            found += first is not None
+            missing += first is None
+    assert found and missing  # some forced scans found a set, and some found none
+
+
 def test_roman_with_forced_2_sets_on_products_identical(fast):
     rng = random.Random(12)
     found = 0
@@ -276,6 +301,7 @@ def _malformed_calls():
         ("overlap", (0b11, 0b10), "^forced_in 0x3 and forced_out 0x2 overlap$"),
     ):
         yield fault, "scan_min", (dom, 6, om, None, *forced), message
+        yield fault, "scan_max_independent", (6, om, *forced), message
         yield fault, "enumerate_size", (dom, 6, om, None, 2, 10, *forced), message
         yield fault, "roman_min", (6, om, *forced), message
         yield fault, "roman_enumerate", (6, om, 4, 10, *forced), message
@@ -376,6 +402,8 @@ def test_forced_in_outside_the_vertices_is_rejected(fast):
                 backend.roman_enumerate(3, g.open_masks(), 2, 10, forced)
             with pytest.raises(ValueError, match="forced_in"):
                 backend.roman_min(3, g.open_masks(), forced)
+            with pytest.raises(ValueError, match="forced_in"):
+                backend.scan_max_independent(3, g.open_masks(), forced)
 
 
 def test_forced_out_outside_the_vertices_is_rejected(fast):
@@ -391,6 +419,8 @@ def test_forced_out_outside_the_vertices_is_rejected(fast):
                 backend.scan_min(*args, 0, forced)
             with pytest.raises(ValueError, match="forced_out"):
                 backend.roman_min(3, g.open_masks(), 0, forced)
+            with pytest.raises(ValueError, match="forced_out"):
+                backend.scan_max_independent(3, g.open_masks(), 0, forced)
 
 
 def test_a_list_changed_in_place_gives_the_new_answer(fast):

@@ -341,12 +341,12 @@ class TestCheckPlumbing:
     def test_product_cap(self, monkeypatch):
         # check() caps no product order itself.  product_value() reads P6 o P6
         # off root-state tables, which scan the factors one at a time.  At
-        # budget 7 the super tables' H plus two gadget vertices is past it, so
+        # budget 6 the super tables' H plus its pendant vertex is past it, so
         # S1 builds and scans the product, which the budget refuses.
         G, H = path_graph(6), RootedGraph(path_graph(6), 0)
         assert check(T.S1, G, H).outcome is Outcome.PASS
         assert check(T.D2, G, H).outcome is Outcome.PASS
-        monkeypatch.setenv("ROOTDOM_BUDGET", "7")
+        monkeypatch.setenv("ROOTDOM_BUDGET", "6")
         with pytest.raises(BudgetExceededError, match="order 36 exceeds the subset-scan budget"):
             check(T.S1, G, H)
 
@@ -402,8 +402,9 @@ class TestCampaign:
         assert a == b
 
     def test_budget_skips_are_counted(self, monkeypatch):
-        # Every S1 product has order >= 4, past a scan budget of 3.
-        monkeypatch.setenv("ROOTDOM_BUDGET", "3")
+        # Each S1 trial's H plus its pendant vertex has order >= 3, past a
+        # scan budget of 2, and so does the product it falls back to.
+        monkeypatch.setenv("ROOTDOM_BUDGET", "2")
         result = run_theorem(T.S1, CampaignConfig(trials=4, seed=1))
         assert result["errors"] == 4 and result["trials"] == 0
 

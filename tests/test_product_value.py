@@ -134,9 +134,9 @@ def test_tree_factors_past_the_budget_get_the_tree_dp(monkeypatch):
 
 
 def test_the_super_gadgets_count_against_the_budget(monkeypatch):
-    # H fits the budget, but H plus a gadget does not: super builds P2 o P4.
+    # H fits the budget, but H plus its pendant does not: super builds P2 o P4.
     G, rooted = path_graph(2), RootedGraph(path_graph(4), 1)
-    monkeypatch.setenv("ROOTDOM_BUDGET", str(rooted.n + 1))
+    monkeypatch.setenv("ROOTDOM_BUDGET", str(rooted.n))
     assert product_value(G, rooted, PK.DOMINATION) == 4
     with pytest.raises(BudgetExceededError, match="order 8 exceeds"):
         product_value(G, rooted, PK.SUPER)
@@ -150,3 +150,29 @@ def test_a_base_of_order_one_is_refused(monkeypatch):
     for kind in (PK.DOMINATION, PK.SUPER):
         with pytest.raises(ValueError, match="^the base factor must have at least two vertices$"):
             product_value(Graph(1, []), RootedGraph(path_graph(3), 0), kind)
+
+
+def test_alpha_and_the_connected_kinds_price_h_without_building_a_graph(monkeypatch):
+    # Each of their root states is one scan of H with forced masks.
+    G, rooted = path_graph(3), RootedGraph(cycle_graph(5), 2)
+    kinds = (PK.INDEPENDENCE, PK.CONNECTED, PK.CONVEX, PK.WEAKLY_CONNECTED)
+    expected = [value(rooted_product(G, rooted).product, kind) for kind in kinds]
+
+    def refuse(*args):
+        raise AssertionError("the root costs built a graph")
+
+    for name in ("Graph", "delete_vertices", "rooted_product"):
+        monkeypatch.setattr(solvers, name, refuse)
+    assert [product_value(G, rooted, kind) for kind in kinds] == expected
+
+
+def test_the_other_kinds_build_h_minus_r_and_super_its_pendant(monkeypatch):
+    rooted = RootedGraph(cycle_graph(5), 2)
+    built = []
+    graph, delete = solvers.Graph, solvers.delete_vertices
+    monkeypatch.setattr(solvers, "Graph", lambda n, edges: built.append(n) or graph(n, edges))
+    monkeypatch.setattr(solvers, "delete_vertices", lambda g, gone: built.append(set(gone)) or delete(g, gone))
+    for kind in (PK.DOMINATION, PK.INDEPENDENT_DOMINATION, PK.ROMAN, PK.SUPER):
+        built.clear()
+        solvers._root_costs(rooted, kind)
+        assert built == ([{2}, 6] if kind is PK.SUPER else [{2}]), kind

@@ -9,12 +9,13 @@ algorithm) would pass it.
 ``Referee`` takes the place of the five entries of ``rootdom.kernels``
 while ``solve()``, ``enumerate_optimal()``, ``classify_root()`` and
 ``product_value()`` run, so the calls it checks are the ones the solvers
-make, with their forced masks, the super gadgets and the Roman label
-scans included.  It answers each call from naive's listing of the graph
-the call's masks describe, and both backends must give that answer.  A
-Roman minimum is also listed in full at its weight and one above, with
-the same forced masks.  On top of the solvers' calls, each graph gets a
-minimum scan with a seeded pair of forced masks and, for the set kinds,
+make, with their forced masks, super's H - r and pendant graph and the
+Roman label scans included.  It answers each call from naive's listing of
+the graph the call's masks describe, and both backends must give that
+answer.  A Roman minimum is also listed in full at its weight and one
+above, with the same forced masks.  On top of the solvers' calls, each
+graph gets a minimum scan (for alpha, a maximum scan too) with a seeded
+pair of forced masks and, for the set kinds,
 the listings at every size with that pair and at the optimum with
 nothing forced (but the cut vertices, for connected and convex), with
 cap 0 and a cap one short.  ``classify_root()`` and
@@ -80,7 +81,7 @@ class Referee:
     """The five kernel entries, answered from naive's listings and held to
     ``backends`` on each call not asked before.  A graph asked about with
     nothing forced is listed in full once; any other only with the forced
-    masks of the call, which keeps the super gadgets cheap."""
+    masks of the call, which keeps super's pendant graphs cheap."""
 
     def __init__(self, backends):
         self.backends, self._asked, self._sets, self._weights = backends, set(), {}, {}
@@ -113,10 +114,11 @@ class Referee:
         args = (code, n, open_m, table, forced_in, forced_out)
         return self._agree("scan_min", args, (held[0].bit_count(), held[0]) if held else None)
 
-    def scan_max_independent(self, n, open_m):
-        sets = self.sets(_KIND_CODE[ParameterKind.INDEPENDENCE], n, open_m)
-        size = sets[-1].bit_count()
-        return self._agree("scan_max_independent", (n, open_m), (size, next(m for m in sets if m.bit_count() == size)))
+    def scan_max_independent(self, n, open_m, forced_in, forced_out):
+        held = self.sets(_KIND_CODE[ParameterKind.INDEPENDENCE], n, open_m, forced_in, forced_out)
+        first = next((m for m in held if m.bit_count() == held[-1].bit_count()), None)
+        args = (n, open_m, forced_in, forced_out)
+        return self._agree("scan_max_independent", args, None if first is None else (first.bit_count(), first))
 
     def enumerate_size(self, code, n, open_m, table, size, cap, forced_in, forced_out):
         listed = [m for m in self.sets(code, n, open_m, forced_in, forced_out) if m.bit_count() == size]
@@ -179,8 +181,8 @@ ROOTED_UP_TO = 10
 
 
 def _explicit_calls(referee, graph, kind, rng):
-    """A minimum scan with a seeded pair of forced masks; for the set kinds
-    also the listings at every size with that pair, and at the optimum with
+    """A minimum scan (for alpha a maximum scan too) with a seeded pair of
+    forced masks; for the set kinds also the listings at every size with that pair, and at the optimum with
     nothing forced, with cap 0 and a cap one short."""
     forced_in = forced_out = 0
     for v in range(graph.n):
@@ -193,6 +195,8 @@ def _explicit_calls(referee, graph, kind, rng):
     args, cut = _scan_args(graph, kind)
     forced_in |= cut
     forced_out &= ~forced_in
+    if kind is ParameterKind.INDEPENDENCE:
+        referee.scan_max_independent(graph.n, graph.open_masks(), forced_in, forced_out)
     referee.scan_min(*args, forced_in, forced_out)
     held = referee.sets(*args[:3], forced_in, forced_out)
     for size in range(1, graph.n + 1):
