@@ -466,7 +466,9 @@ def _scan_k(kind, n, k, open_m, table, forced_in, frame, visit) -> bool:
                 return False
         return True
 
-    return rec(0, k, 0, 0, forced_in, 0)
+    done = rec(0, k, 0, 0, forced_in, 0)
+    del rec  # rec holds itself in its closure cell: free it now, not in the cyclic collector
+    return done
 
 
 def _first(kind, n, sizes, open_m, table, forced_in=0, forced_out=0):
@@ -575,7 +577,9 @@ def _roman_scan(n: int, open_m, bound: list[int], leaf, forced_in: int = 0, forc
     for v in range(n):
         if forced_in >> v & 1:
             cover |= closed[v]
-    return rec(0, forced_in.bit_count(), ((1 << n) - 1) & ~cover, forced_in)
+    done = rec(0, forced_in.bit_count(), ((1 << n) - 1) & ~cover, forced_in)
+    del rec  # as in ``_scan_k``
+    return done
 
 
 def roman_min(n: int, open_m, forced_in: int = 0, forced_out: int = 0):

@@ -2,15 +2,18 @@
 
 Vertices are dense integers ``0..n-1``.  The constructor reads the edges
 once, building each vertex's neighbour set and open-neighbourhood bitmask
-in the same pass.  Graphs are immutable after construction; derived data
-(closed-neighbourhood masks, connectivity flag, distance table, geodesic
+in the same pass; closed neighbourhoods N[v] = N(v) + v are derived where
+they are read, and ``Graph`` stores none.  Graphs are immutable after
+construction; derived data (connectivity flag, distance table, geodesic
 interval masks, cut vertices, bridges) is computed once on demand and cached
 with single-assignment semantics, so instances are safe to share across
 concurrent workers.  Connectivity, of the graph and of a vertex subset, is
 the kernels' one bitmask BFS restricted to a vertex mask
 (``_pykernels.connected_mask``), and the cut vertices and bridges one
-depth-first pass, the only place either is computed; only the interval masks
-and convexity tests build the all-pairs table.
+depth-first pass, the only place either is computed.  Only the interval
+masks build the all-pairs distance table: one pass per source, in order of
+distance, ORs each vertex's interval from those of its neighbours one step
+closer, and ``is_convex_set`` reads that table, as the convex kernel does.
 Vertex-deleted and weakly induced subgraphs share one relabelling path.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package; the
@@ -33,8 +36,7 @@ class Graph:
     """Undirected simple graph (no loops, no multi-edges) on ``0..n-1``."""
 
     __slots__ = (
-        "n", "m", "_adj", "_open_masks", "_closed_masks", "_connected", "_cut_vertices", "_bridges",
-        "_dist", "_intervals",
+        "n", "m", "_adj", "_open_masks", "_connected", "_cut_vertices", "_bridges", "_dist", "_intervals",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -55,7 +57,6 @@ class Graph:
         self.m = sum(len(a) for a in adj) // 2
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
         self._open_masks: tuple[int, ...] = tuple(masks)
-        self._closed_masks: tuple[int, ...] | None = None
         self._connected: bool | None = None
         self._cut_vertices: int | None = None
         self._bridges: tuple[int, ...] | None = None
@@ -84,13 +85,6 @@ class Graph:
     def open_masks(self) -> tuple[int, ...]:
         """Per-vertex open-neighborhood bitmasks."""
         return self._open_masks
-
-    def closed_masks(self) -> tuple[int, ...]:
-        """Per-vertex closed-neighborhood bitmasks, built on first use: they
-        hold about n^2/2 bits, which the tree path never reads."""
-        if self._closed_masks is None:
-            self._closed_masks = tuple(mask | (1 << v) for v, mask in enumerate(self._open_masks))
-        return self._closed_masks
 
     def cut_vertices(self) -> int:
         """Bitmask of the cut vertices: those whose removal leaves more
@@ -172,22 +166,23 @@ class Graph:
         """Geodesic interval bitmasks, flattened to ``n*n`` entries.
 
         Entry ``u*n + w`` holds the set of vertices lying on some shortest
-        u-w path.  Only defined on connected graphs.
+        u-w path.  Only defined on connected graphs.  One pass per source u
+        visits the vertices in order of distance from u: I(u, w) is {w} plus
+        I(u, p) for each neighbour p of w one step closer to u.
         """
         if self._intervals is None:
             if not is_connected(self):
                 raise ValueError("geodesic intervals require a connected graph")
-            d = self.distances()
-            n = self.n
-            flat = []
-            for u in range(n):
-                for w in range(n):
-                    duw = d[u][w]
-                    mask = 0
-                    for x in range(n):
-                        if d[u][x] + d[x][w] == duw:
-                            mask |= 1 << x
-                    flat.append(mask)
+            flat: list[int] = []
+            for row in self.distances():
+                interval = [0] * self.n
+                for w in sorted(self.vertices, key=row.__getitem__):
+                    mask = 1 << w
+                    for p in self._adj[w]:
+                        if row[p] < row[w]:
+                            mask |= interval[p]
+                    interval[w] = mask
+                flat += interval
             self._intervals = tuple(flat)
         return self._intervals
 
@@ -256,25 +251,17 @@ def is_connected_subset(graph: Graph, subset: frozenset[int] | set[int]) -> bool
 
 
 def is_convex_set(graph: Graph, subset: frozenset[int] | set[int]) -> bool:
-    """Geodesic convexity: every shortest path between members stays inside.
+    """Geodesic convexity: every shortest path between members stays inside,
+    that is, the interval mask of every pair of members lies in the set.
 
     Requires a connected host graph; the empty set and singletons are convex.
     """
     if not is_connected(graph):
         raise ValueError("convexity is only defined here on connected graphs")
     _check_subset(graph, subset)
-    members = sorted(subset)
-    if len(members) <= 1:
-        return True
-    d = graph.distances()
-    outside = [x for x in range(graph.n) if x not in subset]
-    for i, u in enumerate(members):
-        for w in members[i + 1 :]:
-            duw = d[u][w]
-            for x in outside:
-                if d[u][x] + d[x][w] == duw:
-                    return False
-    return True
+    n, intervals = graph.n, graph.interval_masks()
+    outside = ~sum(1 << v for v in subset)
+    return not any(intervals[u * n + w] & outside for u in subset for w in subset)
 
 
 def weakly_induced_subgraph(

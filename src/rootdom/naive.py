@@ -21,8 +21,8 @@ the referee must not share.  Convexity (``naive_convex``) reads distances
 from a Floyd-Warshall (``naive_distances``), because the convex kernel's
 interval masks come from the graph's BFS distance table; the tests also
 hold ``is_convex_set`` and the ``Graph`` tables ``distances``,
-``cut_vertices`` and ``bridges`` to these two.  Weak connectivity is a
-direct search over N[S], because the public form
+``interval_masks``, ``cut_vertices`` and ``bridges`` to these two.  Weak
+connectivity is a direct search over N[S], because the public form
 (``weakly_induced_subgraph`` plus ``is_connected``) builds a ``Graph`` for
 every subset.
 """

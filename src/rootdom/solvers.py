@@ -31,12 +31,18 @@ Three entry points:
   state from one scan of H or of H - r with forced masks (for super's
   ``og``, of H plus a pendant vertex), and ``_base_table()`` lists count
   tuples of G, how many copies take each state; the value is the best dot
-  product of the two.  The scan budget then applies to each factor, not to
-  the product; a factor past it gets ``value()`` of the built product.
+  product of the two.  The base tables count, over root sets S, the roots
+  in S, in N(S) - S and outside N[S]: for gamma and Roman over every S,
+  from one pass over the 2^n masks (``_closed_profile``), and for alpha
+  and i over the independent S that ``_independent_sets()`` lists; super
+  has its own pass, ``_super_profile``.  The scan budget then applies to
+  each factor, not to the product; a factor past it gets ``value()`` of the
+  built product.
 
 ``induced_independent_domination()`` tabulates i(G[U]) for every vertex
-mask U of G in one pass over the independent sets of G, for the harness's
-deletion theorem I3.
+mask U of G, for the harness's deletion theorem I3, from the same listing
+of independent sets, ``_independent_sets()``, that the alpha and i base
+tables read.
 
 ``classify_root()`` says whether a root lies in every optimum, in none or in
 some.  It takes one optimum -- the tree DP's where ``value()`` would use it,
@@ -275,10 +281,9 @@ def _witness(graph: Graph, kind: ParameterKind, mask: int) -> frozenset[int] | R
     it leaves uncovered."""
     if kind is not ParameterKind.ROMAN:
         return _mask_to_set(mask)
-    covered = 0
-    for v in range(graph.n):
-        if mask & (1 << v):
-            covered |= graph.closed_masks()[v]
+    open_m, covered = graph.open_masks(), mask
+    for v in _mask_to_set(mask):
+        covered |= open_m[v]
     return RomanAssignment(_mask_to_set(((1 << graph.n) - 1) & ~covered), _mask_to_set(mask))
 
 
@@ -299,7 +304,7 @@ def _scan_args(graph: Graph, kind: ParameterKind, forced_in: int = 0) -> tuple[t
     code, order, open masks, and the kind's table: the interval masks for
     convex, the bridges for weakly), and ``forced_in`` with the cut vertices
     added for connected and convex.  The kernels derive the closed masks
-    themselves, so a scan builds none of ``graph``'s."""
+    themselves."""
     table = None
     if kind is ParameterKind.CONVEX:
         table = graph.interval_masks()
@@ -406,23 +411,36 @@ def value(graph: Graph, kind: ParameterKind) -> int:
     return _optimum(graph, kind)[0]
 
 
+def _independent_sets(G: Graph):
+    """Every independent set I of G with its closed neighbourhood N[I], as
+    the mask pair ``(I, N[I])``, the empty set first: one depth-first pass
+    that extends I only by a vertex above its largest that lies outside
+    N[I].  It is the one listing of independent sets, read by the I3 table
+    and by the base tables of alpha and i."""
+    n, open_m = G.n, G.open_masks()
+    stack = [(0, 0, 0)]  # (I, N[I], the least vertex I may still take)
+    while stack:
+        chosen, cover, start = stack.pop()
+        yield chosen, cover
+        for v in range(start, n):
+            if not cover >> v & 1:
+                stack.append((chosen | 1 << v, cover | open_m[v] | 1 << v, v + 1))
+
+
 def induced_independent_domination(graph: Graph) -> list[int]:
     """``table[U]`` = i(G[U]) for every vertex mask U of G; ``table[0]`` is 0.
 
     An independent set I of G is an independent dominating set of G[U]
-    exactly when I <= U <= N[I].  So one pass lists the independent sets I,
-    low bit first, each with its closed neighbourhood N[I], and offers |I|
+    exactly when I <= U <= N[I].  So each independent set I of
+    ``_independent_sets``, with its closed neighbourhood N[I], offers |I|
     to every U = I | s for s a submask of N[I] - I.  Each (I, U) pair gives
     every vertex one of three roles (in I, in U - I, outside U), so the pass
     takes at most 3^n steps.  Raises ``BudgetExceededError`` past the scan
     budget, on trees too.
     """
     _require_scan(graph.n, "the induced independent domination table")
-    n, closed = graph.n, graph.closed_masks()
-    table = [n] * (1 << n)  # i(G[U]) <= |U| <= n
-    stack = [(0, 0, 0)]  # (I, N[I], the least vertex I may still take)
-    while stack:
-        chosen, cover, start = stack.pop()
+    table = [graph.n] * (1 << graph.n)  # i(G[U]) <= |U| <= n
+    for chosen, cover in _independent_sets(graph):
         size, free = chosen.bit_count(), cover ^ chosen
         sub = free
         while True:
@@ -431,9 +449,6 @@ def induced_independent_domination(graph: Graph) -> list[int]:
             if not sub:
                 break
             sub = (sub - 1) & free
-        for v in range(start, n):
-            if not cover >> v & 1:
-                stack.append((chosen | 1 << v, cover | closed[v], v + 1))
     return table
 
 
@@ -479,7 +494,7 @@ def _root_costs(rooted: RootedGraph, kind: ParameterKind) -> tuple[int, ...]:
         n, busy = graph.n, 1 + near
         hserve = _cost(graph, kind, forced_in=bit)
         own = _cost(graph, kind, forced_out=bit)
-        free = _cost(graph, kind, forced_in=graph.closed_masks()[root])
+        free = _cost(graph, kind, forced_in=graph.open_masks()[root] | bit)
         pendant = Graph(n + 1, graph.edges() + [(root, n)])
         og = _cost(pendant, kind, forced_in=1 << n, forced_out=bit) - 1
         return hserve, busy, min(own, og + free - busy), own
@@ -494,23 +509,20 @@ def _unions(masks) -> list[int]:
     return table
 
 
-def _closed_profile(G: Graph, independent: bool) -> set[tuple[int, int, int]]:
-    """The count tuples (|S|, |N(S) - S|, |V(G) - N[S]|) over the subsets S
-    of V(G), the independent ones only if ``independent``.  One pass over
+def _closed_profile(G: Graph) -> set[tuple[int, int]]:
+    """The pairs (|S|, |N[S]|) over the subsets S of V(G).  One pass over
     the 2^n masks; each half of the vertices has its own table of
-    neighbourhood unions, so a mask costs two lookups."""
-    n, half = G.n, G.n // 2
-    closed, open_m = G.closed_masks(), G.open_masks()
-    low = list(zip(_unions(closed[:half]), _unions(open_m[:half])))
-    high = zip(_unions(closed[half:]), _unions(open_m[half:]))
-    pairs = set()  # (|S|, |N[S]|)
-    for top, (top_closed, top_open) in enumerate(high):
+    open-neighbourhood unions, so a mask costs two lookups, and
+    N[S] = N(S) + S."""
+    half, open_m = G.n // 2, G.open_masks()
+    low = _unions(open_m[:half])
+    pairs = set()
+    for top, top_open in enumerate(_unions(open_m[half:])):
         top <<= half
-        for bottom, (bottom_closed, bottom_open) in enumerate(low):
+        for bottom, bottom_open in enumerate(low):
             s = top | bottom
-            if not (independent and (top_open | bottom_open) & s):
-                pairs.add((s.bit_count(), (top_closed | bottom_closed).bit_count()))
-    return {(k, c - k, n - c) for k, c in pairs}
+            pairs.add((s.bit_count(), (top_open | bottom_open | s).bit_count()))
+    return pairs
 
 
 def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
@@ -565,7 +577,10 @@ def _base_table(G: Graph, kind: ParameterKind) -> set[tuple[int, ...]]:
     """The count tuples, over the root sets an optimum of ``kind`` on G o H
     may hold, of the copies whose root takes each state of ``_root_costs``.
 
-    * gamma, alpha, i, Roman: ``_closed_profile``; super: ``_super_profile``.
+    * gamma, alpha, i, Roman: (|S|, |N(S) - S|, |V(G) - N[S]|) over the
+      subsets S of V(G), from ``_closed_profile``, and for alpha and i over
+      the independent sets of ``_independent_sets`` only.
+    * super: ``_super_profile``.
     * connected and convex: every root is a cut vertex of the product, so
       every optimum holds all n roots.
     * weakly: unless they are all n, the roots of an optimum form a weakly
@@ -580,8 +595,11 @@ def _base_table(G: Graph, kind: ParameterKind) -> set[tuple[int, ...]]:
     if kind is ParameterKind.WEAKLY_CONNECTED:
         gamma_w = value(G, kind)
         return {(G.n, 0), (gamma_w, G.n - gamma_w)}
-    independent = kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION)
-    return _closed_profile(G, independent)
+    if kind in (ParameterKind.INDEPENDENCE, ParameterKind.INDEPENDENT_DOMINATION):
+        pairs = {(s.bit_count(), cover.bit_count()) for s, cover in _independent_sets(G)}
+    else:
+        pairs = _closed_profile(G)
+    return {(k, c - k, G.n - c) for k, c in pairs}
 
 
 def product_value(G: Graph, rooted: RootedGraph, kind: ParameterKind) -> int:
@@ -686,7 +704,7 @@ def _roman_labels(graph: Graph, root: int, weight: int, first: int) -> frozenset
     bit = 1 << root
     if first != 2 and exists(bit, 0):
         labels.add(2)
-    if first != 1 and exists(0, graph.closed_masks()[root]):
+    if first != 1 and exists(0, graph.open_masks()[root] | bit):
         labels.add(1)
     if first != 0:
         tried = bit

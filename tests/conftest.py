@@ -11,6 +11,11 @@ which pulls in libcst and, where it is installed, the deprecated
 whole session with INTERNALERROR, so the tests after the failure never run.
 Importing the module once here, with only that import's deprecation
 warnings ignored, lets a failing property test fail like any other test.
+
+The ``memory_cap`` marker, registered here since ``-W error`` makes an
+unknown marker an error, tags the tests that run the CLI under a 256 MB
+address-space cap.  ASan cannot map its shadow memory under that cap, so
+the CI run on the ASan build selects ``-m "not memory_cap"``.
 """
 
 import shutil
@@ -29,6 +34,12 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "memory_cap: runs the CLI in a child process under a 256 MB address-space cap"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -119,6 +119,7 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: root classification needs a graph of order at least 2\n"
 
+    @pytest.mark.memory_cap
     @pytest.mark.parametrize("param", ["gamma", "i"])
     def test_an_order_no_method_solves_exits_before_allocating(self, tmp_path, param):
         # 10^8 vertices and no edges: not a tree, so past the scan budget no
@@ -257,6 +258,7 @@ class TestProduct:
         c3.write_text(format_edge_list(cycle_graph(3)), encoding="utf-8")
         assert main(["product", p4_file, str(c3), "--root", "7"]) == 2
 
+    @pytest.mark.memory_cap
     def test_out_of_memory_exits_two(self, tmp_path, p4_file):
         # A base of 10^8 vertices takes gigabytes; under the address-space cap
         # building it raises MemoryError, which ends in a one-line message.
@@ -281,6 +283,7 @@ class TestVerify:
         assert main(["--quiet", "verify", "--theorem", "D2", "--out", str(out)]) == 0
         assert _strip_meta(out) == run_campaign(CampaignConfig(theorems=[TheoremId.D2]))
 
+    @pytest.mark.memory_cap
     def test_a_witness_too_large_for_memory_exits_two(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"theorem": "R2", "g": {"n": 100_000_000, "edges": []}}), encoding="utf-8")

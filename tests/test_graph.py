@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import labelled_graphs, random_gnp
 from rootdom import naive
-from rootdom.families import cycle_graph, path_graph, random_tree, star_graph
+from rootdom.families import cycle_graph, path_graph, random_connected_graph, random_tree, star_graph
 from rootdom.graph import (
     Graph,
     UNREACHABLE,
@@ -50,11 +50,10 @@ class TestConstruction:
         assert g.m == 4
         for v in g.vertices:
             assert g.open_masks()[v] == sum(1 << u for u in g.neighbors(v))
-            assert g.closed_masks()[v] == sum(1 << u for u in g.closed_neighborhood(v))
 
     def test_a_large_declared_order_builds_no_closed_masks(self):
-        # Closed masks hold about n^2/2 bits, about 700 MB at this order; they
-        # are built on first use, and nothing here uses them.
+        # Closed masks would hold about n^2/2 bits, about 700 MB at this
+        # order; a Graph stores only the open ones, as a memory bound shows.
         tracemalloc.start()
         try:
             graph, _ = parse_edge_list("100000 0\n")
@@ -120,6 +119,39 @@ class TestDistances:
     @given(small_graphs())
     def test_bfs_matches_floyd_warshall(self, g):
         assert [list(row) for row in g.distances()] == naive.naive_distances(g)
+
+
+def _check_intervals(g):
+    """x lies in I(u, w) exactly when d(u, x) + d(x, w) = d(u, w), with d
+    from the referee's Floyd-Warshall."""
+    n, intervals, d = g.n, g.interval_masks(), naive.naive_distances(g)
+    for u in range(n):
+        for w in range(n):
+            expected = sum(1 << x for x in range(n) if d[u][x] + d[x][w] == d[u][w])
+            assert intervals[u * n + w] == expected, (g.edges(), u, w)
+
+
+class TestIntervals:
+    def test_every_connected_graph_up_to_order_5(self):
+        connected = 0
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                if is_connected(g):
+                    connected += 1
+                    _check_intervals(g)
+        assert connected == 1 + 1 + 4 + 38 + 728
+
+    @pytest.mark.parametrize("n", range(6, 17))
+    def test_seeded_trees_cycles_and_connected_graphs(self, n):
+        _check_intervals(cycle_graph(n))
+        for seed in range(3):
+            _check_intervals(random_tree(n, seed=seed))
+            for p in (0.2, 0.4, 0.7):
+                _check_intervals(random_connected_graph(n, p, seed=seed))
+
+    def test_need_a_connected_graph(self):
+        with pytest.raises(ValueError, match="connected"):
+            Graph(4, [(0, 1), (2, 3)]).interval_masks()
 
 
 class TestConnectivity:

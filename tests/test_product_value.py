@@ -7,6 +7,7 @@ products, and the closed forms of theorem I6.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -80,6 +81,38 @@ def test_seeded_products_up_to_order_20():
         _agrees(G, RootedGraph(H, root))
     assert isolated_roots >= 20  # the edgeless specials and sparse draws
     assert disconnected >= 100  # super reads these; the connected kinds raise
+
+
+def _subset_counts(G: Graph, independent: bool) -> set[tuple[int, int, int]]:
+    """(|S|, |N(S) - S|, |V(G) - N[S]|) over the subsets S of V(G), the
+    independent ones only if ``independent``, from the neighbour sets."""
+    counts = set()
+    for k in range(G.n + 1):
+        for members in combinations(range(G.n), k):
+            S = set(members)
+            near = set().union(*(G.neighbors(v) for v in S))
+            if not (independent and near & S):
+                counts.add((k, len(near - S), G.n - len(near | S)))
+    return counts
+
+
+def _check_base_tables(G: Graph) -> None:
+    every, independent = _subset_counts(G, False), _subset_counts(G, True)
+    for kind, expected in ((PK.DOMINATION, every), (PK.ROMAN, every),
+                           (PK.INDEPENDENCE, independent), (PK.INDEPENDENT_DOMINATION, independent)):
+        assert solvers._base_table(G, kind) == expected, (kind, G.edges())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_base_tables_on_every_labelled_graph_up_to_order_5(n):
+    for G in labelled_graphs(n):
+        _check_base_tables(G)
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_base_tables_on_seeded_graphs_of_order_6_to_14(n):
+    for p in (0.0, 0.2, 0.5, 1.0):
+        _check_base_tables(random_gnp(n, p, seed=n))
 
 
 def test_i_of_tree_products_against_the_tree_dp():
