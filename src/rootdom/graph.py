@@ -1,14 +1,19 @@
 """Immutable simple graphs and the structural queries the solvers build on.
 
-Vertices are dense integers ``0..n-1``.  The constructor reads the edges
-once, building each vertex's neighbour set and open-neighbourhood bitmask
-in the same pass; closed neighbourhoods N[v] = N(v) + v are derived where
-they are read, and ``Graph`` stores none.  Graphs are immutable after
-construction; derived data (connectivity flag, distance table, geodesic
-interval masks, cut vertices, bridges) is computed once on demand and cached
-with single-assignment semantics, so instances are safe to share across
-concurrent workers.  Connectivity, of the graph and of a vertex subset, is
-the kernels' one bitmask BFS restricted to a vertex mask
+Vertices are dense integers ``0..n-1``.  A ``Graph`` stores one adjacency,
+the open-neighbourhood bitmask of each vertex, built in one pass over the
+edges; ``m`` is half the sum of their popcounts.  Everything else per
+vertex is read off those masks: ``vertices_of`` is the one mask decoder,
+in increasing order, and gives the neighbour sets and closed
+neighbourhoods N[v] = N(v) + v (fresh ``frozenset``s on each call), the
+edge list, and the neighbour order of every traversal here, of the tree DP
+and of the solvers' witnesses; a degree is a popcount.  Graphs are
+immutable after construction and compare equal when their orders and edge
+sets do; derived data (connectivity flag, distance table, geodesic
+interval masks, cut vertices, bridges) is computed once on demand and
+cached with single-assignment semantics, so instances are safe to share
+across concurrent workers.  Connectivity, of the graph and of a vertex
+subset, is the kernels' one bitmask BFS restricted to a vertex mask
 (``_pykernels.connected_mask``), and the cut vertices and bridges one
 depth-first pass, the only place either is computed.  Only the interval
 masks build the all-pairs distance table: one pass per source, in order of
@@ -32,30 +37,34 @@ from ._pykernels import connected_mask
 UNREACHABLE = -1
 
 
+def vertices_of(mask: int) -> list[int]:
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
     """Undirected simple graph (no loops, no multi-edges) on ``0..n-1``."""
 
-    __slots__ = (
-        "n", "m", "_adj", "_open_masks", "_connected", "_cut_vertices", "_bridges", "_dist", "_intervals",
-    )
+    __slots__ = ("n", "m", "_open_masks", "_connected", "_cut_vertices", "_bridges", "_dist", "_intervals")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
         masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
-            adj[u].add(v)
-            adj[v].add(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.n = n
-        self.m = sum(len(a) for a in adj) // 2
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
+        self.m = sum(mask.bit_count() for mask in masks) // 2
         self._open_masks: tuple[int, ...] = tuple(masks)
         self._connected: bool | None = None
         self._cut_vertices: int | None = None
@@ -70,17 +79,19 @@ class Graph:
         return range(self.n)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(vertices_of(self._open_masks[v]))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self._adj[v] | {v}
+        return frozenset(vertices_of(self._open_masks[v] | 1 << v))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._open_masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted ``(u, v)`` pairs with ``u < v``."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return [
+            (u, v) for u, mask in enumerate(self._open_masks) for v in vertices_of(mask >> (u + 1) << (u + 1))
+        ]
 
     def open_masks(self) -> tuple[int, ...]:
         """Per-vertex open-neighborhood bitmasks."""
@@ -97,6 +108,7 @@ class Graph:
         subtree reaches no vertex discovered at or before p.
         """
         if self._cut_vertices is None:
+            masks = self._open_masks
             order = [0] * self.n  # discovery time, from 1; 0 while unvisited
             low = [0] * self.n
             bridges = [0] * self.n
@@ -107,14 +119,14 @@ class Graph:
                 time += 1
                 order[root] = low[root] = time
                 root_children = 0
-                stack = [(root, -1, iter(self._adj[root]))]
+                stack = [(root, -1, iter(vertices_of(masks[root])))]
                 while stack:
                     v, parent, todo = stack[-1]
                     for w in todo:
                         if not order[w]:
                             time += 1
                             order[w] = low[w] = time
-                            stack.append((w, v, iter(self._adj[w])))
+                            stack.append((w, v, iter(vertices_of(masks[w]))))
                             break
                         if w != parent and order[w] < low[v]:
                             low[v] = order[w]
@@ -148,13 +160,14 @@ class Graph:
         """All-pairs distance table via BFS; ``UNREACHABLE`` across components."""
         if self._dist is None:
             rows = []
+            neighbours = [vertices_of(mask) for mask in self._open_masks]
             for s in range(self.n):
                 dist = [UNREACHABLE] * self.n
                 dist[s] = 0
                 queue = deque([s])
                 while queue:
                     u = queue.popleft()
-                    for w in self._adj[u]:
+                    for w in neighbours[u]:
                         if dist[w] == UNREACHABLE:
                             dist[w] = dist[u] + 1
                             queue.append(w)
@@ -174,11 +187,12 @@ class Graph:
             if not is_connected(self):
                 raise ValueError("geodesic intervals require a connected graph")
             flat: list[int] = []
+            neighbours = [vertices_of(mask) for mask in self._open_masks]
             for row in self.distances():
                 interval = [0] * self.n
                 for w in sorted(self.vertices, key=row.__getitem__):
                     mask = 1 << w
-                    for p in self._adj[w]:
+                    for p in neighbours[w]:
                         if row[p] < row[w]:
                             mask |= interval[p]
                     interval[w] = mask
@@ -189,12 +203,10 @@ class Graph:
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
-        )
+        return isinstance(other, Graph) and self._open_masks == other._open_masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash(self._open_masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -271,11 +283,11 @@ def weakly_induced_subgraph(
     if not dominators:
         raise ValueError("the weakly induced subgraph of the empty set is undefined")
     _check_subset(graph, dominators, "D")
-    closed = set(dominators)
+    open_m, closed = graph.open_masks(), 0
     for v in dominators:
-        closed |= graph.neighbors(v)
+        closed |= open_m[v] | 1 << v
     edges = [(u, v) for u, v in graph.edges() if u in dominators or v in dominators]
-    return _relabelled(sorted(closed), edges)
+    return _relabelled(vertices_of(closed), edges)
 
 
 def leaves(graph: Graph) -> frozenset[int]:
@@ -285,10 +297,8 @@ def leaves(graph: Graph) -> frozenset[int]:
 
 def support_vertices(graph: Graph) -> frozenset[int]:
     """Vertices adjacent to at least one leaf."""
-    leaf_set = leaves(graph)
-    return frozenset(
-        v for v in range(graph.n) if any(u in leaf_set for u in graph.neighbors(v))
-    )
+    leaf_mask = sum(1 << v for v in leaves(graph))
+    return frozenset(v for v, mask in enumerate(graph.open_masks()) if mask & leaf_mask)
 
 
 def is_tree(graph: Graph) -> bool:
@@ -314,14 +324,12 @@ def private_neighbor_set(
     _check_subset(graph, dominators, "D")
     if v not in dominators:
         raise ValueError(f"vertex {v} is not a member of the dominating set")
-    result = set(graph.closed_neighborhood(v))
+    open_m = graph.open_masks()
+    result = open_m[v] | 1 << v
     for u in dominators:
-        if u == v:
-            continue
-        result -= graph.neighbors(u)
-        if closed_subtrahend:
-            result.discard(u)
-    return frozenset(result)
+        if u != v:
+            result &= ~(open_m[u] | 1 << u) if closed_subtrahend else ~open_m[u]
+    return frozenset(vertices_of(result))
 
 
 # -- shared edge-list file format -----------------------------------------

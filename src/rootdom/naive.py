@@ -2,7 +2,11 @@
 
 Every routine scans its full search space with set arithmetic and explicit
 definitions over vertex tuples, no pruning and no early exit, independent
-of the bitmask kernels and of ``Graph``'s masks.  Only sensible at desk
+of the bitmask kernels: its search algorithms are its own.  It reads the
+graph through ``neighbors`` and ``edges``, which ``Graph`` decodes from
+its one adjacency, the open masks the kernels read too;
+``tests/test_graph.py``'s construction tests hold those queries to plain
+sets built from the raw edge list, up to order 200.  Only sensible at desk
 scale (n around 10, 3^n for Roman).  ``naive_sets`` lists every feasible
 set of a set parameter, by size then lexicographically, and
 ``naive_roman_weights`` the weight of the forced completion of every
@@ -16,10 +20,10 @@ The set-level predicates are the public ones the witness checks use:
 ``solvers.is_dominating``, ``is_independent`` and ``is_super_dominating``.
 Three are the referee's own.  Connectivity is a search over
 ``graph.neighbors``, because ``graph.is_connected_subset`` runs the
-kernels' own bitmask BFS on the neighbourhood masks the kernels read, which
-the referee must not share.  Convexity (``naive_convex``) reads distances
-from a Floyd-Warshall (``naive_distances``), because the convex kernel's
-interval masks come from the graph's BFS distance table; the tests also
+kernels' own bitmask BFS, which the referee must not share.  Convexity
+(``naive_convex``) reads distances from a Floyd-Warshall
+(``naive_distances``), because the convex kernel's interval masks come
+from the graph's BFS distance table; the tests also
 hold ``is_convex_set`` and the ``Graph`` tables ``distances``,
 ``interval_masks``, ``cut_vertices`` and ``bridges`` to these two.  Weak
 connectivity is a direct search over N[S], because the public form

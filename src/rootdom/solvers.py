@@ -63,8 +63,9 @@ every existence scan.  Each subset scan takes its arguments from
 ``_scan_args()``, the one place a kind's structure reaches the kernels:
 the cut vertices forced in for connected and convex, and the table
 ``Graph`` computes, the interval masks for convex and the bridges for
-weakly.  ``_witness()`` is the one decoder of a kernel mask into a set or a
-Roman assignment.
+weakly.  ``_witness()`` turns a kernel mask into a set or a Roman
+assignment, reading its vertices with ``graph.vertices_of``, the one mask
+decoder, as ``_roman_labels()`` reads the root's neighbours.
 
 The scan budget is the one resource knob: ``scan_budget()`` reads it from
 ``ROOTDOM_BUDGET`` (default 22), and ``_require_scan()`` is the one guard
@@ -85,7 +86,7 @@ from enum import Enum
 from operator import mul
 
 from . import kernels, tree_dp
-from .graph import Graph, delete_vertices, is_connected, is_tree
+from .graph import Graph, delete_vertices, is_connected, is_tree, vertices_of
 from .product import RootedGraph, rooted_product
 
 
@@ -266,25 +267,17 @@ def is_super_dominating(graph: Graph, subset: frozenset[int] | set[int]) -> bool
 # -- per-kind solvers ---------------------------------------------------------
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        bit = mask & (-mask)
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return frozenset(out)
-
-
 def _witness(graph: Graph, kind: ParameterKind, mask: int) -> frozenset[int] | RomanAssignment:
     """The witness a kernel mask stands for: the set itself, or for Roman the
     assignment with 2-set ``mask`` and the 1-labels forced onto the vertices
     it leaves uncovered."""
+    members = frozenset(vertices_of(mask))
     if kind is not ParameterKind.ROMAN:
-        return _mask_to_set(mask)
+        return members
     open_m, covered = graph.open_masks(), mask
-    for v in _mask_to_set(mask):
+    for v in members:
         covered |= open_m[v]
-    return RomanAssignment(_mask_to_set(((1 << graph.n) - 1) & ~covered), _mask_to_set(mask))
+    return RomanAssignment(frozenset(vertices_of(((1 << graph.n) - 1) & ~covered)), members)
 
 
 def _check_order(graph: Graph) -> None:
@@ -708,7 +701,7 @@ def _roman_labels(graph: Graph, root: int, weight: int, first: int) -> frozenset
         labels.add(1)
     if first != 0:
         tried = bit
-        for u in sorted(graph.neighbors(root)):
+        for u in vertices_of(graph.open_masks()[root]):
             if exists(1 << u, tried):
                 labels.add(0)
                 break

@@ -20,7 +20,7 @@ repeated runs agree bit for bit, but it carries no lexicographic promise.
 
 from __future__ import annotations
 
-from .graph import Graph, is_tree
+from .graph import Graph, is_tree, vertices_of
 
 _INF = 1 << 40
 
@@ -36,11 +36,11 @@ def tree_independent_domination(graph: Graph) -> tuple[int, frozenset[int]]:
     """
     if not is_tree(graph):
         raise ValueError("tree DP called on a non-tree")
-    n = graph.n
+    n, masks = graph.n, graph.open_masks()
     parent = [-1] * n
     order = [0]
     for u in order:
-        for w in sorted(graph.neighbors(u)):
+        for w in vertices_of(masks[u]):
             if w != parent[u]:
                 parent[w] = u
                 order.append(w)

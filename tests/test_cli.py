@@ -290,6 +290,17 @@ class TestVerify:
         done = _main_in_256_mb(["verify", "--witness", str(path)])
         assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
+    @pytest.mark.memory_cap
+    def test_a_witness_past_the_budget_exits_on_the_budget(self, tmp_path):
+        # A Graph of 10^6 vertices stores one open mask each, which fits the
+        # cap, so the check reaches the scan budget instead of running out.
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"theorem": "R2", "g": {"n": 1_000_000, "edges": []}}), encoding="utf-8")
+        done = _main_in_256_mb(["verify", "--witness", str(path)])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: enumeration needs the subset scan, and order 1000000 exceeds")
+        assert done.stderr.count("\n") == 1
+
     def test_failing_paper_claim_still_exits_zero(self, tmp_path):
         out = tmp_path / "s1.json"
         code = main(["--quiet", "verify", "--theorem", "S1", "--trials", "40", "--seed", "42", "--out", str(out)])

@@ -1,5 +1,7 @@
+import random
 import tracemalloc
 from functools import cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -48,19 +50,59 @@ class TestConstruction:
         assert g.m == 1
         g = Graph(5, [(0, 1), (1, 0), (2, 1), (1, 2), (0, 1), (4, 3), (3, 4), (4, 1)])
         assert g.m == 4
-        for v in g.vertices:
-            assert g.open_masks()[v] == sum(1 << u for u in g.neighbors(v))
 
-    def test_a_large_declared_order_builds_no_closed_masks(self):
-        # Closed masks would hold about n^2/2 bits, about 700 MB at this
-        # order; a Graph stores only the open ones, as a memory bound shows.
+    @staticmethod
+    def _check_adjacency(n, pairs, rng):
+        """Every adjacency query of a graph built from ``pairs``, each given
+        twice (once reversed) in shuffled order, against plain sets of the
+        raw input.  A second shuffle builds an equal graph with the same hash;
+        one more vertex, or one edge fewer, builds an unequal one."""
+        given = pairs + [(v, u) for u, v in pairs]
+        rng.shuffle(given)
+        adj = [set() for _ in range(n)]
+        for u, v in given:
+            adj[u].add(v)
+            adj[v].add(u)
+        g = Graph(n, given)
+        assert g.m == len(pairs)
+        assert g.edges() == sorted((min(e), max(e)) for e in pairs)
+        for v in range(n):
+            assert type(g.neighbors(v)) is frozenset and g.neighbors(v) == adj[v]
+            assert g.closed_neighborhood(v) == adj[v] | {v}
+            assert g.degree(v) == len(adj[v])
+            assert g.open_masks()[v] == sum(1 << u for u in adj[v])
+        rng.shuffle(given)
+        again = Graph(n, given)
+        assert again == g and hash(again) == hash(g)
+        assert Graph(n + 1, given) != g
+        if pairs:
+            assert Graph(n, [e for e in given if set(e) != set(pairs[0])]) != g
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_adjacency_is_the_edge_list_on_every_labelled_graph_up_to_order_5(self, n):
+        rng = random.Random(n)
+        all_pairs = list(combinations(range(n), 2))
+        for chosen in product((False, True), repeat=len(all_pairs)):
+            self._check_adjacency(n, [e for e, take in zip(all_pairs, chosen) if take], rng)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+    def test_adjacency_is_the_edge_list_on_masks_across_machine_words(self, n):
+        # Orders around and past 64 put neighbourhood masks across machine words.
+        rng = random.Random(n)
+        for p in (0.02, 0.1, 0.5):
+            self._check_adjacency(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p], rng)
+
+    def test_a_large_declared_order_stores_no_per_vertex_sets(self):
+        # A Graph stores one open mask per vertex and nothing else per vertex:
+        # about 1.6 MB at this order, where a neighbour set per vertex
+        # would take tens of megabytes.
         tracemalloc.start()
         try:
             graph, _ = parse_edge_list("100000 0\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert graph.n == 100_000 and peak < 150 * 2**20
+        assert graph.n == 100_000 and peak < 8 * 2**20
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
