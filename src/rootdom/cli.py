@@ -64,7 +64,7 @@ def _witness_json(witness):
 def _cmd_solve(args) -> int:
     kind = ParameterKind(args.param)
     # An order no method can solve exits before the graph is allocated.
-    graph, _ = read_edge_list(args.file, check=lambda n, edges: require_solvable(n, edges, kind))
+    graph = read_edge_list(args.file, check=lambda n, edges: require_solvable(n, edges, kind))
     # Every check and computation runs before the first line is printed, so
     # a request that fails prints its error alone.
     if args.classify_root is not None and graph.n < 2:
@@ -132,8 +132,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    base, _ = read_edge_list(args.g_file)
-    h_graph, _ = read_edge_list(args.h_file)
+    base = read_edge_list(args.g_file)
+    h_graph = read_edge_list(args.h_file)
     rooted = RootedGraph(h_graph, args.root)
     rp = rooted_product(base, rooted)
     text = format_edge_list(rp.product)

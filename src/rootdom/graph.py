@@ -339,30 +339,20 @@ def private_neighbor_set(
 EdgeListCheck = Callable[[int, list[tuple[int, int]]], None]
 
 
-def parse_edge_list(
-    text: str, source: str = "<string>", check: EdgeListCheck | None = None
-) -> tuple[Graph, int | None]:
+def parse_edge_list(text: str, source: str = "<string>", check: EdgeListCheck | None = None) -> Graph:
     """Parse the shared edge-list format.
 
     Line 1 is ``n m``, followed by ``m`` lines ``u v`` (0-based ids).
-    ``#`` starts a comment, blank lines are ignored.  A comment of the form
-    ``# root k``, whose first word is exactly ``root`` and whose k is an
-    optional ``-`` and ASCII digits, marks a root vertex; it is returned
-    alongside the graph.  Any other comment is ignored.  ``check``, when
-    given, is called with the order and the edges before the graph is built,
-    so it can refuse an order too large to allocate.
+    ``#`` starts a comment, blank lines are ignored; the ``# root k`` line
+    that ``format_edge_list`` writes for a rooted family is a comment like
+    any other.  ``check``, when given, is called with the order and the
+    edges before the graph is built, so it can refuse an order too large to
+    allocate.
     """
-    root: int | None = None
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)
-        comment = line[1].strip() if len(line) > 1 else ""
-        body = line[0].strip()
-        parts = comment.split()
-        digits = parts[1].removeprefix("-") if len(parts) == 2 and parts[0] == "root" else ""
-        if digits.isascii() and digits.isdigit():
-            root = int(parts[1])
+        body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         fields = body.split()
@@ -384,15 +374,12 @@ def parse_edge_list(
     if check is not None:
         check(n, edges)
     try:
-        graph = Graph(n, edges)
+        return Graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    if root is not None and not (0 <= root < n):
-        raise ValueError(f"{source}: root {root} out of range for order {n}")
-    return graph, root
 
 
-def read_edge_list(path: str, check: EdgeListCheck | None = None) -> tuple[Graph, int | None]:
+def read_edge_list(path: str, check: EdgeListCheck | None = None) -> Graph:
     with open(path, encoding="utf-8") as handle:
         return parse_edge_list(handle.read(), source=path, check=check)
 

@@ -34,10 +34,11 @@ Three entry points:
   product of the two.  The base tables count, over root sets S, the roots
   in S, in N(S) - S and outside N[S]: for gamma and Roman over every S,
   from one pass over the 2^n masks (``_closed_profile``), and for alpha
-  and i over the independent S that ``_independent_sets()`` lists; super
-  has its own pass, ``_super_profile``.  The scan budget then applies to
-  each factor, not to the product; a factor past it gets ``value()`` of the
-  built product.
+  and i over the independent S that ``_independent_sets()`` lists.  Super
+  counts members by their outside neighbours in the same kind of pass,
+  ``_super_profile``, and both passes read the half tables of one builder,
+  ``_unions()``.  The scan budget then applies to each factor, not to the
+  product; a factor past it gets ``value()`` of the built product.
 
 ``induced_independent_domination()`` tabulates i(G[U]) for every vertex
 mask U of G, for the harness's deletion theorem I3, from the same listing
@@ -494,25 +495,28 @@ def _root_costs(rooted: RootedGraph, kind: ParameterKind) -> tuple[int, ...]:
     return _cost(graph, kind, forced_in=bit), near, _cost(graph, kind, forced_out=bit)
 
 
-def _unions(masks) -> list[int]:
-    """``table[m]``: the union of ``masks[v]`` over the bits v of m."""
-    table = [0]
+def _unions(masks) -> list[tuple[int, int]]:
+    """``table[m]``: the pair (vertices in at least one of the masks
+    ``masks[v]`` over the bits v of m, vertices in at least two of them).
+    Each mask doubles the table: a vertex is in two masks of m + v when it
+    is in two of m, or in one of m and in ``masks[v]``."""
+    table = [(0, 0)]
     for mask in masks:
-        table += [t | mask for t in table]
+        table += [(once | mask, twice | once & mask) for once, twice in table]
     return table
 
 
 def _closed_profile(G: Graph) -> set[tuple[int, int]]:
     """The pairs (|S|, |N[S]|) over the subsets S of V(G).  One pass over
-    the 2^n masks; each half of the vertices has its own table of
-    open-neighbourhood unions, so a mask costs two lookups, and
-    N[S] = N(S) + S."""
+    the 2^n masks; each half of the vertices has its own ``_unions`` table
+    of open neighbourhoods, so a mask costs two lookups of their first
+    components, and N[S] = N(S) + S."""
     half, open_m = G.n // 2, G.open_masks()
     low = _unions(open_m[:half])
     pairs = set()
-    for top, top_open in enumerate(_unions(open_m[half:])):
+    for top, (top_open, _) in enumerate(_unions(open_m[half:])):
         top <<= half
-        for bottom, bottom_open in enumerate(low):
+        for bottom, (bottom_open, _) in enumerate(low):
             s = top | bottom
             pairs.add((s.bit_count(), (top_open | bottom_open | s).bit_count()))
     return pairs
@@ -544,25 +548,27 @@ def _super_profile(G: Graph) -> set[tuple[int, int, int, int]]:
     A server's one outside neighbour is the only vertex it can serve, so
     servers never compete: each w of c1 takes the cheaper of self and
     og + free - busy, and each of c2 takes self, the costs of
-    ``_root_costs`` in the order of these counts.  The pass visits
-    all 2^n masks at O(|S|) steps each, in Python on either backend: about
-    3 s at order 20, and four times that per two vertices more."""
-    n, open_m = G.n, G.open_masks()
-    full = (1 << n) - 1
-    neighbours = {1 << v: mask for v, mask in enumerate(open_m)}
+    ``_root_costs`` in the order of these counts.
+
+    One pass over the 2^n masks of out = V(G) - S, as in
+    ``_closed_profile``: the ``_unions`` tables of the two halves of out
+    give the vertices with at least one neighbour in out (once) and with at
+    least two (twice).  So a = |S - once|, the members with exactly one
+    outside neighbour are X1 = S & once - twice, and c1 counts the union of
+    their neighbourhoods outside S, two more lookups of first components."""
+    n, half, open_m = G.n, G.n // 2, G.open_masks()
+    full, low_bits = (1 << n) - 1, (1 << half) - 1
+    low, high = _unions(open_m[:half]), _unions(open_m[half:])
     profile = set()
-    for s in range(1 << n):
-        out, rest_s, a, single = full ^ s, s, 0, 0
-        while rest_s:
-            low = rest_s & -rest_s
-            rest_s ^= low
-            outside = neighbours[low] & out
-            if not outside:
-                a += 1
-            elif not outside & (outside - 1):
-                single |= outside
-        k, c1 = s.bit_count(), single.bit_count()
-        profile.add((a, k - a, c1, n - k - c1))
+    for top, (top_once, top_twice) in enumerate(high):
+        top <<= half
+        for bottom, (bottom_once, bottom_twice) in enumerate(low):
+            out = top | bottom
+            s, once = full ^ out, top_once | bottom_once
+            single = s & once & ~(top_twice | bottom_twice | top_once & bottom_once)
+            served = (low[single & low_bits][0] | high[single >> half][0]) & out
+            k, a, c1 = s.bit_count(), (s & ~once).bit_count(), served.bit_count()
+            profile.add((a, k - a, c1, n - k - c1))
     return profile
 
 

@@ -10,7 +10,7 @@ import pytest
 import rootdom
 from rootdom.cli import main
 from rootdom.graph import format_edge_list, read_edge_list
-from rootdom.families import path_graph, cycle_graph
+from rootdom.families import cycle_graph, path_graph, star_graph
 from rootdom.harness import CampaignConfig, TheoremId, run_campaign
 
 
@@ -83,6 +83,17 @@ class TestSolve:
         assert data["optimal_count"] == 3
         assert data["classification"]["membership"] == "IN_SOME"
 
+    def test_a_root_comment_past_the_order_is_ignored(self, tmp_path, p4_file, capsys):
+        # Neither solve nor product reads a root from the file.
+        rooted = tmp_path / "rooted.el"
+        rooted.write_text(format_edge_list(path_graph(4), root=9), encoding="utf-8")
+        for argv in (["solve", "--param", "gamma"], ["product", p4_file, "--root", "0"]):
+            outputs = []
+            for path in (p4_file, str(rooted)):
+                assert main([*argv, path]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1] and not outputs[1].err
+
     def test_quiet(self, p4_file, capsys):
         assert main(["--quiet", "solve", "--param", "gamma", p4_file]) == 0
         assert capsys.readouterr().out == ""
@@ -151,16 +162,15 @@ class TestGen:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "t.el"
         assert main(["--quiet", "gen", "--family", "random-tree", "--n", "8", "--seed", "5", "-o", str(out)]) == 0
-        g, root = read_edge_list(str(out))
-        assert g.n == 8 and g.m == 7 and root is None
+        g = read_edge_list(str(out))
+        assert g.n == 8 and g.m == 7
 
     def test_rooted_family_comment(self, tmp_path):
         out = tmp_path / "s.el"
         assert main(["--quiet", "gen", "--family", "star", "--m", "3", "-o", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text.strip().endswith("# root 0")
-        g, root = read_edge_list(str(out))
-        assert root == 0
+        assert read_edge_list(str(out)) == star_graph(3).graph
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.el", tmp_path / "b.el"
@@ -246,7 +256,7 @@ class TestProduct:
         out = tmp_path / "prod.el"
         code = main(["--quiet", "product", p4_file, str(c3), "--root", "0", "-o", str(out)])
         assert code == 0
-        g, _ = read_edge_list(str(out))
+        g = read_edge_list(str(out))
         assert g.n == 12 and g.m == 15
         sidecar = _strip_meta(str(out) + ".map.json")
         assert sidecar["base"] == [0, 1, 2, 3]

@@ -75,8 +75,8 @@ _TOKEN = st.one_of(
     st.sampled_from(["x", "1.5", "+3", "-0", "0x1", "\u0663", "\u00b2", "1_2", "#", "root"]),
 )
 _WORDS = st.lists(_TOKEN, max_size=3).map(" ".join)
-#: Words after ``# root``: the tokens above, and signs and digits in an
-#: order ``int`` refuses.
+#: Words after ``# root``, which the parser reads as a comment like any
+#: other: the tokens above, and signs and digits in an order ``int`` refuses.
 _ROOT_WORD = st.one_of(_TOKEN, st.sampled_from(["--1", "-", "1-", "-\u00b2"]))
 _LINE = st.one_of(
     _WORDS,
@@ -88,10 +88,8 @@ _LINE = st.one_of(
 @st.composite
 def _edge_list_texts(draw) -> str:
     """A graph of order 1..8 in the edge-list format, spoiled by at most one
-    flaw, or free lines of tokens."""
-    flaw = draw(st.sampled_from(
-        [*_FLAWS, "lines", "order", "count", "vertex", "loop", "root", "token", "word"]
-    ))
+    flaw, or free lines of tokens, with or without a ``# root`` comment."""
+    flaw = draw(st.sampled_from([*_FLAWS, "lines", "order", "count", "vertex", "loop", "token"]))
     if flaw == "lines":
         return "\n".join(draw(st.lists(_LINE, max_size=14)))
     n = draw(st.integers(1, 8))
@@ -106,11 +104,8 @@ def _edge_list_texts(draw) -> str:
     lines = [f"{n} {m}", *(f"{u} {v}" for u, v in edges)]
     if flaw == "token":
         lines[draw(st.integers(0, len(lines) - 1))] += " " + draw(_TOKEN)
-    if flaw == "word":
-        lines.append(f"# root {draw(_ROOT_WORD)}")
-    elif flaw == "root" or draw(st.booleans()):
-        root = draw(st.sampled_from([-1, n]) if flaw == "root" else st.integers(0, max(n - 1, 0)))
-        lines.append(f"# root {root}")
+    if draw(st.booleans()):
+        lines.append(f"# root {draw(st.one_of(st.sampled_from([-1, n]), _ROOT_WORD))}")
     return "\n".join(lines) + "\n"
 
 

@@ -83,23 +83,33 @@ def test_seeded_products_up_to_order_20():
     assert disconnected >= 100  # super reads these; the connected kinds raise
 
 
-def _subset_counts(G: Graph, independent: bool) -> set[tuple[int, int, int]]:
-    """(|S|, |N(S) - S|, |V(G) - N[S]|) over the subsets S of V(G), the
-    independent ones only if ``independent``, from the neighbour sets."""
-    counts = set()
+def _subset_counts(G: Graph) -> tuple[set[tuple[int, ...]], ...]:
+    """Over the subsets S of V(G), from the neighbour sets: the triples
+    (|S|, |N(S) - S|, |V(G) - N[S]|) of every S and of the independent S,
+    and super's tuples (a, b, c1, c2), where a counts the members with no
+    neighbour outside S and c1 the outside vertices that are some member's
+    only outside neighbour."""
+    every, independent, super_counts = set(), set(), set()
     for k in range(G.n + 1):
         for members in combinations(range(G.n), k):
             S = set(members)
             near = set().union(*(G.neighbors(v) for v in S))
-            if not (independent and near & S):
-                counts.add((k, len(near - S), G.n - len(near | S)))
-    return counts
+            counts = (k, len(near - S), G.n - len(near | S))
+            every.add(counts)
+            if not near & S:
+                independent.add(counts)
+            outside = [G.neighbors(v) - S for v in S]
+            a = sum(not found for found in outside)
+            c1 = len(set().union(*(found for found in outside if len(found) == 1)))
+            super_counts.add((a, k - a, c1, G.n - k - c1))
+    return every, independent, super_counts
 
 
 def _check_base_tables(G: Graph) -> None:
-    every, independent = _subset_counts(G, False), _subset_counts(G, True)
+    every, independent, super_counts = _subset_counts(G)
     for kind, expected in ((PK.DOMINATION, every), (PK.ROMAN, every),
-                           (PK.INDEPENDENCE, independent), (PK.INDEPENDENT_DOMINATION, independent)):
+                           (PK.INDEPENDENCE, independent), (PK.INDEPENDENT_DOMINATION, independent),
+                           (PK.SUPER, super_counts)):
         assert solvers._base_table(G, kind) == expected, (kind, G.edges())
 
 
@@ -113,6 +123,53 @@ def test_base_tables_on_every_labelled_graph_up_to_order_5(n):
 def test_base_tables_on_seeded_graphs_of_order_6_to_14(n):
     for p in (0.0, 0.2, 0.5, 1.0):
         _check_base_tables(random_gnp(n, p, seed=n))
+
+
+def _super_states(rooted: RootedGraph) -> tuple[int, ...]:
+    """``_root_costs(rooted, SUPER)`` from the definitions: the least |D|
+    over the vertex sets D of H in each root state, ``_INFEASIBLE`` where no
+    D is in it.  A member u serves an outside x when x is u's only
+    neighbour outside D."""
+    H, r = rooted.graph, rooted.root
+    sets = [set(members) for k in range(H.n + 1) for members in combinations(range(H.n), k)]
+
+    def served(D, servers, exempt=frozenset()):
+        return all(
+            any(H.neighbors(u) <= D | {x} for u in H.neighbors(x) & servers)
+            for x in set(range(H.n)) - D - exempt
+        )
+
+    def least(test):
+        return min((len(D) for D in sets if test(D)), default=solvers._INFEASIBLE)
+
+    hserve = least(lambda D: r in D and served(D, D))
+    busy = least(lambda D: r in D and served(D, D - {r}))
+    free = least(lambda D: H.closed_neighborhood(r) <= D and served(D, D))
+    own = least(lambda D: r not in D and served(D, D))
+    og = least(lambda D: r not in D and served(D, D, exempt={r}))
+    return hserve, busy, min(own, og + free - busy), own
+
+
+def _check_super_root_costs(rooted: RootedGraph) -> None:
+    # busy reads H - r and og a pendant gadget; here every state is a
+    # least set of H itself.
+    expected = _super_states(rooted)
+    assert solvers._root_costs(rooted, PK.SUPER) == expected, (rooted.graph.edges(), rooted.root)
+
+
+def test_super_root_costs_on_every_rooted_graph_of_order_2_to_4():
+    for n in (2, 3, 4):
+        for H in labelled_graphs(n):
+            for root in range(n):
+                _check_super_root_costs(RootedGraph(H, root))
+
+
+def test_super_root_costs_on_seeded_rooted_graphs_of_order_5_to_7():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(5, 7)
+        H = random_gnp(n, rng.choice((0.2, 0.4, 0.7)), seed=rng.randrange(1 << 30))
+        _check_super_root_costs(RootedGraph(H, rng.randrange(n)))
 
 
 def test_i_of_tree_products_against_the_tree_dp():
